@@ -267,11 +267,13 @@ def verify_dispatch(identifier: str, args: argparse.Namespace) -> List[Verdict]:
         return verify_cor23(max_n or 30, min(max_n or 25, 25))
     if identifier == "thm2.1":
         profile = tuple(args.m) if args.m else None
-        if args.k:
-            return verify_thm21(args.k, max_n or (14 if args.k == 2 else 12), profile)
-        return verify_thm21(2, max_n or 14, profile) + verify_thm21(
-            3, max_n or 12, profile
-        )
+        # count_fk takes k from the length of the profile, so --m fixes k.
+        if profile and args.k and args.k != len(profile):
+            raise ValueError(f"--k {args.k} disagrees with the {len(profile)} --m entries")
+        k = len(profile) if profile else args.k
+        if k:
+            return verify_thm21(k, max_n or (14 if k == 2 else 12), profile)
+        return verify_thm21(2, max_n or 14) + verify_thm21(3, max_n or 12)
     if identifier == "thm2.4":
         return verify_thm24(args.k or 3, max_n or 12)
     if identifier == "thm2.5":
@@ -335,9 +337,7 @@ def _emit_table(table, fmt: str) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dysonsym",
-        description="Dyson symbols, crank statistics, and partition congruences. "
-        "The DYSONSYM_CACHE_DIR environment variable selects a directory for "
-        "the persistent crank-table cache used by scanning.",
+        description="Dyson symbols, crank statistics, and partition congruences.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -376,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--max-n", type=int, dest="max_n")
     p.add_argument("--m", type=int, action="append", help="crank profile entry (repeatable)")
-    p.add_argument("--t", type=int, action="append", help="balance profile entry (repeatable)")
     p.add_argument("--p", type=int)
     p.add_argument("--r", type=int)
     common(p)
@@ -387,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--max-a", type=int, dest="max_a", default=10)
     p.add_argument("--max-n", type=int, dest="max_n", default=79)
-    p.add_argument("--threads", type=int, default=1)
     common(p)
 
     return parser
@@ -396,6 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except ValueError as exc:
+        # Out-of-range arguments are usage errors: status 2, no traceback.
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+
+
+def _run(args: argparse.Namespace) -> int:
     fmt = args.format
 
     if args.verb == "partitions":
@@ -471,6 +477,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.verb == "verify":
+        if args.k is not None and args.k < 1:
+            raise ValueError("--k must be positive")
         ids = VERIFY_IDS if args.identifier == "all" else (args.identifier,)
         verdicts: List[Verdict] = []
         for ident in ids:
@@ -486,7 +494,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             k=args.k,
             a_max=args.max_a,
             n_max=args.max_n,
-            threads=args.threads,
         )
         if fmt == "csv":
             print("p,r,A,B,kind,k,n_max,holds,points")
@@ -507,8 +514,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{len(witnesses)} witnesses", file=sys.stderr)
         return 0
 
-    parser.error(f"unknown verb: {args.verb}")
-    return 2
+    raise ValueError(f"unknown verb: {args.verb}")
 
 
 if __name__ == "__main__":

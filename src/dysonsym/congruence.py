@@ -9,15 +9,11 @@ not attempt any subsumption ("non-nested") analysis of the reported pairs.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fullcrank import Verdict, count_full_crank_residue, theorem43_rhs
-from .partitions import CountTable, crank_counts, crank_moment, gen_binomial
-
-CACHE_ENV_VAR = "DYSONSYM_CACHE_DIR"
-CACHE_FILE = "crank_tables.json"
+from .partitions import _moment, crank_counts, gen_binomial
 
 
 def is_prime(n: int) -> bool:
@@ -31,77 +27,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Crank table cache (in memory, optionally persisted as JSON)
-# ---------------------------------------------------------------------------
-
-
-class CrankTableCache:
-    """Crank count tables keyed by n, optionally persisted to a JSON file.
-
-    The cache directory defaults to the DYSONSYM_CACHE_DIR environment
-    variable; without it, tables live only in process memory.
-    """
-
-    def __init__(self, directory: Optional[str] = None):
-        if directory is None:
-            directory = os.environ.get(CACHE_ENV_VAR)
-        self.directory = directory
-        self._tables: Dict[int, CountTable] = {}
-        self._loaded = False
-
-    def _path(self) -> Optional[str]:
-        if not self.directory:
-            return None
-        return os.path.join(self.directory, CACHE_FILE)
-
-    def _load(self) -> None:
-        if self._loaded:
-            return
-        self._loaded = True
-        path = self._path()
-        if not path or not os.path.exists(path):
-            return
-        with open(path) as handle:
-            data = json.load(handle)
-        for key, rows in data.get("tables", {}).items():
-            n = int(key)
-            self._tables[n] = CountTable(n, {int(m): int(c) for m, c in rows})
-
-    def table(self, n: int) -> CountTable:
-        self._load()
-        if n not in self._tables:
-            self._tables[n] = crank_counts(n)
-        return self._tables[n]
-
-    def flush(self) -> None:
-        """Write all cached tables back to disk, if a directory is set."""
-        path = self._path()
-        if not path:
-            return
-        os.makedirs(self.directory, exist_ok=True)
-        payload = {
-            "tables": {
-                str(n): [[m, t.counts[m]] for m in sorted(t.counts)]
-                for n, t in sorted(self._tables.items())
-            }
-        }
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
-
-
-_default_cache = CrankTableCache()
-
-
-def crank_residue_table(t: int, n: int, cache: Optional[CrankTableCache] = None) -> Tuple[int, ...]:
+def crank_residue_table(t: int, n: int) -> Tuple[int, ...]:
     """Entry i is the number of partitions of n with crank congruent to i mod t."""
     if t < 1:
         raise ValueError("modulus must be positive")
     if n < 2:
         raise ValueError("residue tables require n >= 2")
-    table = (cache or _default_cache).table(n)
     out = [0] * t
-    for m, c in table.counts.items():
+    for m, c in crank_counts(n).counts.items():
         out[m % t] += c
     return tuple(out)
 
@@ -227,45 +160,6 @@ class CongruenceWitness:
         )
 
 
-def _scan_cell(
-    A: int,
-    B: int,
-    p: int,
-    r: int,
-    k: Optional[int],
-    n_max: int,
-    min_points: int,
-    cache: CrankTableCache,
-) -> List[CongruenceWitness]:
-    modulus = p**r
-    values = [n for n in range(B, n_max + 1, A) if n >= 2]
-    if len(values) < min_points:
-        return []
-    residue_ok = True
-    moment_ok = k is not None
-    for n in values:
-        table = crank_residue_table(modulus, n, cache=cache)
-        if residue_ok and any(c % modulus != 0 for c in table):
-            residue_ok = False
-        if moment_ok:
-            mu = sum(
-                gen_binomial(m + k - 1, 2 * k) * c
-                for m, c in cache.table(n).counts.items()
-            )
-            if mu % modulus != 0:
-                moment_ok = False
-        if not residue_ok and not moment_ok:
-            break
-    out = []
-    if residue_ok:
-        out.append(
-            CongruenceWitness(p, r, A, B, "crank-residue", None, n_max, True, len(values))
-        )
-    if moment_ok:
-        out.append(CongruenceWitness(p, r, A, B, "moment", k, n_max, True, len(values)))
-    return out
-
-
 def scan_progressions(
     p: int,
     r: int,
@@ -273,8 +167,6 @@ def scan_progressions(
     a_max: int = 10,
     n_max: int = 79,
     min_points: int = 3,
-    cache: Optional[CrankTableCache] = None,
-    threads: int = 1,
 ) -> List[CongruenceWitness]:
     """Search progressions An + B (A <= a_max) for empirical congruences.
 
@@ -283,28 +175,38 @@ def scan_progressions(
     (emitted only when k is given) requires mu_{2k}(An+B) = 0 mod p^r over
     the same range.  Only progressions that hold with at least
     ``min_points`` data points are reported.  Deterministic for fixed
-    inputs; with ``threads > 1`` the (A, B) cells run on a thread pool but
-    the output order is unchanged (tables are precomputed single-writer
-    first, so the workers only read the cache).
+    inputs.  Each progression stops at its first failing value, so crank
+    tables are built only for the n some progression has to look at.
     """
     if not is_prime(p) or p < 5:
         raise ValueError("p must be a prime >= 5")
     if r < 1:
         raise ValueError("r must be positive")
-    cache = cache or _default_cache
-    cells = [(A, B) for A in range(1, a_max + 1) for B in range(A)]
-    if threads > 1:
-        for n in range(2, n_max + 1):
-            cache.table(n)
-        from concurrent.futures import ThreadPoolExecutor
+    if k is not None and k < 0:
+        raise ValueError("k must be nonnegative")
+    modulus = p**r
+    # n -> (every residue count vanishes mod p^r, mu_2k(n) vanishes mod p^r)
+    memo: Dict[int, Tuple[bool, bool]] = {}
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda cell: _scan_cell(*cell, p, r, k, n_max, min_points, cache),
-                    cells,
+    def vanishes(n: int) -> Tuple[bool, bool]:
+        if n not in memo:
+            residues_ok = all(c % modulus == 0 for c in crank_residue_table(modulus, n))
+            moment_ok = k is not None and _moment(2 * k, crank_counts(n)) % modulus == 0
+            memo[n] = (residues_ok, moment_ok)
+        return memo[n]
+
+    witnesses = []
+    for A in range(1, a_max + 1):
+        for B in range(A):
+            values = [n for n in range(B, n_max + 1, A) if n >= 2]
+            if len(values) < min_points:
+                continue
+            if all(vanishes(n)[0] for n in values):
+                witnesses.append(
+                    CongruenceWitness(p, r, A, B, "crank-residue", None, n_max, True, len(values))
                 )
-            )
-    else:
-        results = [_scan_cell(A, B, p, r, k, n_max, min_points, cache) for A, B in cells]
-    return [w for chunk in results for w in chunk]
+            if k is not None and all(vanishes(n)[1] for n in values):
+                witnesses.append(
+                    CongruenceWitness(p, r, A, B, "moment", k, n_max, True, len(values))
+                )
+    return witnesses

@@ -8,6 +8,7 @@ that the pair encodes an ordinary partition of weight
 from __future__ import annotations
 
 import json
+from collections import Counter
 from functools import lru_cache
 from typing import Dict, Iterator, NamedTuple, Tuple
 
@@ -31,7 +32,10 @@ class DysonSymbol(NamedTuple):
     @classmethod
     def from_json(cls, text: str) -> "DysonSymbol":
         data = json.loads(text)
-        return cls(check_partition(data["alpha"]), check_partition(data["beta"]))
+        sym = cls(check_partition(data["alpha"]), check_partition(data["beta"]))
+        if not validate_dyson(sym):
+            raise ValueError(f"not a valid Dyson symbol: {sym}")
+        return sym
 
 
 def validate_dyson(sym: DysonSymbol) -> bool:
@@ -127,11 +131,7 @@ def _structural_search(n: int) -> Tuple[DysonSymbol, ...]:
 
 @lru_cache(maxsize=None)
 def _crank_table(n: int) -> Dict[int, int]:
-    counts: Dict[int, int] = {}
-    for sym in enumerate_dyson_symbols(n):
-        c = sym.crank()
-        counts[c] = counts.get(c, 0) + 1
-    return counts
+    return Counter(sym.crank() for sym in enumerate_dyson_symbols(n))
 
 
 def count_f1(m: int, n: int) -> int:

@@ -8,6 +8,7 @@ count_full_crank(k, m, n) equals a fixed binomial times M(m, n).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Tuple
@@ -55,11 +56,7 @@ def full_crank(eta: MarkedDysonSymbol) -> int:
 @lru_cache(maxsize=None)
 def full_crank_table(k: int, n: int) -> Dict[int, int]:
     """Distribution of the full crank over all k-marked symbols of weight n."""
-    counts: Dict[int, int] = {}
-    for eta in enumerate_marked(k, n):
-        value = full_crank(eta)
-        counts[value] = counts.get(value, 0) + 1
-    return counts
+    return Counter(full_crank(eta) for eta in enumerate_marked(k, n))
 
 
 def count_full_crank(k: int, m: int, n: int) -> int:

@@ -16,6 +16,7 @@ down to p_1 (the order in which symbols are conventionally displayed).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -61,7 +62,10 @@ class MarkedDysonSymbol:
         markers = tuple(reversed([int(p) for p in data["p"]]))
         if len(vectors) != data["k"] or len(markers) != data["k"] - 1:
             raise ValueError("inconsistent level/marker counts")
-        return cls(vectors, markers)
+        eta = cls(vectors, markers)
+        if not validate_marked(eta):
+            raise ValueError(f"not a valid marked Dyson symbol: {eta}")
+        return eta
 
 
 @dataclass(frozen=True)
@@ -341,33 +345,22 @@ def enumerate_marked(k: int, n: int) -> Tuple[MarkedDysonSymbol, ...]:
 
 @lru_cache(maxsize=None)
 def _crank_table(k: int, n: int) -> Dict[Tuple[int, ...], int]:
-    counts: Dict[Tuple[int, ...], int] = {}
-    for eta in enumerate_marked(k, n):
-        key = crank_vector(eta)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return Counter(crank_vector(eta) for eta in enumerate_marked(k, n))
 
 
 @lru_cache(maxsize=None)
 def _crank_balance_table(
     k: int, n: int
 ) -> Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int]:
-    counts: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
-    for eta in enumerate_marked(k, n):
-        stats = statistics(eta)
-        key = (stats.cranks, stats.balances[:-1])
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return Counter(
+        (stats.cranks, stats.balances[:-1])
+        for stats in map(statistics, enumerate_marked(k, n))
+    )
 
 
 @lru_cache(maxsize=None)
 def _strict_crank_table(k: int, n: int) -> Dict[Tuple[int, ...], int]:
-    counts: Dict[Tuple[int, ...], int] = {}
-    for eta in enumerate_marked(k, n):
-        if is_strict(eta):
-            key = crank_vector(eta)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+    return Counter(crank_vector(eta) for eta in enumerate_marked(k, n) if is_strict(eta))
 
 
 def count_fk(cranks: Tuple[int, ...], n: int) -> int:

@@ -59,22 +59,19 @@ def _one_free_partitions(n: int, max_part: int | None = None) -> Iterator[Partit
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
-def _count_with_max(n: int, max_part: int) -> int:
-    if n == 0:
-        return 0 if max_part < 0 else 1
-    if max_part <= 0:
-        return 0
-    if max_part > n:
-        max_part = n
-    return sum(_count_with_max(n - first, first) for first in range(1, max_part + 1))
-
-
 def partition_count(n: int) -> int:
-    """p(n), the number of partitions of ``n``."""
+    """p(n), the number of partitions of ``n``.
+
+    Counts partitions part size by part size, bottom-up, so there is no
+    recursion depth limit and nothing is cached between calls.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _count_with_max(n, n)
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            counts[total] += counts[total - part]
+    return counts[n]
 
 
 def conjugate(lam: Partition) -> Partition:

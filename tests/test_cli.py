@@ -113,15 +113,48 @@ def test_scan_verb_json(capsys):
     assert "witnesses" in err
 
 
-def test_scan_threads_same_output(capsys):
-    _, out1, _ = run_cli(
-        capsys, "scan", "--p", "5", "--max-a", "4", "--max-n", "40", "--format", "json"
-    )
-    _, out2, _ = run_cli(
-        capsys, "scan", "--p", "5", "--max-a", "4", "--max-n", "40",
-        "--threads", "4", "--format", "json",
-    )
-    assert out1 == out2
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+def assert_one_line_error(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("dysonsym: error:"), err
+
+
+def test_negative_n_for_partitions_is_usage_error(capsys):
+    assert_one_line_error(usage_error(capsys, "partitions", "--n", "-1"))
+
+
+def test_zero_n_for_crank_table_is_usage_error(capsys):
+    assert_one_line_error(usage_error(capsys, "crank-table", "--n", "0"))
+
+
+def test_negative_k_for_scan_is_usage_error(capsys):
+    assert_one_line_error(usage_error(capsys, "scan", "--p", "5", "--k", "-1"))
+
+
+def test_nonpositive_k_for_verify_is_usage_error(capsys):
+    # --k 0 used to run the default ks; --k -2 recursed without end.
+    assert_one_line_error(usage_error(capsys, "verify", "thm4.3", "--k", "0"))
+    assert_one_line_error(usage_error(capsys, "verify", "thm2.1", "--k", "-2"))
+
+
+def test_removed_options_are_usage_errors(capsys):
+    usage_error(capsys, "verify", "thm2.5", "--t", "1")
+    usage_error(capsys, "scan", "--p", "5", "--threads", "2")
+
+
+def test_verify_profile_sets_k(capsys):
+    code, out, _ = run_cli(capsys, "verify", "thm2.1", "--m", "1", "--format", "json")
+    assert code == 0
+    verdicts = [json.loads(line) for line in out.strip().splitlines()]
+    assert verdicts and all(v["k"] == 1 for v in verdicts)
+    err = usage_error(capsys, "verify", "thm2.1", "--m", "1", "--k", "2")
+    assert "--k 2" in err
 
 
 def test_progress_goes_to_stderr_only(capsys):

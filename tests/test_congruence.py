@@ -4,7 +4,7 @@ import pytest
 
 from dysonsym import (
     CongruenceWitness,
-    CrankTableCache,
+    crank_counts,
     crank_residue_table,
     is_prime,
     partition_count,
@@ -118,8 +118,24 @@ def test_scanner_crank_residue_kind():
 def test_scanner_determinism_and_threads():
     base = scan_progressions(5, 1, k=1, a_max=4, n_max=40)
     again = scan_progressions(5, 1, k=1, a_max=4, n_max=40)
-    threaded = scan_progressions(5, 1, k=1, a_max=4, n_max=40, threads=4)
-    assert base == again == threaded
+    assert base == again
+
+
+def test_scanner_builds_only_the_tables_it_reads():
+    # Each progression stops at its first failing value, so no progression
+    # gets as far as n = 22 or n = 26: 27 of the 29 tables for n = 2..30.
+    crank_counts.cache_clear()
+    scan_progressions(5, 1, k=1, a_max=10, n_max=30)
+    assert crank_counts.cache_info().misses == 27
+
+
+def test_scanner_input_validation():
+    with pytest.raises(ValueError):
+        scan_progressions(4, 1)
+    with pytest.raises(ValueError):
+        scan_progressions(5, 0)
+    with pytest.raises(ValueError):
+        scan_progressions(5, 1, k=-1)
 
 
 def test_scanner_min_points():
@@ -135,18 +151,3 @@ def test_witness_json():
         "k": 1, "n_max": 79, "holds": True, "points": 16,
     }
 
-
-def test_cache_persistence(tmp_path):
-    cache = CrankTableCache(str(tmp_path))
-    table = cache.table(9)
-    assert table.total() == partition_count(9)
-    cache.flush()
-    assert (tmp_path / "crank_tables.json").exists()
-    fresh = CrankTableCache(str(tmp_path))
-    assert fresh.table(9).counts == table.counts
-
-
-def test_cache_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("DYSONSYM_CACHE_DIR", str(tmp_path))
-    cache = CrankTableCache()
-    assert cache.directory == str(tmp_path)

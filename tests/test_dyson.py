@@ -91,6 +91,12 @@ def test_json_round_trip():
     assert DysonSymbol.from_json(sym.to_json()) == sym
 
 
+def test_from_json_rejects_invalid_symbol():
+    # A one-part alpha must be (1).
+    with pytest.raises(ValueError):
+        DysonSymbol.from_json('{"alpha": [3], "beta": []}')
+
+
 def test_errors():
     with pytest.raises(ValueError):
         to_dyson_symbol(())

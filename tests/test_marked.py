@@ -211,3 +211,13 @@ def test_phi_rejects_invalid_input():
 def test_json_round_trip():
     eta = BIG_THREE_MARKED
     assert MarkedDysonSymbol.from_json(eta.to_json()) == eta
+
+
+def test_from_json_rejects_invalid_symbol():
+    # Level 1 holds the part 5, above its marker 2.
+    text = (
+        '{"k": 2, "vectors": [{"alpha": [9], "beta": []}, {"alpha": [5], "beta": []}],'
+        ' "p": [2]}'
+    )
+    with pytest.raises(ValueError):
+        MarkedDysonSymbol.from_json(text)

@@ -38,6 +38,11 @@ def test_partition_count_known_values():
     assert partition_count(80) == 15796476
 
 
+def test_partition_count_has_no_recursion_limit():
+    # A recursive count overflowed the stack near n = 330 on a cold cache.
+    assert partition_count(1000) == 24061467864032622473692149727991
+
+
 def test_check_partition_rejects_bad_input():
     with pytest.raises(ValueError):
         check_partition((1, 2))
