@@ -262,9 +262,13 @@ def verify_mod_identity_suite(
 
 def verify_dispatch(identifier: str, args: argparse.Namespace) -> List[Verdict]:
     """Run one named verification suite within the requested bounds."""
-    max_n = args.max_n
+
+    def bound(default: int) -> int:
+        # --max-n if given, else the suite's default bound.
+        return default if args.max_n is None else args.max_n
+
     if identifier == "cor2.3":
-        return verify_cor23(max_n or 30, min(max_n or 25, 25))
+        return verify_cor23(bound(30), min(bound(25), 25))
     if identifier == "thm2.1":
         profile = tuple(args.m) if args.m else None
         # count_fk takes k from the length of the profile, so --m fixes k.
@@ -272,29 +276,27 @@ def verify_dispatch(identifier: str, args: argparse.Namespace) -> List[Verdict]:
             raise ValueError(f"--k {args.k} disagrees with the {len(profile)} --m entries")
         k = len(profile) if profile else args.k
         if k:
-            return verify_thm21(k, max_n or (14 if k == 2 else 12), profile)
-        return verify_thm21(2, max_n or 14) + verify_thm21(3, max_n or 12)
+            return verify_thm21(k, bound(14 if k == 2 else 12), profile)
+        return verify_thm21(2, bound(14)) + verify_thm21(3, bound(12))
     if identifier == "thm2.4":
-        return verify_thm24(args.k or 3, max_n or 12)
+        return verify_thm24(args.k or 3, bound(12))
     if identifier == "thm2.5":
-        return verify_thm25(max_n or 12, (args.k,) if args.k else (2, 3))
+        return verify_thm25(bound(12), (args.k,) if args.k else (2, 3))
     if identifier == "thm2.6":
-        return verify_thm26(args.k or 3, max_n or 12)
+        return verify_thm26(args.k or 3, bound(12))
     if identifier == "thm3.1":
         if args.k:
-            return verify_thm31(args.k, max_n or (14 if args.k == 1 else 10), args.n)
-        return verify_thm31(1, max_n or 14, args.n) + verify_thm31(
-            2, max_n or 10, args.n
-        )
+            return verify_thm31(args.k, bound(14 if args.k == 1 else 10), args.n)
+        return verify_thm31(1, bound(14), args.n) + verify_thm31(2, bound(10), args.n)
     if identifier == "thm4.3":
-        return verify_thm43(args.k or 3, max_n or 14)
+        return verify_thm43(args.k or 3, bound(14))
     if identifier == "gf-ck":
-        return verify_gfck(args.k or 4, max_n or 25)
+        return verify_gfck(args.k or 4, bound(25))
     if identifier == "mod-identity":
         triples = MOD_IDENTITY_TRIPLES
         if args.p:
             triples = ((args.k or 2, args.p, args.r or 1),)
-        return verify_mod_identity_suite(triples, min(max_n or 14, 14), max_n or 40)
+        return verify_mod_identity_suite(triples, min(bound(14), 14), bound(40))
     raise KeyError(identifier)
 
 
@@ -479,6 +481,8 @@ def _run(args: argparse.Namespace) -> int:
     if args.verb == "verify":
         if args.k is not None and args.k < 1:
             raise ValueError("--k must be positive")
+        if args.max_n is not None and args.max_n < 1:
+            raise ValueError("--max-n must be positive")
         ids = VERIFY_IDS if args.identifier == "all" else (args.identifier,)
         verdicts: List[Verdict] = []
         for ident in ids:

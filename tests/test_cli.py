@@ -113,6 +113,18 @@ def test_scan_verb_json(capsys):
     assert "witnesses" in err
 
 
+def test_scan_default_bounds(capsys):
+    # The default --max-a 10 --max-n 79 needs the count tables up to n = 79,
+    # where p(79) = 13,848,650 partitions are too many to enumerate in a test.
+    code, out, _ = run_cli(capsys, "scan", "--p", "5", "--k", "1", "--format", "json")
+    assert code == 0
+    witnesses = [json.loads(line) for line in out.strip().splitlines()]
+    assert all(w["kind"] == "moment" and w["n_max"] == 79 for w in witnesses)
+    assert [(w["A"], w["B"], w["points"]) for w in witnesses] == [
+        (5, 0, 15), (5, 4, 16), (10, 0, 7), (10, 4, 8), (10, 5, 8), (10, 9, 8),
+    ]
+
+
 def usage_error(capsys, *argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -141,6 +153,12 @@ def test_nonpositive_k_for_verify_is_usage_error(capsys):
     # --k 0 used to run the default ks; --k -2 recursed without end.
     assert_one_line_error(usage_error(capsys, "verify", "thm4.3", "--k", "0"))
     assert_one_line_error(usage_error(capsys, "verify", "thm2.1", "--k", "-2"))
+
+
+def test_nonpositive_max_n_for_verify_is_usage_error(capsys):
+    # --max-n 0 used to run the default bound and print a verdict at n = 25.
+    assert_one_line_error(usage_error(capsys, "verify", "gf-ck", "--k", "1", "--max-n", "0"))
+    assert_one_line_error(usage_error(capsys, "verify", "cor2.3", "--max-n", "-3"))
 
 
 def test_removed_options_are_usage_errors(capsys):

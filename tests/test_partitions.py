@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -88,6 +89,7 @@ def test_rank_crank_conjugate_symmetry():
 
 
 def test_crank_counts_n1_convention():
+    # The q^1 coefficient of the crank generating function, with no special case.
     assert crank_counts(1).counts == CRANK_TABLE_ONE
 
 
@@ -100,10 +102,20 @@ def test_crank_counts_match_direct_enumeration():
         assert crank_counts(n).counts == direct
 
 
+def test_rank_counts_match_direct_enumeration():
+    for n in range(1, 26):
+        assert rank_counts(n).counts == Counter(rank(lam) for lam in partitions_of(n))
+
+
 def test_count_tables_sum_to_pn():
-    for n in range(2, 31):
-        assert crank_counts(n).total() == partition_count(n)
-        assert rank_counts(n).total() == partition_count(n)
+    # Far beyond the reach of enumeration (p(300) is about 9.3e15): both
+    # tables sum to p(n), are symmetric in m, and mu_2(n) = n p(n).
+    for n in range(1, 301):
+        p_n = partition_count(n)
+        for table in (crank_counts(n), rank_counts(n)):
+            assert table.total() == p_n
+            assert all(table[m] == table[-m] for m in table.support())
+        assert crank_moment(2, n) == n * p_n
 
 
 def test_count_table_serialization_round_trip():
