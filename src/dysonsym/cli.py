@@ -1,13 +1,15 @@
 """Command-line front end: tables, enumerations, verifications, scanning.
 
 Exit status: 0 on success, 1 when any verification verdict fails, 2 on
-usage errors.  Standard output carries data only; progress and summaries
-go to the error stream.
+usage errors (including a verify run whose bounds leave no check), 141
+when the reader closes standard output early.  Standard output carries
+data only; progress and summaries go to the error stream.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import product
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -50,6 +52,9 @@ from .partitions import (
     rank_counts,
     rank_moment,
 )
+
+# 128 + SIGPIPE: what a shell reports for a process that SIGPIPE ended.
+BROKEN_PIPE_STATUS = 141
 
 VERIFY_IDS = (
     "cor2.3",
@@ -397,10 +402,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        status = _run(args)
+        sys.stdout.flush()  # so a closed pipe is reported here, not at exit
+        return status
     except ValueError as exc:
         # Out-of-range arguments are usage errors: status 2, no traceback.
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except BrokenPipeError:
+        # The reader closed standard output early (`| head`).  Point it at
+        # the null device so that the flush at exit cannot fail again, and
+        # exit with the status a shell gives a process ended by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE_STATUS
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -488,6 +503,9 @@ def _run(args: argparse.Namespace) -> int:
         for ident in ids:
             print(f"verifying {ident} ...", file=sys.stderr)
             verdicts.extend(verify_dispatch(ident, args))
+        if not verdicts:
+            # Every suite starts at n = 2, so --max-n 1 leaves nothing to check.
+            raise ValueError("no checks within the given bounds")
         _emit_verdicts(verdicts, fmt)
         return 0 if all(v.passed for v in verdicts) else 1
 

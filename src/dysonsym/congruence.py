@@ -58,9 +58,10 @@ def modular_identity_cases(
 ) -> List[Verdict]:
     """Per-residue checks of NC_k(i, p^r; n) = C(i+k-2, 2k-2) M(i, p^r; n) mod p^r.
 
-    ``method="enumerate"`` counts full cranks by enumerating symbols;
-    ``method="closed"`` substitutes the verified closed form, which is the
-    only feasible route beyond small n.
+    ``method="enumerate"`` counts the k-marked symbols in each full-crank
+    residue class with the level-histogram engine, without building them;
+    ``method="closed"`` substitutes the verified closed form, which needs
+    no marked counting and so reaches much larger n.
     """
     if not is_prime(p) or p < 5:
         raise ValueError("p must be a prime >= 5")

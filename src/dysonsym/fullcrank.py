@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from .marked import MarkedDysonSymbol, enumerate_marked, statistics
+from .marked import _TABLE_CACHE, MarkedDysonSymbol, _profile_table, statistics
 from .partitions import crank_counts, crank_moment, gen_binomial
 
 
@@ -53,14 +53,23 @@ def full_crank(eta: MarkedDysonSymbol) -> int:
     return -magnitude
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLE_CACHE)
 def full_crank_table(k: int, n: int) -> Dict[int, int]:
-    """Distribution of the full crank over all k-marked symbols of weight n."""
-    return Counter(full_crank(eta) for eta in enumerate_marked(k, n))
+    """Distribution of the full crank over all k-marked symbols of weight n.
+
+    Read off the level-histogram profile table: l - s is the sum of the
+    |c_i|, so a symbol's full crank depends only on its cranks and
+    balances.
+    """
+    table: Counter = Counter()
+    for (cranks, balances, _), count in _profile_table(k, n).items():
+        magnitude = sum(map(abs, cranks)) + 2 * sum(balances) + k - 1
+        table[magnitude if cranks[-1] > 0 else -magnitude] += count
+    return table
 
 
 def count_full_crank(k: int, m: int, n: int) -> int:
-    """Number of k-marked symbols of weight n with full crank m, by enumeration."""
+    """Number of k-marked symbols of weight n with full crank m."""
     if n < 2:
         raise ValueError("n must be at least 2")
     return full_crank_table(k, n).get(m, 0)
@@ -184,9 +193,12 @@ def series_coefficients(k: int, order: int) -> List[int]:
 
 
 def verify_theorem31(k: int, n: int) -> Verdict:
-    """Compare the (k+1)-marked symbol count with the 2k-th crank moment."""
+    """Compare the (k+1)-marked symbol count with the 2k-th crank moment.
+
+    The count is the total of the level-histogram profile table.
+    """
     if k < 1 or n < 2:
         raise ValueError("need k >= 1 and n >= 2")
-    lhs = len(enumerate_marked(k + 1, n))
+    lhs = sum(_profile_table(k + 1, n).values())
     rhs = crank_moment(2 * k, n)
     return Verdict(identity="thm3.1", k=k, n=n, lhs=lhs, rhs=rhs)

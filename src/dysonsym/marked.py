@@ -20,12 +20,17 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 from .dyson import DysonSymbol, dyson_crank, enumerate_dyson_symbols, validate_dyson
 from .partitions import Partition, check_partition
 
 Pair = Tuple[Partition, Partition]
+
+# Cache bounds.  `verify all` at its default bounds touches 39 (k, n)
+# tables and 266 level histograms; these bounds keep all of them.
+_TABLE_CACHE = 64
+_HISTOGRAM_CACHE = 512
 
 
 @dataclass(frozen=True)
@@ -94,13 +99,17 @@ def balanced_count(longer: Partition, shorter: Partition) -> int:
     Scanning the shorter partition left to right, a part is balanced when
     the number of strictly larger parts in the longer partition equals the
     number of unbalanced parts seen so far; otherwise it is unbalanced.
+    Both partitions are weakly decreasing, so the count of larger parts
+    only grows along the scan and one pointer into ``longer`` tracks it.
     """
     if len(longer) < len(shorter):
         raise ValueError("first argument must have at least as many parts")
     unbalanced = 0
     balanced = 0
+    greater = 0  # parts of `longer` strictly larger than the current part
     for part in shorter:
-        greater = sum(1 for x in longer if x > part)
+        while greater < len(longer) and longer[greater] > part:
+            greater += 1
         if greater == unbalanced:
             balanced += 1
         else:
@@ -226,6 +235,20 @@ def _partitions_in_range(lo: int, hi: int, cap: int) -> Tuple[Partition, ...]:
     return tuple(out)
 
 
+def _level_pairs(lo: int, hi: int, cap: int) -> Iterator[Tuple[Partition, Partition, int]]:
+    """(alpha, beta, mass) for a level with parts in [lo, hi] and mass <= cap."""
+    candidates = _partitions_in_range(lo, hi, cap)
+    for a in candidates:
+        asum = sum(a)
+        if asum > cap:
+            return
+        for b in candidates:
+            mass = asum + sum(b)
+            if mass > cap:
+                break
+            yield a, b, mass
+
+
 def _top_level_pairs(lo: int, cap: int) -> Iterator[Tuple[Partition, Partition, int, bool]]:
     """Top-level (alpha, beta, mass, deferred) choices for marker value lo.
 
@@ -292,25 +315,19 @@ def _enumerate_multi(k: int, n: int) -> Tuple[MarkedDysonSymbol, ...]:
                         MarkedDysonSymbol(tuple(reversed(pairs)), markers)
                     )
                 return
-            lo, hi = bounds[level - 1], bounds[level]
-            candidates = _partitions_in_range(lo, hi, budget)
-            for a in candidates:
-                asum = sum(a)
-                if asum > budget:
-                    break
-                for b in candidates:
-                    mass = asum + sum(b)
-                    if mass > budget:
-                        break
-                    if need_exposed and level == k - 1:
-                        firsts = [p[0] for p in (a, b) if p]
-                        if max(firsts + [bounds[k - 2]]) != top_lo:
-                            continue
-                    c, l_i, s_i, bal = _pair_stats(a, b, top=False)
-                    pairs.append((a, b))
-                    descend(level - 1, budget - mass, l_acc + l_i,
-                            s_acc + s_i, d_acc + bal, pairs, need_exposed)
-                    pairs.pop()
+            for a, b, mass in _level_pairs(bounds[level - 1], bounds[level], budget):
+                if need_exposed and level == k - 1:
+                    firsts = [p[0] for p in (a, b) if p]
+                    if max(firsts + [bounds[k - 2]]) != top_lo:
+                        continue
+                _, l_i, s_i, bal = _pair_stats(a, b, top=False)
+                l_new, s_new, d_new = l_acc + l_i, s_acc + s_i, d_acc + bal
+                if (l_new + d_new + k - 1) * (s_new - d_new) > budget - mass:
+                    continue
+                pairs.append((a, b))
+                descend(level - 1, budget - mass, l_new, s_new, d_new,
+                        pairs, need_exposed)
+                pairs.pop()
 
         for a, b, mass, deferred in _top_level_pairs(top_lo, budget0):
             la, lb = len(a), len(b)
@@ -319,14 +336,17 @@ def _enumerate_multi(k: int, n: int) -> Tuple[MarkedDysonSymbol, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLE_CACHE)
 def enumerate_marked(k: int, n: int) -> Tuple[MarkedDysonSymbol, ...]:
     """All k-marked Dyson symbols of weight n, in a deterministic order.
 
-    Backtracks over markers and level partitions, pruning whenever the part
-    sums plus markers already exceed n (the rectangle correction term is
-    nonnegative).  For k = 1 the structural Dyson-symbol search is used, so
-    this path stays independent of the partition encoding.
+    Backtracks over markers and level partitions.  A branch is pruned as
+    soon as the part sums plus markers exceed n, or the rectangle term
+    (l + D + k - 1)(s - D) of the levels chosen so far exceeds what is
+    left of n; that term never shrinks as levels are added, since each
+    adds s_i - bal_i >= 0 to s - D.  For k = 1 the structural
+    Dyson-symbol search is used, so this path stays independent of the
+    partition encoding.
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
@@ -339,55 +359,129 @@ def enumerate_marked(k: int, n: int) -> Tuple[MarkedDysonSymbol, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Counting functions
+# Counting engine
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _crank_table(k: int, n: int) -> Dict[Tuple[int, ...], int]:
-    return Counter(crank_vector(eta) for eta in enumerate_marked(k, n))
+@lru_cache(maxsize=_HISTOGRAM_CACHE)
+def _level_histogram(lo: int, hi: int, cap: int) -> Tuple[Tuple[tuple, int], ...]:
+    """Pairs with parts in [lo, hi] and mass <= cap, grouped by statistics.
+
+    Keys are (mass, large, small, balance, crank, strict, exposes), in
+    ascending mass; ``exposes`` says whether the pair exposes ``hi`` as
+    its largest part or through ``lo``, which a both-empty top level
+    right above it requires.
+    """
+    hist: Counter = Counter()
+    for a, b, mass in _level_pairs(lo, hi, cap):
+        c, l_i, s_i, bal = _pair_stats(a, b, top=False)
+        exposes = max(a[:1] + b[:1] + (lo,)) == hi
+        hist[mass, l_i, s_i, bal, c, is_strict_pair(a, b), exposes] += 1
+    return tuple(sorted(hist.items()))
 
 
-@lru_cache(maxsize=None)
-def _crank_balance_table(
-    k: int, n: int
-) -> Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int]:
-    return Counter(
-        (stats.cranks, stats.balances[:-1])
-        for stats in map(statistics, enumerate_marked(k, n))
-    )
+@lru_cache(maxsize=_TABLE_CACHE)
+def _profile_table(k: int, n: int) -> Counter:
+    """Counts of k-marked symbols of weight n by (cranks, balances, strict).
+
+    ``balances`` are those of levels 1..k-1 and ``strict`` is
+    ``is_strict``.  No symbol is built: for each marker tuple the levels
+    are independent apart from the part ranges the markers set, so each
+    level contributes through a histogram of its pair statistics, and
+    the levels meet only in the rectangle term (l + D + k - 1)(s - D).
+    That term never shrinks as levels are added (each adds
+    s_i - bal_i >= 0 to s - D), so a branch is pruned as soon as it
+    exceeds the weight left.  A 1-marked symbol is a Dyson symbol and
+    is read off ``enumerate_marked(1, n)``.
+    """
+    if k < 1 or n < 1:
+        raise ValueError("k and n must be positive")
+    if k == 1:
+        return Counter((crank_vector(eta), (), True) for eta in enumerate_marked(1, n))
+    table: Counter = Counter()
+    for markers in _marker_choices(k, n):
+        bounds = (1,) + markers
+        budget0 = n - sum(markers)
+
+        def descend(level: int, budget: int, l_acc: int, s_acc: int, d_acc: int,
+                    cranks: Tuple[int, ...], balances: Tuple[int, ...],
+                    strict: bool, count: int, need_exposed: bool) -> None:
+            # Levels are folded from k-1 down to 1; `cranks` and
+            # `balances` hold the levels chosen so far, lowest first.
+            # `need_exposed` is set only on level k-1 below a deferred
+            # both-empty top level.
+            for (mass, l_i, s_i, bal, c, pair_strict, exposes), ways in _level_histogram(
+                bounds[level - 1], bounds[level], budget0
+            ):
+                if mass > budget:
+                    break
+                if need_exposed and not exposes:
+                    continue
+                l_new, s_new, d_new = l_acc + l_i, s_acc + s_i, d_acc + bal
+                rectangle = (l_new + d_new + k - 1) * (s_new - d_new)
+                if level == 1:
+                    if rectangle == budget - mass:
+                        key = ((c,) + cranks, (bal,) + balances, strict and pair_strict)
+                        table[key] += count * ways
+                elif rectangle <= budget - mass:
+                    descend(level - 1, budget - mass, l_new, s_new, d_new,
+                            (c,) + cranks, (bal,) + balances, strict and pair_strict,
+                            count * ways, False)
+
+        for a, b, mass, deferred in _top_level_pairs(markers[-1], budget0):
+            c_top, l_top, s_top, _ = _pair_stats(a, b, top=True)
+            descend(k - 1, budget0 - mass, l_top, s_top, 0, (c_top,), (), True,
+                    1, deferred)
+    return table
 
 
-@lru_cache(maxsize=None)
-def _strict_crank_table(k: int, n: int) -> Dict[Tuple[int, ...], int]:
-    return Counter(crank_vector(eta) for eta in enumerate_marked(k, n) if is_strict(eta))
+@lru_cache(maxsize=_TABLE_CACHE)
+def _crank_tables(k: int, n: int) -> Tuple[Counter, Counter]:
+    """(all, strict) symbol counts by crank vector, read off the profile table."""
+    every: Counter = Counter()
+    strict: Counter = Counter()
+    for (cranks, _, is_strict_symbol), count in _profile_table(k, n).items():
+        every[cranks] += count
+        if is_strict_symbol:
+            strict[cranks] += count
+    return every, strict
 
 
 def count_fk(cranks: Tuple[int, ...], n: int) -> int:
-    """Symbols of weight n with the given crank at every level."""
+    """Symbols of weight n with the given crank at every level.
+
+    Read off the level-histogram profile table, without enumerating.
+    """
     cranks = tuple(cranks)
     if not cranks:
         raise ValueError("need at least one crank")
-    return _crank_table(len(cranks), n).get(cranks, 0)
+    return _crank_tables(len(cranks), n)[0].get(cranks, 0)
 
 
 def count_fk_with_balance(
     cranks: Tuple[int, ...], balances: Tuple[int, ...], n: int
 ) -> int:
-    """Symbols with given cranks and given balance numbers below the top."""
+    """Symbols with given cranks and given balance numbers below the top.
+
+    Read off the level-histogram profile table, without enumerating.
+    """
     cranks, balances = tuple(cranks), tuple(balances)
     k = len(cranks)
     if k < 2 or len(balances) != k - 1:
         raise ValueError("need k >= 2 cranks and k-1 balance numbers")
-    return _crank_balance_table(k, n).get((cranks, balances), 0)
+    table = _profile_table(k, n)
+    return table.get((cranks, balances, True), 0) + table.get((cranks, balances, False), 0)
 
 
 def count_fk_strict(cranks: Tuple[int, ...], n: int) -> int:
-    """Strict symbols of weight n with the given crank vector."""
+    """Strict symbols of weight n with the given crank vector.
+
+    Read off the level-histogram profile table, without enumerating.
+    """
     cranks = tuple(cranks)
     if len(cranks) < 2:
         raise ValueError("strict counting requires k >= 2")
-    return _strict_crank_table(len(cranks), n).get(cranks, 0)
+    return _crank_tables(len(cranks), n)[1].get(cranks, 0)
 
 
 def theorem21_rhs(cranks: Tuple[int, ...], n: int) -> int:

@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import os
+import sys
 
 import pytest
 
-from dysonsym.cli import main
+from dysonsym.cli import BROKEN_PIPE_STATUS, main
 
 
 def run_cli(capsys, *argv):
@@ -182,3 +184,44 @@ def test_progress_goes_to_stderr_only(capsys):
     for line in out.strip().splitlines():
         json.loads(line)  # stdout is pure data
     assert "verifying" in err
+
+
+def test_verify_with_no_checks_is_usage_error(capsys):
+    # Every suite starts at n = 2: --max-n 1 used to print "0/0 checks
+    # passed" and exit 0.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm2.4", "--max-n", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines()[-1].startswith("dysonsym: error:")
+    assert "Traceback" not in captured.err
+
+
+class ClosedPipe(io.StringIO):
+    """Standard output whose reader has gone away, backed by a real fd."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_broken_pipe_exits_without_traceback(capsys, monkeypatch, tmp_path):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        code = main(["crank-table", "--n", "200", "--format", "json"])
+        monkeypatch.undo()
+        assert code == BROKEN_PIPE_STATUS != 0
+        assert capsys.readouterr().err == ""
+        # The stream's descriptor now points at the null device.
+        os.write(fd, b"discarded")
+        assert (tmp_path / "stdout").read_bytes() == b""
+    finally:
+        os.close(fd)

@@ -12,6 +12,7 @@ from dysonsym import (
     count_full_crank,
     count_full_crank_residue,
     crank_counts,
+    crank_moment,
     enumerate_marked,
     full_crank,
     gen_binomial,
@@ -146,3 +147,15 @@ def test_verdict_serialization():
 @given(st.integers(1, 2), st.integers(2, 9))
 def test_theorem31_random_points(k, n):
     assert verify_theorem31(k, n).passed
+
+
+def test_counting_past_the_verify_bounds_builds_no_symbol():
+    # Past the default `verify` bounds, against the generating-function
+    # tables: Theorem 3.1 for 3-marked symbols of 20 (mu_4(20)) and
+    # Theorem 4.3 for k = 3 at n = 18.
+    misses = enumerate_marked.cache_info().misses
+    verdict = verify_theorem31(2, 20)
+    assert verdict.passed and verdict.lhs == crank_moment(4, 20)
+    for m in range(-18, 19):
+        assert count_full_crank(3, m, 18) == theorem43_rhs(3, m, 18)
+    assert enumerate_marked.cache_info().misses == misses

@@ -1,4 +1,7 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, strategies as st
 
 from dysonsym import (
     MarkedDysonSymbol,
@@ -20,6 +23,7 @@ from dysonsym import (
     validate_marked,
     weight,
 )
+from dysonsym.marked import _profile_table
 
 from golden_data import (
     BIG_DYSON,
@@ -221,3 +225,39 @@ def test_from_json_rejects_invalid_symbol():
     )
     with pytest.raises(ValueError):
         MarkedDysonSymbol.from_json(text)
+
+
+def quadratic_balanced_count(longer, shorter):
+    # The definition read literally: rescan `longer` for every part.
+    unbalanced = balanced = 0
+    for part in shorter:
+        if sum(1 for x in longer if x > part) == unbalanced:
+            balanced += 1
+        else:
+            unbalanced += 1
+    return balanced
+
+
+partitions = st.lists(st.integers(1, 12), max_size=12).map(
+    lambda parts: tuple(sorted(parts, reverse=True))
+)
+
+
+@given(partitions, partitions)
+def test_balanced_count_matches_quadratic_definition(p, q):
+    longer, shorter = (p, q) if len(p) >= len(q) else (q, p)
+    assert balanced_count(longer, shorter) == quadratic_balanced_count(longer, shorter)
+
+
+def enumerated_profile(k, n):
+    return Counter(
+        (stats.cranks, stats.balances[:-1], is_strict(eta))
+        for eta in enumerate_marked(k, n)
+        for stats in [statistics(eta)]
+    )
+
+
+@pytest.mark.parametrize("k,max_n", [(1, 12), (2, 14), (3, 14), (4, 12)])
+def test_profile_table_matches_enumeration(k, max_n):
+    for n in range(1, max_n + 1):
+        assert _profile_table(k, n) == enumerated_profile(k, n), (k, n)
