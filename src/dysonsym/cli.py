@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import product
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .congruence import scan_progressions, verify_modular_identity
 from .dyson import (
@@ -56,22 +55,26 @@ from .partitions import (
 # 128 + SIGPIPE: what a shell reports for a process that SIGPIPE ended.
 BROKEN_PIPE_STATUS = 141
 
-VERIFY_IDS = (
-    "cor2.3",
-    "thm2.1",
-    "thm2.4",
-    "thm2.5",
-    "thm2.6",
-    "thm3.1",
-    "thm4.3",
-    "gf-ck",
-    "mod-identity",
-)
+# Enumeration caps: cor2.3 checks the encoding on every partition of n, and
+# mod-identity's enumerate route builds every k-marked symbol of n, only up
+# to these n; --max-n raises the other checks of those suites past them.
+OBJECT_MAX_N = 25
+ENUMERATE_MAX_N = 14
 
 
 # ---------------------------------------------------------------------------
-# Verification drivers (each returns a list of Verdicts)
+# Verification drivers (each checks one level k and returns a list of Verdicts)
 # ---------------------------------------------------------------------------
+
+
+def _tally(identity: str, k: int, n: int, checks: Iterable[bool]) -> Verdict:
+    """One verdict: lhs counts the checks that hold, rhs counts them all."""
+    ok = total = 0
+    for check in checks:
+        total += 1
+        if check:
+            ok += 1
+    return Verdict(identity=identity, k=k, n=n, lhs=ok, rhs=total)
 
 
 def _signed_profiles(k: int, bound: int) -> Iterator[Tuple[int, ...]]:
@@ -84,24 +87,20 @@ def _signed_profiles(k: int, bound: int) -> Iterator[Tuple[int, ...]]:
             yield (m,) + rest
 
 
-def verify_cor23(max_n: int = 30, object_max_n: int = 25) -> List[Verdict]:
+def verify_cor23(k: int, max_n: int) -> List[Verdict]:
     """M(-m, n) = F_1(m; n) for all m, plus crank negation under the encoding."""
+    if k != 1:
+        raise ValueError("cor2.3 has level 1 only")
     verdicts = []
     for n in range(2, max_n + 1):
         table = crank_counts(n)
-        ok = total = 0
-        for m in range(-n, n + 1):
-            total += 1
-            if table[-m] == count_f1(m, n):
-                ok += 1
-        verdicts.append(Verdict(identity="cor2.3", k=1, n=n, lhs=ok, rhs=total))
-    for n in range(1, object_max_n + 1):
-        ok = total = 0
-        for lam in partitions_of(n):
-            total += 1
-            if dyson_crank(to_dyson_symbol(lam)) == -crank(lam):
-                ok += 1
-        verdicts.append(Verdict(identity="cor2.3-object", k=1, n=n, lhs=ok, rhs=total))
+        checks = (table[-m] == count_f1(m, n) for m in range(-n, n + 1))
+        verdicts.append(_tally("cor2.3", k, n, checks))
+    for n in range(1, min(max_n, OBJECT_MAX_N) + 1):
+        checks = (
+            dyson_crank(to_dyson_symbol(lam)) == -crank(lam) for lam in partitions_of(n)
+        )
+        verdicts.append(_tally("cor2.3-object", k, n, checks))
     return verdicts
 
 
@@ -111,49 +110,35 @@ def verify_thm21(
     """count_fk equals the shifted one-level sum, for all (or one) profile."""
     verdicts = []
     for n in range(2, max_n + 1):
-        if profile is not None:
-            candidates: Sequence[Tuple[int, ...]] = [profile]
-        else:
-            candidates = list(_signed_profiles(k, n - k + 1))
-        ok = total = 0
-        for m in candidates:
-            total += 1
-            if count_fk(m, n) == theorem21_rhs(m, n):
-                ok += 1
-        verdicts.append(Verdict(identity="thm2.1", k=k, n=n, lhs=ok, rhs=total))
+        candidates = _signed_profiles(k, n - k + 1) if profile is None else [profile]
+        checks = (count_fk(m, n) == theorem21_rhs(m, n) for m in candidates)
+        verdicts.append(_tally("thm2.1", k, n, checks))
     return verdicts
 
 
-def verify_thm24(max_k: int = 3, max_n: int = 12) -> List[Verdict]:
+def verify_thm24(k: int, max_n: int) -> List[Verdict]:
     """Sign-flip invariance of the fibers, and the mirror round trip."""
-    verdicts = []
-    for k in range(1, max_k + 1):
-        for n in range(2, max_n + 1):
-            ok = total = 0
-            for m in _signed_profiles(k, n - k + 1):
-                count = count_fk(m, n)
-                for j in range(k):
-                    flipped = m[:j] + (-m[j],) + m[j + 1 :]
-                    total += 1
-                    if count == count_fk(flipped, n):
-                        ok += 1
-            for eta in enumerate_marked(k, n):
-                cranks = crank_vector(eta)
-                for j in range(1, k + 1):
-                    if cranks[j - 1] == 0:
-                        continue
-                    total += 1
-                    mu = mirror(eta, j)
-                    want = cranks[: j - 1] + (-cranks[j - 1],) + cranks[j:]
-                    if (
-                        validate_marked(mu)
-                        and weight(mu) == n
-                        and crank_vector(mu) == want
-                        and mirror(mu, j) == eta
-                    ):
-                        ok += 1
-            verdicts.append(Verdict(identity="thm2.4", k=k, n=n, lhs=ok, rhs=total))
-    return verdicts
+
+    def checks(n: int) -> Iterator[bool]:
+        for m in _signed_profiles(k, n - k + 1):
+            count = count_fk(m, n)
+            for j in range(k):
+                yield count == count_fk(m[:j] + (-m[j],) + m[j + 1 :], n)
+        for eta in enumerate_marked(k, n):
+            cranks = crank_vector(eta)
+            for j in range(1, k + 1):
+                if cranks[j - 1] == 0:
+                    continue
+                mu = mirror(eta, j)
+                want = cranks[: j - 1] + (-cranks[j - 1],) + cranks[j:]
+                yield (
+                    validate_marked(mu)
+                    and weight(mu) == n
+                    and crank_vector(mu) == want
+                    and mirror(mu, j) == eta
+                )
+
+    return [_tally("thm2.4", k, n, checks(n)) for n in range(2, max_n + 1)]
 
 
 def _nonneg_profiles(k: int, bound: int) -> Iterator[Tuple[int, ...]]:
@@ -165,54 +150,44 @@ def _nonneg_profiles(k: int, bound: int) -> Iterator[Tuple[int, ...]]:
             yield (m,) + rest
 
 
-def verify_thm25(max_n: int = 12, ks: Sequence[int] = (2, 3)) -> List[Verdict]:
+def verify_thm25(k: int, max_n: int) -> List[Verdict]:
     """Balance-refined counts equal strict counts under m_i -> m_i + 2t_i."""
-    verdicts = []
-    for k in ks:
-        for n in range(2, max_n + 1):
-            ok = total = 0
-            bound = n - k + 1
-            for m in _nonneg_profiles(k, bound):
-                for t in _nonneg_profiles(k - 1, (bound - sum(m)) // 2):
-                    shifted = tuple(m[i] + 2 * t[i] for i in range(k - 1)) + (m[-1],)
-                    total += 1
-                    if count_fk_with_balance(m, t, n) == count_fk_strict(shifted, n):
-                        ok += 1
-            verdicts.append(Verdict(identity="thm2.5", k=k, n=n, lhs=ok, rhs=total))
-    return verdicts
+
+    def checks(n: int) -> Iterator[bool]:
+        bound = n - k + 1
+        for m in _nonneg_profiles(k, bound):
+            for t in _nonneg_profiles(k - 1, (bound - sum(m)) // 2):
+                shifted = tuple(m[i] + 2 * t[i] for i in range(k - 1)) + (m[-1],)
+                yield count_fk_with_balance(m, t, n) == count_fk_strict(shifted, n)
+
+    return [_tally("thm2.5", k, n, checks(n)) for n in range(2, max_n + 1)]
 
 
-def verify_thm26(max_k: int = 3, max_n: int = 12) -> List[Verdict]:
+def verify_thm26(k: int, max_n: int) -> List[Verdict]:
     """Both round trips of the merge/peel bijection."""
-    verdicts = []
-    for k in range(1, max_k + 1):
-        for n in range(2, max_n + 1):
-            ok = total = 0
-            for eta in enumerate_marked(k, n):
-                cranks = crank_vector(eta)
-                if not is_strict(eta) or any(c < 0 for c in cranks):
+
+    def checks(n: int) -> Iterator[bool]:
+        for eta in enumerate_marked(k, n):
+            cranks = crank_vector(eta)
+            if not is_strict(eta) or any(c < 0 for c in cranks):
+                continue
+            merged = phi(eta)
+            yield (
+                merged.weight() == n
+                and dyson_crank(merged) == sum(cranks) + k - 1
+                and phi_inverse(merged, cranks) == eta
+            )
+        for sym in enumerate_dyson_symbols(n):
+            c = dyson_crank(sym)
+            if c < k - 1:
+                continue
+            for m in _nonneg_profiles(k, c - k + 1):
+                if sum(m) != c - k + 1:
                     continue
-                total += 1
-                merged = phi(eta)
-                if (
-                    merged.weight() == n
-                    and dyson_crank(merged) == sum(cranks) + k - 1
-                    and phi_inverse(merged, cranks) == eta
-                ):
-                    ok += 1
-            for sym in enumerate_dyson_symbols(n):
-                c = dyson_crank(sym)
-                if c < k - 1:
-                    continue
-                for m in _nonneg_profiles(k, c - k + 1):
-                    if sum(m) != c - k + 1:
-                        continue
-                    total += 1
-                    eta = phi_inverse(sym, m)
-                    if crank_vector(eta) == m and phi(eta) == sym:
-                        ok += 1
-            verdicts.append(Verdict(identity="thm2.6", k=k, n=n, lhs=ok, rhs=total))
-    return verdicts
+                eta = phi_inverse(sym, m)
+                yield crank_vector(eta) == m and phi(eta) == sym
+
+    return [_tally("thm2.6", k, n, checks(n)) for n in range(2, max_n + 1)]
 
 
 def verify_thm31(k: int, max_n: int, n: Optional[int] = None) -> List[Verdict]:
@@ -221,88 +196,91 @@ def verify_thm31(k: int, max_n: int, n: Optional[int] = None) -> List[Verdict]:
     return [verify_theorem31(k, m) for m in range(2, max_n + 1)]
 
 
-def verify_thm43(max_k: int = 3, max_n: int = 14) -> List[Verdict]:
+def verify_thm43(k: int, max_n: int) -> List[Verdict]:
     verdicts = []
-    for k in range(1, max_k + 1):
-        for n in range(2, max_n + 1):
-            ok = total = 0
-            for m in range(-n, n + 1):
-                total += 1
-                if count_full_crank(k, m, n) == theorem43_rhs(k, m, n):
-                    ok += 1
-            verdicts.append(Verdict(identity="thm4.3", k=k, n=n, lhs=ok, rhs=total))
-    return verdicts
-
-
-def verify_gfck(max_k: int = 4, max_j: int = 25) -> List[Verdict]:
-    """Series coefficients vs closed form vs brute-force solution counts."""
-    verdicts = []
-    for k in range(1, max_k + 1):
-        coeffs = series_coefficients(k, max_j)
-        ok = sum(
-            1
-            for j in range(max_j + 1)
-            if coeffs[j] == ck_closed_form(k, j) == ck_brute(k, j)
+    for n in range(2, max_n + 1):
+        checks = (
+            count_full_crank(k, m, n) == theorem43_rhs(k, m, n) for m in range(-n, n + 1)
         )
-        verdicts.append(Verdict(identity="gf-ck", k=k, n=max_j, lhs=ok, rhs=max_j + 1))
+        verdicts.append(_tally("thm4.3", k, n, checks))
     return verdicts
 
 
-MOD_IDENTITY_TRIPLES = ((2, 5, 1), (3, 5, 1), (2, 7, 1))
+def verify_gfck(k: int, max_j: int) -> List[Verdict]:
+    """Series coefficients vs closed form vs brute-force solution counts."""
+    coeffs = series_coefficients(k, max_j)
+    checks = (
+        coeffs[j] == ck_closed_form(k, j) == ck_brute(k, j) for j in range(max_j + 1)
+    )
+    return [_tally("gf-ck", k, max_j, checks)]
 
 
-def verify_mod_identity_suite(
-    triples: Sequence[Tuple[int, int, int]] = MOD_IDENTITY_TRIPLES,
-    enum_max_n: int = 14,
-    closed_max_n: int = 40,
-) -> List[Verdict]:
-    verdicts = []
-    for k, p, r in triples:
-        for n in range(2, enum_max_n + 1):
-            verdicts.append(verify_modular_identity(k, p, r, n, method="enumerate"))
-        for n in range(2, closed_max_n + 1):
-            verdicts.append(verify_modular_identity(k, p, r, n, method="closed"))
-    return verdicts
+def verify_mod_identity_suite(k: int, max_n: int, p: int, r: int) -> List[Verdict]:
+    enumerated = range(2, min(max_n, ENUMERATE_MAX_N) + 1)
+    return [verify_modular_identity(k, p, r, n, method="enumerate") for n in enumerated] + [
+        verify_modular_identity(k, p, r, n, method="closed") for n in range(2, max_n + 1)
+    ]
+
+
+def _suites() -> Dict[str, tuple]:
+    """Each verify suite: its driver, its default rows (k, max_n[, p, r]) and
+    the flags it reads besides --k and --max-n.
+
+    Built per call, so the drivers are looked up in the module when a suite
+    runs, not when it is defined.
+    """
+    return {
+        "cor2.3": (verify_cor23, [(1, 30)], ()),
+        "thm2.1": (verify_thm21, [(2, 14), (3, 12)], ("m",)),
+        "thm2.4": (verify_thm24, [(1, 12), (2, 12), (3, 12)], ()),
+        "thm2.5": (verify_thm25, [(2, 12), (3, 12)], ()),
+        "thm2.6": (verify_thm26, [(1, 12), (2, 12), (3, 12)], ()),
+        "thm3.1": (verify_thm31, [(1, 14), (2, 10)], ("n",)),
+        "thm4.3": (verify_thm43, [(1, 14), (2, 14), (3, 14)], ()),
+        "gf-ck": (verify_gfck, [(1, 25), (2, 25), (3, 25), (4, 25)], ()),
+        "mod-identity": (
+            verify_mod_identity_suite,
+            [(2, 40, 5, 1), (3, 40, 5, 1), (2, 40, 7, 1)],
+            ("p", "r"),
+        ),
+    }
+
+
+VERIFY_IDS = tuple(_suites())
 
 
 def verify_dispatch(identifier: str, args: argparse.Namespace) -> List[Verdict]:
-    """Run one named verification suite within the requested bounds."""
+    """Run one named verification suite within the requested bounds.
 
-    def bound(default: int) -> int:
-        # --max-n if given, else the suite's default bound.
-        return default if args.max_n is None else args.max_n
-
-    if identifier == "cor2.3":
-        return verify_cor23(bound(30), min(bound(25), 25))
-    if identifier == "thm2.1":
-        profile = tuple(args.m) if args.m else None
+    --k K runs level K only, at its default bound or, for a level without
+    one, at the suite's smallest; --max-n replaces every row's bound.
+    """
+    driver, rows, reads = _suites()[identifier]
+    for flag in ("n", "m", "p", "r"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise ValueError(f"verify {identifier} does not read --{flag}")
+    k, options = args.k, {}
+    if args.m:
         # count_fk takes k from the length of the profile, so --m fixes k.
-        if profile and args.k and args.k != len(profile):
-            raise ValueError(f"--k {args.k} disagrees with the {len(profile)} --m entries")
-        k = len(profile) if profile else args.k
-        if k:
-            return verify_thm21(k, bound(14 if k == 2 else 12), profile)
-        return verify_thm21(2, bound(14)) + verify_thm21(3, bound(12))
-    if identifier == "thm2.4":
-        return verify_thm24(args.k or 3, bound(12))
-    if identifier == "thm2.5":
-        return verify_thm25(bound(12), (args.k,) if args.k else (2, 3))
-    if identifier == "thm2.6":
-        return verify_thm26(args.k or 3, bound(12))
-    if identifier == "thm3.1":
-        if args.k:
-            return verify_thm31(args.k, bound(14 if args.k == 1 else 10), args.n)
-        return verify_thm31(1, bound(14), args.n) + verify_thm31(2, bound(10), args.n)
-    if identifier == "thm4.3":
-        return verify_thm43(args.k or 3, bound(14))
-    if identifier == "gf-ck":
-        return verify_gfck(args.k or 4, bound(25))
-    if identifier == "mod-identity":
-        triples = MOD_IDENTITY_TRIPLES
-        if args.p:
-            triples = ((args.k or 2, args.p, args.r or 1),)
-        return verify_mod_identity_suite(triples, min(bound(14), 14), bound(40))
-    raise KeyError(identifier)
+        if k and k != len(args.m):
+            raise ValueError(f"--k {k} disagrees with the {len(args.m)} --m entries")
+        k, options["profile"] = len(args.m), tuple(args.m)
+    if args.n is not None:
+        options["n"] = args.n
+    if k is not None:
+        smallest = min(row[1] for row in rows)
+        rows = [row for row in rows if row[0] == k] or [(k, smallest) + rows[0][2:]]
+    if args.p is not None:
+        rows = [rows[0][:2] + (args.p, 1 if args.r is None else args.r)]
+    elif args.r is not None:
+        raise ValueError("--r needs --p")
+    if args.max_n is not None:
+        rows = [(row[0], args.max_n) + row[2:] for row in rows]
+    print(f"verifying {identifier} ...", file=sys.stderr)
+    verdicts = [v for row in rows for v in driver(*row, **options)]
+    if not verdicts:
+        raise ValueError(f"verify {identifier} has no checks within the given bounds")
+    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +479,7 @@ def _run(args: argparse.Namespace) -> int:
         ids = VERIFY_IDS if args.identifier == "all" else (args.identifier,)
         verdicts: List[Verdict] = []
         for ident in ids:
-            print(f"verifying {ident} ...", file=sys.stderr)
             verdicts.extend(verify_dispatch(ident, args))
-        if not verdicts:
-            # Every suite starts at n = 2, so --max-n 1 leaves nothing to check.
-            raise ValueError("no checks within the given bounds")
         _emit_verdicts(verdicts, fmt)
         return 0 if all(v.passed for v in verdicts) else 1
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import lru_cache
-from typing import Dict, Iterator, NamedTuple, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .partitions import Partition, check_partition, conjugate, partitions_of
 

@@ -11,7 +11,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from .marked import _TABLE_CACHE, MarkedDysonSymbol, _profile_table, statistics
 from .partitions import crank_counts, crank_moment, gen_binomial

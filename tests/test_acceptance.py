@@ -67,7 +67,7 @@ def test_03_peeling_example():
 
 
 def test_04_crank_negation():
-    verdicts = cli.verify_cor23(max_n=30, object_max_n=25)
+    verdicts = cli.verify_cor23(1, 30)
     report(4, "M(-m,n)=F_1(m;n) for n<=30 and crank negation for n<=25",
            all(v.passed for v in verdicts))
 
@@ -79,13 +79,13 @@ def test_05_marked_count_formula():
 
 
 def test_06_mirror_symmetry():
-    verdicts = cli.verify_thm24(max_k=3, max_n=12)
+    verdicts = [v for k in (1, 2, 3) for v in cli.verify_thm24(k, 12)]
     report(6, "sign-flip fiber invariance and mirror round trip (k<=3, n<=12)",
            all(v.passed for v in verdicts))
 
 
 def test_07_balance_refinement():
-    verdicts = cli.verify_thm25(max_n=12, ks=(2, 3))
+    verdicts = cli.verify_thm25(2, 12) + cli.verify_thm25(3, 12)
     report(7, "balance-refined counts equal shifted strict counts (k=2,3, n<=12)",
            all(v.passed for v in verdicts))
 
@@ -97,7 +97,7 @@ def test_08_moment_interpretation():
 
 
 def test_09_full_crank_closed_form():
-    verdicts = cli.verify_thm43(max_k=3, max_n=14)
+    verdicts = [v for k in (1, 2, 3) for v in cli.verify_thm43(k, 14)]
     report(9, "full-crank counts equal binomial x M(m,n) (k<=3, n<=14)",
            all(v.passed for v in verdicts))
 
@@ -106,16 +106,18 @@ def test_10_generating_function():
     import time
 
     start = time.time()
-    verdicts = cli.verify_gfck(max_k=4, max_j=25)
+    verdicts = [v for k in (1, 2, 3, 4) for v in cli.verify_gfck(k, 25)]
     elapsed = time.time() - start
     ok = all(v.passed for v in verdicts) and elapsed < 1.0
     report(10, f"series vs closed form vs brute force (k<=4, j<=25, {elapsed:.2f}s)", ok)
 
 
 def test_11_modular_identity():
-    verdicts = cli.verify_mod_identity_suite(
-        triples=((2, 5, 1), (3, 5, 1), (2, 7, 1)), enum_max_n=14, closed_max_n=40
-    )
+    verdicts = [
+        v
+        for k, p, r in ((2, 5, 1), (3, 5, 1), (2, 7, 1))
+        for v in cli.verify_mod_identity_suite(k, 40, p, r)
+    ]
     report(11, "NC_k(i,p^r;n) congruence, enumeration n<=14 and closed form n<=40",
            all(v.passed for v in verdicts))
 

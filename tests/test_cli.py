@@ -71,12 +71,22 @@ def test_verify_pass_and_exit_zero(capsys):
 
 
 def test_verify_json_format(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "gf-ck", "--k", "2", "--max-n", "10", "--format", "json"
-    )
-    assert code == 0
-    verdicts = [json.loads(line) for line in out.strip().splitlines()]
-    assert all(v["pass"] for v in verdicts)
+    # --k K runs level K only, in every suite that takes k.
+    for argv in (
+        ("gf-ck", "--max-n", "10"),
+        ("thm2.1", "--max-n", "6"),
+        ("thm2.4", "--max-n", "6"),
+        ("thm2.5", "--max-n", "6"),
+        ("thm2.6", "--max-n", "6"),
+        ("thm3.1", "--max-n", "6"),
+        ("thm4.3", "--max-n", "6"),
+        ("mod-identity", "--max-n", "6"),
+        ("mod-identity", "--p", "7", "--max-n", "6"),
+    ):
+        code, out, _ = run_cli(capsys, "verify", *argv, "--k", "2", "--format", "json")
+        assert code == 0, argv
+        verdicts = [json.loads(line) for line in out.strip().splitlines()]
+        assert verdicts and all(v["pass"] and v["k"] == 2 for v in verdicts), argv
 
 
 def test_verify_csv_format(capsys):
@@ -196,6 +206,38 @@ def test_verify_with_no_checks_is_usage_error(capsys):
     assert captured.out == ""
     assert captured.err.strip().splitlines()[-1].startswith("dysonsym: error:")
     assert "Traceback" not in captured.err
+
+
+def test_verify_all_with_a_suite_without_checks_is_usage_error(capsys):
+    # --max-n 1 leaves checks in cor2.3 and gf-ck only: verify all used to
+    # print "5/5 checks passed" and exit 0.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--max-n", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines()[-1] == (
+        "dysonsym: error: verify thm2.1 has no checks within the given bounds"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cor2.3", "--k", "2"), "level 1 only"),
+        (("thm4.3", "--n", "5"), "--n"),
+        (("thm2.4", "--m", "1"), "--m"),
+        (("thm2.1", "--p", "7"), "--p"),
+        (("mod-identity", "--r", "2"), "--r needs --p"),
+        (("all", "--n", "5"), "--n"),
+    ],
+)
+def test_verify_rejects_flags_the_suite_does_not_read(capsys, argv, message):
+    # Each of these used to exit 0 and ignore the flag.
+    err = usage_error(capsys, "verify", *argv)
+    errors = [line for line in err.splitlines() if not line.startswith("verifying ")]
+    assert_one_line_error("\n".join(errors))
+    assert message in errors[0]
 
 
 class ClosedPipe(io.StringIO):
