@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .congruence import scan_progressions, verify_modular_identity
 from .dyson import (
@@ -89,8 +89,6 @@ def _signed_profiles(k: int, bound: int) -> Iterator[Tuple[int, ...]]:
 
 def verify_cor23(k: int, max_n: int) -> List[Verdict]:
     """M(-m, n) = F_1(m; n) for all m, plus crank negation under the encoding."""
-    if k != 1:
-        raise ValueError("cor2.3 has level 1 only")
     verdicts = []
     for n in range(2, max_n + 1):
         table = crank_counts(n)
@@ -223,25 +221,27 @@ def verify_mod_identity_suite(k: int, max_n: int, p: int, r: int) -> List[Verdic
 
 
 def _suites() -> Dict[str, tuple]:
-    """Each verify suite: its driver, its default rows (k, max_n[, p, r]) and
-    the flags it reads besides --k and --max-n.
+    """Each verify suite: its driver, its default rows (k, max_n[, p, r]),
+    the flags it reads besides --k and --max-n, and the levels it has: None
+    for every k >= 1, else a test on a row's (k[, p, r]) and its text.
 
     Built per call, so the drivers are looked up in the module when a suite
     runs, not when it is defined.
     """
     return {
-        "cor2.3": (verify_cor23, [(1, 30)], ()),
-        "thm2.1": (verify_thm21, [(2, 14), (3, 12)], ("m",)),
-        "thm2.4": (verify_thm24, [(1, 12), (2, 12), (3, 12)], ()),
-        "thm2.5": (verify_thm25, [(2, 12), (3, 12)], ()),
-        "thm2.6": (verify_thm26, [(1, 12), (2, 12), (3, 12)], ()),
-        "thm3.1": (verify_thm31, [(1, 14), (2, 10)], ("n",)),
-        "thm4.3": (verify_thm43, [(1, 14), (2, 14), (3, 14)], ()),
-        "gf-ck": (verify_gfck, [(1, 25), (2, 25), (3, 25), (4, 25)], ()),
+        "cor2.3": (verify_cor23, [(1, 30)], (), (lambda k: k == 1, "level 1 only")),
+        "thm2.1": (verify_thm21, [(2, 14), (3, 12)], ("m",), None),
+        "thm2.4": (verify_thm24, [(1, 12), (2, 12), (3, 12)], (), None),
+        "thm2.5": (verify_thm25, [(2, 12), (3, 12)], (), (lambda k: k >= 2, "levels k >= 2 only")),
+        "thm2.6": (verify_thm26, [(1, 12), (2, 12), (3, 12)], (), None),
+        "thm3.1": (verify_thm31, [(1, 14), (2, 10)], ("n",), None),
+        "thm4.3": (verify_thm43, [(1, 14), (2, 14), (3, 14)], (), None),
+        "gf-ck": (verify_gfck, [(1, 25), (2, 25), (3, 25), (4, 25)], (), None),
         "mod-identity": (
             verify_mod_identity_suite,
             [(2, 40, 5, 1), (3, 40, 5, 1), (2, 40, 7, 1)],
             ("p", "r"),
+            (lambda k, p, r: 2 * k <= p + 1, "levels with 2k <= p + 1 only (p = {2})"),
         ),
     }
 
@@ -249,13 +249,18 @@ def _suites() -> Dict[str, tuple]:
 VERIFY_IDS = tuple(_suites())
 
 
-def verify_dispatch(identifier: str, args: argparse.Namespace) -> List[Verdict]:
-    """Run one named verification suite within the requested bounds.
+class LevelError(ValueError):
+    """The requested level is outside the levels a suite has."""
+
+
+def _plan(identifier: str, args: argparse.Namespace) -> Tuple[Callable, List[tuple], dict]:
+    """One suite's driver, its rows within the requested bounds, and the
+    driver keywords the flags give.
 
     --k K runs level K only, at its default bound or, for a level without
     one, at the suite's smallest; --max-n replaces every row's bound.
     """
-    driver, rows, reads = _suites()[identifier]
+    driver, rows, reads, rule = _suites()[identifier]
     for flag in ("n", "m", "p", "r"):
         if getattr(args, flag) is not None and flag not in reads:
             raise ValueError(f"verify {identifier} does not read --{flag}")
@@ -276,11 +281,11 @@ def verify_dispatch(identifier: str, args: argparse.Namespace) -> List[Verdict]:
         raise ValueError("--r needs --p")
     if args.max_n is not None:
         rows = [(row[0], args.max_n) + row[2:] for row in rows]
-    print(f"verifying {identifier} ...", file=sys.stderr)
-    verdicts = [v for row in rows for v in driver(*row, **options)]
-    if not verdicts:
-        raise ValueError(f"verify {identifier} has no checks within the given bounds")
-    return verdicts
+    for row in rows:
+        if rule and not rule[0](row[0], *row[2:]):
+            text = rule[1].format(*row)
+            raise LevelError(f"verify {identifier} has {text}, not level {row[0]}")
+    return driver, rows, options
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +482,22 @@ def _run(args: argparse.Namespace) -> int:
         if args.max_n is not None and args.max_n < 1:
             raise ValueError("--max-n must be positive")
         ids = VERIFY_IDS if args.identifier == "all" else (args.identifier,)
-        verdicts: List[Verdict] = []
+        plans = []
         for ident in ids:
-            verdicts.extend(verify_dispatch(ident, args))
+            try:
+                plans.append((ident,) + _plan(ident, args))
+            except LevelError as exc:
+                # `verify all --k K` runs the suites that have level K.
+                if args.identifier != "all":
+                    raise
+                print(f"skipping: {exc}", file=sys.stderr)
+        verdicts: List[Verdict] = []
+        for ident, driver, rows, options in plans:
+            print(f"verifying {ident} ...", file=sys.stderr)
+            found = [v for row in rows for v in driver(*row, **options)]
+            if not found:
+                raise ValueError(f"verify {ident} has no checks within the given bounds")
+            verdicts.extend(found)
         _emit_verdicts(verdicts, fmt)
         return 0 if all(v.passed for v in verdicts) else 1
 

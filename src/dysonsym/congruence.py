@@ -59,7 +59,7 @@ def modular_identity_cases(
     """Per-residue checks of NC_k(i, p^r; n) = C(i+k-2, 2k-2) M(i, p^r; n) mod p^r.
 
     ``method="enumerate"`` counts the k-marked symbols in each full-crank
-    residue class with the level-histogram engine, without building them;
+    residue class with the counting level walk, without building them;
     ``method="closed"`` substitutes the verified closed form, which needs
     no marked counting and so reaches much larger n.
     """

@@ -57,7 +57,7 @@ def full_crank(eta: MarkedDysonSymbol) -> int:
 def full_crank_table(k: int, n: int) -> Dict[int, int]:
     """Distribution of the full crank over all k-marked symbols of weight n.
 
-    Read off the level-histogram profile table: l - s is the sum of the
+    Read off the profile table of the level walk: l - s is the sum of the
     |c_i|, so a symbol's full crank depends only on its cranks and
     balances.
     """
@@ -195,7 +195,7 @@ def series_coefficients(k: int, order: int) -> List[int]:
 def verify_theorem31(k: int, n: int) -> Verdict:
     """Compare the (k+1)-marked symbol count with the 2k-th crank moment.
 
-    The count is the total of the level-histogram profile table.
+    The count is the total of the profile table of the level walk.
     """
     if k < 1 or n < 2:
         raise ValueError("need k >= 1 and n >= 2")

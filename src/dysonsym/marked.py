@@ -20,17 +20,20 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
-from .dyson import DysonSymbol, dyson_crank, enumerate_dyson_symbols, validate_dyson
+from .dyson import DysonSymbol, dyson_crank, validate_dyson
 from .partitions import Partition, check_partition
 
 Pair = Tuple[Partition, Partition]
+Group = Tuple[tuple, Tuple[Pair, ...]]  # (statistics key, pairs); see _level_groups
 
-# Cache bounds.  `verify all` at its default bounds touches 39 (k, n)
-# tables and 266 level histograms; these bounds keep all of them.
+# Cache bounds.  `verify all` at its default bounds touches 39 (k, n) tables,
+# 266 level groupings and 355 partition lists (the benchmark's objects
+# workload: 141 and 211); these bounds keep all of them.
 _TABLE_CACHE = 64
-_HISTOGRAM_CACHE = 512
+_GROUP_CACHE = 512
+_PARTITION_CACHE = 512
 
 
 @dataclass(frozen=True)
@@ -212,11 +215,12 @@ def is_strict(eta: MarkedDysonSymbol) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration
+# The level walk: one search over markers and levels, shared by enumeration
+# and counting
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PARTITION_CACHE)
 def _partitions_in_range(lo: int, hi: int, cap: int) -> Tuple[Partition, ...]:
     """Partitions with parts in [lo, hi] and sum <= cap, sorted by sum."""
     if lo < 1 or hi < lo:
@@ -235,18 +239,28 @@ def _partitions_in_range(lo: int, hi: int, cap: int) -> Tuple[Partition, ...]:
     return tuple(out)
 
 
-def _level_pairs(lo: int, hi: int, cap: int) -> Iterator[Tuple[Partition, Partition, int]]:
-    """(alpha, beta, mass) for a level with parts in [lo, hi] and mass <= cap."""
+@lru_cache(maxsize=_GROUP_CACHE)
+def _level_groups(lo: int, hi: int, cap: int) -> Tuple[Group, ...]:
+    """Pairs with parts in [lo, hi] and mass <= cap, grouped by statistics.
+
+    Keys are (mass, large, small, balance, crank, strict, exposes), in
+    ascending order; ``exposes`` says whether the pair exposes ``hi`` as
+    its largest part or through ``lo``, which a both-empty top level
+    right above it requires.  The pairs of a group add the same to a
+    symbol's weight and profile, so the walk picks groups, not pairs.
+    """
+    groups: Dict[tuple, List[Pair]] = {}
     candidates = _partitions_in_range(lo, hi, cap)
     for a in candidates:
-        asum = sum(a)
-        if asum > cap:
-            return
         for b in candidates:
-            mass = asum + sum(b)
+            mass = sum(a) + sum(b)
             if mass > cap:
                 break
-            yield a, b, mass
+            c, l_i, s_i, bal = _pair_stats(a, b, top=False)
+            exposes = max(a[:1] + b[:1] + (lo,)) == hi
+            key = (mass, l_i, s_i, bal, c, is_strict_pair(a, b), exposes)
+            groups.setdefault(key, []).append((a, b))
+    return tuple((key, tuple(groups[key])) for key in sorted(groups))
 
 
 def _top_level_pairs(lo: int, cap: int) -> Iterator[Tuple[Partition, Partition, int, bool]]:
@@ -295,89 +309,73 @@ def _marker_choices(k: int, n: int) -> Iterator[Tuple[int, ...]]:
     yield from rec(0, 1, n, ())
 
 
-def _enumerate_multi(k: int, n: int) -> Tuple[MarkedDysonSymbol, ...]:
-    out: List[MarkedDysonSymbol] = []
+def _walk(k: int, n: int, visit: Callable[[Tuple[int, ...], Pair, List[Group]], None]) -> None:
+    """Call ``visit(markers, top, path)`` at every leaf of weight n.
+
+    ``top`` is the top-level pair and ``path`` one group per level, from
+    k-1 down to 1 (reused once ``visit`` returns).  One pair per group
+    makes a symbol, and each symbol lies under exactly one leaf.  A branch
+    is pruned once the part sums plus markers exceed n, or the rectangle
+    term (l + D + k - 1)(s - D) exceeds what is left of n; the term never
+    shrinks as levels are added (each adds s_i - bal_i >= 0 to s - D).
+    For k = 1 the top follows the Dyson-symbol shape rules and the weight
+    rule is l * s = n - mass.
+    """
     for markers in _marker_choices(k, n):
         bounds = (1,) + markers
-        top_lo = markers[-1]
         budget0 = n - sum(markers)
+        path: List[Group] = []
 
         def descend(level: int, budget: int, l_acc: int, s_acc: int, d_acc: int,
-                    pairs: List[Pair], need_exposed: bool) -> None:
-            # Levels are filled from k-1 down to 1; `pairs` holds levels
-            # k, k-1, ... chosen so far.  With a deferred both-empty top
-            # level, `need_exposed` requires level k-1 to expose the top
-            # marker (as a largest part or via the previous marker).
-            if level == 0:
-                correction = (l_acc + d_acc + k - 1) * (s_acc - d_acc)
-                if correction == budget:
-                    out.append(
-                        MarkedDysonSymbol(tuple(reversed(pairs)), markers)
-                    )
-                return
-            for a, b, mass in _level_pairs(bounds[level - 1], bounds[level], budget):
-                if need_exposed and level == k - 1:
-                    firsts = [p[0] for p in (a, b) if p]
-                    if max(firsts + [bounds[k - 2]]) != top_lo:
-                        continue
-                _, l_i, s_i, bal = _pair_stats(a, b, top=False)
-                l_new, s_new, d_new = l_acc + l_i, s_acc + s_i, d_acc + bal
-                if (l_new + d_new + k - 1) * (s_new - d_new) > budget - mass:
+                    need_exposed: bool) -> None:
+            # Extends the top pair `top` chosen below; `need_exposed` is set
+            # only on level k-1 under a deferred both-empty top level.
+            for group in _level_groups(bounds[level - 1], bounds[level], budget0):
+                mass, l_i, s_i, bal, _, _, exposes = group[0]
+                if mass > budget:
+                    break
+                if need_exposed and not exposes:
                     continue
-                pairs.append((a, b))
-                descend(level - 1, budget - mass, l_new, s_new, d_new,
-                        pairs, need_exposed)
-                pairs.pop()
+                l_new, s_new, d_new = l_acc + l_i, s_acc + s_i, d_acc + bal
+                left = budget - mass
+                rectangle = (l_new + d_new + k - 1) * (s_new - d_new)
+                if rectangle > left:
+                    continue
+                path.append(group)
+                if level > 1:
+                    descend(level - 1, left, l_new, s_new, d_new, False)
+                elif rectangle == left:
+                    visit(markers, top, path)
+                path.pop()
 
-        for a, b, mass, deferred in _top_level_pairs(top_lo, budget0):
-            la, lb = len(a), len(b)
-            descend(k - 1, budget0 - mass, max(la, lb), min(la, lb), 0,
-                    [(a, b)], deferred)
-    return tuple(out)
+        for a, b, mass, deferred in _top_level_pairs(bounds[-1], budget0):
+            top = (a, b)
+            l_top, s_top = max(len(a), len(b)), min(len(a), len(b))
+            if k > 1:
+                descend(k - 1, budget0 - mass, l_top, s_top, 0, deferred)
+            elif (a or len(b) >= 2) and l_top * s_top == budget0 - mass:
+                # A Dyson symbol with alpha empty repeats beta's largest part.
+                visit(markers, top, [])
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
 def enumerate_marked(k: int, n: int) -> Tuple[MarkedDysonSymbol, ...]:
     """All k-marked Dyson symbols of weight n, in a deterministic order.
 
-    Backtracks over markers and level partitions.  A branch is pruned as
-    soon as the part sums plus markers exceed n, or the rectangle term
-    (l + D + k - 1)(s - D) of the levels chosen so far exceeds what is
-    left of n; that term never shrinks as levels are added, since each
-    adds s_i - bal_i >= 0 to s - D.  For k = 1 the structural
-    Dyson-symbol search is used, so this path stays independent of the
-    partition encoding.
+    Each leaf of ``_walk`` is expanded into its symbols, one pair from
+    each level's group.  For k = 1 these are the Dyson symbols of n, found
+    by the same walk rather than by the partition encoding.
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
-    if k == 1:
-        return tuple(
-            MarkedDysonSymbol(((s.alpha, s.beta),), ())
-            for s in enumerate_dyson_symbols(n, method="structural")
-        )
-    return _enumerate_multi(k, n)
+    out: List[MarkedDysonSymbol] = []
 
+    def collect(markers: Tuple[int, ...], top: Pair, path: List[Group]) -> None:
+        for lower in product(*(pairs for _, pairs in reversed(path))):
+            out.append(MarkedDysonSymbol(lower + (top,), markers))
 
-# ---------------------------------------------------------------------------
-# Counting engine
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=_HISTOGRAM_CACHE)
-def _level_histogram(lo: int, hi: int, cap: int) -> Tuple[Tuple[tuple, int], ...]:
-    """Pairs with parts in [lo, hi] and mass <= cap, grouped by statistics.
-
-    Keys are (mass, large, small, balance, crank, strict, exposes), in
-    ascending mass; ``exposes`` says whether the pair exposes ``hi`` as
-    its largest part or through ``lo``, which a both-empty top level
-    right above it requires.
-    """
-    hist: Counter = Counter()
-    for a, b, mass in _level_pairs(lo, hi, cap):
-        c, l_i, s_i, bal = _pair_stats(a, b, top=False)
-        exposes = max(a[:1] + b[:1] + (lo,)) == hi
-        hist[mass, l_i, s_i, bal, c, is_strict_pair(a, b), exposes] += 1
-    return tuple(sorted(hist.items()))
+    _walk(k, n, collect)
+    return tuple(out)
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
@@ -385,53 +383,23 @@ def _profile_table(k: int, n: int) -> Counter:
     """Counts of k-marked symbols of weight n by (cranks, balances, strict).
 
     ``balances`` are those of levels 1..k-1 and ``strict`` is
-    ``is_strict``.  No symbol is built: for each marker tuple the levels
-    are independent apart from the part ranges the markers set, so each
-    level contributes through a histogram of its pair statistics, and
-    the levels meet only in the rectangle term (l + D + k - 1)(s - D).
-    That term never shrinks as levels are added (each adds
-    s_i - bal_i >= 0 to s - D), so a branch is pruned as soon as it
-    exceeds the weight left.  A 1-marked symbol is a Dyson symbol and
-    is read off ``enumerate_marked(1, n)``.
+    ``is_strict``.  No symbol is built: each leaf of ``_walk`` stands for
+    the product of its groups' sizes, all with the same profile.
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
-    if k == 1:
-        return Counter((crank_vector(eta), (), True) for eta in enumerate_marked(1, n))
     table: Counter = Counter()
-    for markers in _marker_choices(k, n):
-        bounds = (1,) + markers
-        budget0 = n - sum(markers)
 
-        def descend(level: int, budget: int, l_acc: int, s_acc: int, d_acc: int,
-                    cranks: Tuple[int, ...], balances: Tuple[int, ...],
-                    strict: bool, count: int, need_exposed: bool) -> None:
-            # Levels are folded from k-1 down to 1; `cranks` and
-            # `balances` hold the levels chosen so far, lowest first.
-            # `need_exposed` is set only on level k-1 below a deferred
-            # both-empty top level.
-            for (mass, l_i, s_i, bal, c, pair_strict, exposes), ways in _level_histogram(
-                bounds[level - 1], bounds[level], budget0
-            ):
-                if mass > budget:
-                    break
-                if need_exposed and not exposes:
-                    continue
-                l_new, s_new, d_new = l_acc + l_i, s_acc + s_i, d_acc + bal
-                rectangle = (l_new + d_new + k - 1) * (s_new - d_new)
-                if level == 1:
-                    if rectangle == budget - mass:
-                        key = ((c,) + cranks, (bal,) + balances, strict and pair_strict)
-                        table[key] += count * ways
-                elif rectangle <= budget - mass:
-                    descend(level - 1, budget - mass, l_new, s_new, d_new,
-                            (c,) + cranks, (bal,) + balances, strict and pair_strict,
-                            count * ways, False)
+    def tally(markers: Tuple[int, ...], top: Pair, path: List[Group]) -> None:
+        count, cranks, balances, strict = 1, (len(top[0]) - len(top[1]),), (), True
+        for (_, _, _, bal, c, pair_strict, _), pairs in path:
+            count *= len(pairs)
+            cranks = (c,) + cranks
+            balances = (bal,) + balances
+            strict = strict and pair_strict
+        table[cranks, balances, strict] += count
 
-        for a, b, mass, deferred in _top_level_pairs(markers[-1], budget0):
-            c_top, l_top, s_top, _ = _pair_stats(a, b, top=True)
-            descend(k - 1, budget0 - mass, l_top, s_top, 0, (c_top,), (), True,
-                    1, deferred)
+    _walk(k, n, tally)
     return table
 
 
@@ -450,7 +418,7 @@ def _crank_tables(k: int, n: int) -> Tuple[Counter, Counter]:
 def count_fk(cranks: Tuple[int, ...], n: int) -> int:
     """Symbols of weight n with the given crank at every level.
 
-    Read off the level-histogram profile table, without enumerating.
+    Read off the profile table, without building any symbol.
     """
     cranks = tuple(cranks)
     if not cranks:
@@ -463,7 +431,7 @@ def count_fk_with_balance(
 ) -> int:
     """Symbols with given cranks and given balance numbers below the top.
 
-    Read off the level-histogram profile table, without enumerating.
+    Read off the profile table, without building any symbol.
     """
     cranks, balances = tuple(cranks), tuple(balances)
     k = len(cranks)
@@ -476,7 +444,7 @@ def count_fk_with_balance(
 def count_fk_strict(cranks: Tuple[int, ...], n: int) -> int:
     """Strict symbols of weight n with the given crank vector.
 
-    Read off the level-histogram profile table, without enumerating.
+    Read off the profile table, without building any symbol.
     """
     cranks = tuple(cranks)
     if len(cranks) < 2:

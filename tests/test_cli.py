@@ -240,6 +240,38 @@ def test_verify_rejects_flags_the_suite_does_not_read(capsys, argv, message):
     assert message in errors[0]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cor2.3", "--k", "2"), "verify cor2.3 has level 1 only, not level 2"),
+        (("thm2.5", "--k", "1"), "verify thm2.5 has levels k >= 2 only, not level 1"),
+        (("mod-identity", "--k", "4"), "2k <= p + 1 only (p = 5), not level 4"),
+    ],
+)
+def test_verify_rejects_a_level_the_suite_does_not_have(capsys, argv, message):
+    # Raised before any suite runs: thm2.5 --k 1 used to print "verifying"
+    # and then count_fk_with_balance's own message.
+    err = usage_error(capsys, "verify", *argv)
+    assert_one_line_error(err)
+    assert message in err
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_verify_all_at_one_level_runs_the_suites_that_have_it(capsys, k):
+    # `verify all --k 1` used to stop in thm2.5, and any other K in cor2.3.
+    code, out, err = run_cli(
+        capsys, "verify", "all", "--k", str(k), "--max-n", "6", "--format", "json"
+    )
+    assert code == 0
+    assert {json.loads(line)["k"] for line in out.strip().splitlines()} == {k}
+    skipped = [line for line in err.splitlines() if line.startswith("skipping: ")]
+    assert skipped == (
+        ["skipping: verify thm2.5 has levels k >= 2 only, not level 1"]
+        if k == 1
+        else [f"skipping: verify cor2.3 has level 1 only, not level {k}"]
+    )
+
+
 class ClosedPipe(io.StringIO):
     """Standard output whose reader has gone away, backed by a real fd."""
 

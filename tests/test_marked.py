@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from dysonsym import (
     count_fk,
     count_fk_strict,
     count_fk_with_balance,
+    crank_counts,
     crank_moment,
     crank_vector,
     dyson_crank,
@@ -16,6 +18,7 @@ from dysonsym import (
     enumerate_marked,
     is_strict,
     mirror,
+    partitions_of,
     phi,
     phi_inverse,
     statistics,
@@ -249,15 +252,69 @@ def test_balanced_count_matches_quadratic_definition(p, q):
     assert balanced_count(longer, shorter) == quadratic_balanced_count(longer, shorter)
 
 
-def enumerated_profile(k, n):
+def profile(symbols):
     return Counter(
         (stats.cranks, stats.balances[:-1], is_strict(eta))
-        for eta in enumerate_marked(k, n)
+        for eta in symbols
         for stats in [statistics(eta)]
     )
+
+
+def enumerated_profile(k, n):
+    return profile(enumerate_marked(k, n))
 
 
 @pytest.mark.parametrize("k,max_n", [(1, 12), (2, 14), (3, 14), (4, 12)])
 def test_profile_table_matches_enumeration(k, max_n):
     for n in range(1, max_n + 1):
         assert _profile_table(k, n) == enumerated_profile(k, n), (k, n)
+
+
+def brute_force_marked(k, n):
+    """Every k-marked symbol of weight n, read off the definition alone.
+
+    Tries every marker tuple, in any order, and at each level every pair
+    of partitions whose masses fit in what the markers and the levels
+    before it leave of n; keeps what ``validate_marked`` accepts at
+    weight n.  It shares no shape rule or pruning with the level walk.
+    """
+    pairs = [
+        [(a, b) for s in range(m + 1) for a in partitions_of(s) for b in partitions_of(m - s)]
+        for m in range(n + 1)
+    ]
+
+    def levels(count, budget):
+        if count == 0:
+            yield ()
+            return
+        for m in range(budget + 1):
+            for pair in pairs[m]:
+                for rest in levels(count - 1, budget - m):
+                    yield (pair,) + rest
+
+    found = []
+    for markers in product(range(1, n + 1), repeat=k - 1):
+        for vectors in levels(k, n - sum(markers)):
+            eta = MarkedDysonSymbol(vectors, markers)
+            if validate_marked(eta) and weight(eta) == n:
+                found.append(eta)
+    return found
+
+
+@pytest.mark.parametrize("k,max_n", [(1, 16), (2, 12), (3, 10), (4, 9)])
+def test_walk_matches_brute_force_oracle(k, max_n):
+    for n in range(1, max_n + 1):
+        oracle = brute_force_marked(k, n)
+        symbols = enumerate_marked(k, n)
+        assert len(symbols) == len(oracle) and set(symbols) == set(oracle), (k, n)
+        assert _profile_table(k, n) == profile(oracle), (k, n)
+
+
+def test_one_marked_counts_match_the_crank_generating_function():
+    # Cor. 2.3: F_1(m; n) = M(-m, n), past the n that enumeration reaches.
+    for n in range(2, 25):
+        table = _profile_table(1, n)
+        crank = crank_counts(n)
+        assert sum(table.values()) == sum(crank[m] for m in range(-n, n + 1))
+        for m in range(-n, n + 1):
+            assert table[(m,), (), True] == crank[-m], (n, m)
