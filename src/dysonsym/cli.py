@@ -11,15 +11,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .congruence import scan_progressions, verify_modular_identity
-from .dyson import (
-    count_f1,
-    dyson_crank,
-    enumerate_dyson_symbols,
-    to_dyson_symbol,
-)
+from .congruence import is_prime, scan_progressions, verify_modular_identity
+from .dyson import dyson_crank, enumerate_dyson_symbols, to_dyson_symbol
 from .fullcrank import (
     Verdict,
     ck_brute,
@@ -88,18 +84,32 @@ def _signed_profiles(k: int, bound: int) -> Iterator[Tuple[int, ...]]:
 
 
 def verify_cor23(k: int, max_n: int) -> List[Verdict]:
-    """M(-m, n) = F_1(m; n) for all m, plus crank negation under the encoding."""
-    verdicts = []
-    for n in range(2, max_n + 1):
-        table = crank_counts(n)
-        checks = (table[-m] == count_f1(m, n) for m in range(-n, n + 1))
-        verdicts.append(_tally("cor2.3", k, n, checks))
-    for n in range(1, min(max_n, OBJECT_MAX_N) + 1):
-        checks = (
-            dyson_crank(to_dyson_symbol(lam)) == -crank(lam) for lam in partitions_of(n)
-        )
-        verdicts.append(_tally("cor2.3-object", k, n, checks))
-    return verdicts
+    """M(-m, n) = F_1(m; n) for all m, plus crank negation under the encoding.
+
+    One pass over the partitions of each n encodes each partition once.
+    The symbol's crank goes into the F_1 histogram that is compared with
+    crank_counts(n) (the cor2.3 verdicts, n >= 2) and, for n up to
+    OBJECT_MAX_N, is checked against -crank(lam) (the cor2.3-object
+    verdicts, whose rhs is p(n)).
+    """
+    table_verdicts, object_verdicts = [], []
+    for n in range(1, max_n + 1):
+        f1: Counter = Counter()
+        negated = 0
+        for lam in partitions_of(n):
+            m = dyson_crank(to_dyson_symbol(lam))
+            f1[m] += 1
+            if n <= OBJECT_MAX_N and m == -crank(lam):
+                negated += 1
+        if n >= 2:
+            table = crank_counts(n)
+            checks = (table[-m] == f1[m] for m in range(-n, n + 1))
+            table_verdicts.append(_tally("cor2.3", k, n, checks))
+        if n <= OBJECT_MAX_N:
+            object_verdicts.append(
+                Verdict(identity="cor2.3-object", k=k, n=n, lhs=negated, rhs=sum(f1.values()))
+            )
+    return table_verdicts + object_verdicts
 
 
 def verify_thm21(
@@ -276,6 +286,10 @@ def _plan(identifier: str, args: argparse.Namespace) -> Tuple[Callable, List[tup
         smallest = min(row[1] for row in rows)
         rows = [row for row in rows if row[0] == k] or [(k, smallest) + rows[0][2:]]
     if args.p is not None:
+        if not is_prime(args.p) or args.p < 5:
+            raise ValueError("p must be a prime >= 5")
+        if args.r is not None and args.r < 1:
+            raise ValueError("--r must be positive")
         rows = [rows[0][:2] + (args.p, 1 if args.r is None else args.r)]
     elif args.r is not None:
         raise ValueError("--r needs --p")

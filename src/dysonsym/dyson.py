@@ -12,9 +12,17 @@ from collections import Counter
 from functools import lru_cache
 from typing import Dict, NamedTuple, Tuple
 
-from .partitions import Partition, check_partition, conjugate, partitions_of
+from .partitions import (
+    Partition,
+    _count_greater,
+    check_partition,
+    conjugate,
+    is_partition,
+    partitions_of,
+)
 
-# Crank histograms kept; `verify all` reads 29 (cor2.3 at n = 2..30).
+# Crank histograms kept; `verify all` reads 13 (thm2.1's theorem21_rhs at
+# n = 2..14).  cor2.3 builds its own histograms in its single encoding pass.
 _CRANK_TABLE_CACHE = 64
 
 
@@ -49,10 +57,7 @@ def validate_dyson(sym: DysonSymbol) -> bool:
     repeat its largest part.
     """
     alpha, beta = sym
-    try:
-        check_partition(alpha)
-        check_partition(beta)
-    except ValueError:
+    if not (is_partition(alpha) and is_partition(beta)):
         return False
     if len(alpha) == 0:
         return len(beta) >= 2 and beta[0] == beta[1]
@@ -70,15 +75,16 @@ def to_dyson_symbol(lam: Partition) -> DysonSymbol:
     """Encode a nonempty partition as a Dyson symbol of the same weight."""
     if not lam:
         raise ValueError("cannot encode the empty partition")
-    ones = sum(1 for part in lam if part == 1)
+    ones = lam.count(1)
     if ones == 0:
         return DysonSymbol((), conjugate(lam))
-    big = [part for part in lam if part > ones]
-    # Parts that are neither ones nor greater than the count of ones.
-    mid = [part for part in lam if 1 < part <= ones]
-    beta = tuple(part - ones for part in big)
-    nu = tuple(sorted([ones] + mid, reverse=True))
-    alpha = conjugate(nu)  # has exactly `ones` parts since nu's largest part is `ones`
+    # lam decreases: the parts > ones come first, then the parts in
+    # (1, ones], then the ones.
+    big = _count_greater(lam, ones)
+    beta = tuple(part - ones for part in lam[:big])
+    # nu = (ones, mid...) is a partition whose largest part is `ones`, so
+    # alpha has exactly `ones` parts.
+    alpha = conjugate((ones, *lam[big : len(lam) - ones]))
     return DysonSymbol(alpha, beta)
 
 
@@ -138,7 +144,11 @@ def _crank_table(n: int) -> Dict[int, int]:
 
 
 def count_f1(m: int, n: int) -> int:
-    """Number of Dyson symbols of weight n with crank m, by enumeration."""
+    """Number of Dyson symbols of weight n with crank m, by enumeration.
+
+    Encodes every partition of n once per n (the histograms are cached)
+    and reads F_1(m; n) off the crank histogram.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     return _crank_table(n).get(m, 0)

@@ -23,7 +23,7 @@ from itertools import product
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from .dyson import DysonSymbol, dyson_crank, validate_dyson
-from .partitions import Partition, check_partition
+from .partitions import Partition, check_partition, is_partition
 
 Pair = Tuple[Partition, Partition]
 Group = Tuple[tuple, Tuple[Pair, ...]]  # (statistics key, pairs); see _level_groups
@@ -146,47 +146,57 @@ def statistics(eta: MarkedDysonSymbol) -> SymbolStats:
 
 
 def crank_vector(eta: MarkedDysonSymbol) -> Tuple[int, ...]:
-    return tuple(len(a) - len(b) for a, b in eta.vectors)
+    return tuple([len(a) - len(b) for a, b in eta.vectors])
 
 
 def weight(eta: MarkedDysonSymbol) -> int:
-    """Total weight: part sums, markers, and the rectangle correction term."""
-    stats = statistics(eta)
-    base = sum(sum(a) + sum(b) for a, b in eta.vectors) + sum(eta.markers)
-    l, s, d = stats.l, stats.s, stats.D
-    return base + (l + d + eta.k - 1) * (s - d)
+    """Total weight: part sums, markers, and the rectangle correction term.
+
+    The term is (l + D + k - 1)(s - D): l and s add up each level's longer
+    and shorter lengths, D the balance numbers of the levels below the top.
+    """
+    vectors = eta.vectors
+    base = sum(eta.markers)
+    l = s = d = 0  # noqa: E741 - established notation
+    for a, b in vectors:
+        base += sum(a) + sum(b)
+        if len(a) >= len(b):
+            l, s = l + len(a), s + len(b)
+        else:
+            l, s = l + len(b), s + len(a)
+    for a, b in vectors[:-1]:
+        d += balanced_count(a, b) if len(a) >= len(b) else balanced_count(b, a)
+    return base + (l + d + len(vectors) - 1) * (s - d)
 
 
 def validate_marked(eta: MarkedDysonSymbol) -> bool:
     """True iff the marker ordering, part ranges, and top-level shape hold."""
-    k = eta.k
-    if k < 1 or len(eta.markers) != k - 1:
+    vectors, markers = eta.vectors, eta.markers
+    k = len(vectors)
+    if k < 1 or len(markers) != k - 1:
         return False
     try:
-        for a, b in eta.vectors:
-            check_partition(a)
-            check_partition(b)
-    except ValueError:
+        for a, b in vectors:
+            if not (is_partition(a) and is_partition(b)):
+                return False
+    except ValueError:  # a level that is not a pair
         return False
     if k == 1:
         # A 1-marked symbol is exactly a Dyson symbol; the (empty, single
         # part 1) pair is excluded so that the weight-n sets agree with
         # the Dyson symbols of n for every n >= 1.
-        return validate_dyson(DysonSymbol(*eta.vectors[0]))
-    bounds = (1,) + eta.markers  # bounds[i] = p_i with p_0 = 1
-    if any(bounds[i] > bounds[i + 1] for i in range(k - 1)):
+        return validate_dyson(DysonSymbol(*vectors[0]))
+    bounds = (1,) + markers  # bounds[i] = p_i with p_0 = 1
+    if list(bounds) != sorted(bounds):
         return False
-    for i in range(1, k):
-        lo, hi = bounds[i - 1], bounds[i]
-        a, b = eta.vectors[i - 1]
-        for part in a + b:
-            if part < lo or part > hi:
-                return False
-    top_lo = bounds[k - 1]
-    a, b = eta.vectors[k - 1]
-    for part in a + b:
-        if part < top_lo:
+    # Each partition decreases, so its last and first parts bound the rest.
+    for lo, hi, (a, b) in zip(bounds, markers, vectors):
+        if a and (a[-1] < lo or a[0] > hi) or b and (b[-1] < lo or b[0] > hi):
             return False
+    top_lo = markers[-1]
+    a, b = vectors[-1]
+    if a and a[-1] < top_lo or b and b[-1] < top_lo:
+        return False
     if len(a) == 1:
         return a[0] == top_lo
     if len(a) > 1:
@@ -198,7 +208,7 @@ def validate_marked(eta: MarkedDysonSymbol) -> bool:
     # Both top partitions empty: the top marker must be exposed just below,
     # either as the largest part of level k-1 or as the previous marker
     # (p_0 = 1 when k = 2).
-    firsts = [p[0] for p in eta.vectors[k - 2] if p]
+    firsts = [p[0] for p in vectors[k - 2] if p]
     return top_lo == max(firsts + [bounds[k - 2]])
 
 

@@ -50,10 +50,26 @@ def check_partition(parts) -> Partition:
     return lam
 
 
+def is_partition(parts) -> bool:
+    """True iff ``check_partition`` would accept ``parts``; copies nothing."""
+    prev = None
+    for part in parts:
+        if not isinstance(part, int) or part < 1 or (prev is not None and prev < part):
+            return False
+        prev = part
+    return True
+
+
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     """Yield all partitions of ``n`` in lexicographically decreasing order.
 
-    ``n = 0`` yields only the empty partition.
+    Only parts <= ``max_part`` are used (all parts when it is None); a
+    ``max_part`` below 1 yields nothing for n >= 1.  ``n = 0`` yields only
+    the empty partition.  One list of parts is rewritten in place, as in
+    Zoghbi and Stojmenovic's ZS1 (Int. J. Comput. Math. 70, 1998): the
+    next partition lowers the last part above 1 by one and spreads the
+    weight it frees, with the ones after it, greedily over parts no larger
+    than the lowered one.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -62,9 +78,28 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     if n == 0:
         yield ()
         return
-    for first in range(max_part, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+    if max_part < 1:
+        return
+    parts: List[int] = []
+    # Replace parts[h:] by `total` spread over parts of size `v` at most,
+    # then point h at the last part above 1 (h < 0 once all parts are 1).
+    h, v, total = 0, max_part, n
+    while True:
+        q, r = divmod(total, v)
+        parts[h:] = [v] * q
+        if r:
+            parts.append(r)
+        if r > 1:
+            h = len(parts) - 1
+        elif v > 1:
+            h += q - 1  # the last copy of v
+        else:
+            h -= 1  # parts from h on are all 1, those before are >= 2
+        yield tuple(parts)
+        if h < 0:
+            return
+        v = parts[h] - 1
+        total = v + len(parts) - h  # parts[h] plus the ones after it
 
 
 def _partition_numbers(n: int) -> List[int]:
@@ -90,13 +125,19 @@ def partition_count(n: int) -> int:
 
 
 def conjugate(lam: Partition) -> Partition:
-    """Transpose of the Ferrers diagram.  An involution."""
+    """Transpose of the Ferrers diagram.  An involution.
+
+    Column c has as many cells as lam has parts >= c; one pointer walks
+    back over the parts as c grows, so this takes O(len(lam) + lam[0]).
+    """
     if not lam:
         return ()
-    cols = [0] * lam[0]
-    for part in lam:
-        for j in range(part):
-            cols[j] += 1
+    cols = []
+    height = len(lam)
+    for c in range(1, lam[0] + 1):
+        while lam[height - 1] < c:
+            height -= 1
+        cols.append(height)
     return tuple(cols)
 
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from dysonsym import cli, partition_count, to_dyson_symbol
 from dysonsym.cli import BROKEN_PIPE_STATUS, main
 
 
@@ -256,6 +257,23 @@ def test_verify_rejects_a_level_the_suite_does_not_have(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--p", "4"), "p must be a prime >= 5"),
+        (("--p", "9", "--k", "2"), "p must be a prime >= 5"),
+        (("--p", "5", "--r", "0"), "--r must be positive"),
+    ],
+)
+def test_verify_mod_identity_rejects_bad_p_before_running(capsys, argv, message):
+    # These used to print "verifying mod-identity ..." and only then fail
+    # inside the suite.
+    err = usage_error(capsys, "verify", "mod-identity", *argv)
+    assert_one_line_error(err)
+    assert message in err
+    assert "verifying" not in err
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_verify_all_at_one_level_runs_the_suites_that_have_it(capsys, k):
     # `verify all --k 1` used to stop in thm2.5, and any other K in cor2.3.
@@ -270,6 +288,34 @@ def test_verify_all_at_one_level_runs_the_suites_that_have_it(capsys, k):
         if k == 1
         else [f"skipping: verify cor2.3 has level 1 only, not level {k}"]
     )
+
+
+# p(1), ..., p(25): the rhs of the cor2.3-object verdicts.
+PARTITION_NUMBERS = (
+    1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385,
+    490, 627, 792, 1002, 1255, 1575, 1958,
+)
+
+
+def test_cor23_encodes_each_partition_once(monkeypatch):
+    # The suite used to encode every partition with n <= 25 twice: once for
+    # its F_1 tables and again for its object check.
+    calls = []
+
+    def counting(lam):
+        calls.append(lam)
+        return to_dyson_symbol(lam)
+
+    monkeypatch.setattr(cli, "to_dyson_symbol", counting)
+    verdicts = cli.verify_cor23(1, 30)
+    assert len(calls) == sum(partition_count(n) for n in range(1, 31)) == 28628
+    assert [(v.identity, v.k, v.n, v.lhs, v.rhs) for v in verdicts] == (
+        [("cor2.3", 1, n, 2 * n + 1, 2 * n + 1) for n in range(2, 31)]
+        + [("cor2.3-object", 1, n, p, p) for n, p in enumerate(PARTITION_NUMBERS, start=1)]
+    )
+    for v in verdicts:
+        if v.identity == "cor2.3-object":
+            assert v.rhs == partition_count(v.n)
 
 
 class ClosedPipe(io.StringIO):

@@ -2,9 +2,10 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dysonsym import (
+    DysonSymbol,
     MarkedDysonSymbol,
     balanced_count,
     count_fk,
@@ -23,10 +24,12 @@ from dysonsym import (
     phi_inverse,
     statistics,
     theorem21_rhs,
+    validate_dyson,
     validate_marked,
     weight,
 )
 from dysonsym.marked import _profile_table
+from dysonsym.partitions import check_partition
 
 from golden_data import (
     BIG_DYSON,
@@ -318,3 +321,150 @@ def test_one_marked_counts_match_the_crank_generating_function():
         assert sum(table.values()) == sum(crank[m] for m in range(-n, n + 1))
         for m in range(-n, n + 1):
             assert table[(m,), (), True] == crank[-m], (n, m)
+
+
+def statistics_weight(eta):
+    """The weight read off ``statistics``, as ``weight`` once computed it."""
+    stats = statistics(eta)
+    base = sum(sum(a) + sum(b) for a, b in eta.vectors) + sum(eta.markers)
+    return base + (stats.l + stats.D + eta.k - 1) * (stats.s - stats.D)
+
+
+def copying_validate_marked(eta):
+    """``validate_marked`` as it was: every partition copied through
+    ``check_partition``, every part tested against its range."""
+    k = eta.k
+    if k < 1 or len(eta.markers) != k - 1:
+        return False
+    try:
+        for a, b in eta.vectors:
+            check_partition(a)
+            check_partition(b)
+    except ValueError:
+        return False
+    if k == 1:
+        return validate_dyson(DysonSymbol(*eta.vectors[0]))
+    bounds = (1,) + eta.markers
+    if any(bounds[i] > bounds[i + 1] for i in range(k - 1)):
+        return False
+    for i in range(1, k):
+        lo, hi = bounds[i - 1], bounds[i]
+        a, b = eta.vectors[i - 1]
+        for part in a + b:
+            if part < lo or part > hi:
+                return False
+    top_lo = bounds[k - 1]
+    a, b = eta.vectors[k - 1]
+    for part in a + b:
+        if part < top_lo:
+            return False
+    if len(a) == 1:
+        return a[0] == top_lo
+    if len(a) > 1:
+        return a[0] == a[1]
+    if len(b) == 1:
+        return b[0] == top_lo
+    if len(b) >= 2:
+        return b[0] == b[1]
+    firsts = [p[0] for p in eta.vectors[k - 2] if p]
+    return top_lo == max(firsts + [bounds[k - 2]])
+
+
+@pytest.mark.parametrize("k,n", [(2, 10), (3, 9), (4, 8)])
+def test_weight_matches_the_statistics_oracle(k, n):
+    for eta in enumerate_marked(k, n):
+        assert weight(eta) == statistics_weight(eta) == n
+        for j in range(1, k + 1):
+            mu = mirror(eta, j)
+            assert weight(mu) == statistics_weight(mu)
+
+
+def replace_part(eta, level, side, index, value):
+    vectors = [list(pair) for pair in eta.vectors]
+    parts = list(vectors[level][side])
+    parts[index] = value
+    vectors[level][side] = tuple(parts)
+    return MarkedDysonSymbol(tuple(tuple(pair) for pair in vectors), eta.markers)
+
+
+def range_perturbations(eta):
+    """Every symbol made by pushing one part just outside its range while
+    the partition stays decreasing: a first part above p_i, a last part
+    below p_{i-1}, or a last top part below p_{k-1}."""
+    bounds = (1,) + eta.markers
+    k = eta.k
+    for level, pair in enumerate(eta.vectors):
+        lo = bounds[level]
+        for side, parts in enumerate(pair):
+            if not parts:
+                continue
+            if level < k - 1:
+                yield replace_part(eta, level, side, 0, bounds[level + 1] + 1)
+            yield replace_part(eta, level, side, len(parts) - 1, lo - 1)
+
+
+@pytest.mark.parametrize("k,n", [(2, 10), (3, 9), (4, 8)])
+def test_validate_marked_range_tests_match_the_copying_oracle(k, n):
+    for eta in enumerate_marked(k, n):
+        assert validate_marked(eta)
+        for bad in range_perturbations(eta):
+            assert validate_marked(bad) == copying_validate_marked(bad), bad
+
+
+PERTURBATIONS = (
+    "none", "zero", "negative", "float", "str", "above left",
+    "above level", "below level", "below top",
+)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_validate_marked_matches_the_copying_oracle(data):
+    k, n = data.draw(st.sampled_from([(1, 8), (2, 8), (3, 7), (4, 6)]))
+    symbols = enumerate_marked(k, n)
+    eta = symbols[data.draw(st.integers(0, len(symbols) - 1))]
+    kind = data.draw(st.sampled_from(PERTURBATIONS))
+    bounds = (1,) + eta.markers
+    # (level, side, index) of every part.  The range perturbations keep
+    # the partition decreasing: they raise a first part or lower a last one.
+    places = [
+        (i, side, j)
+        for i, pair in enumerate(eta.vectors)
+        for side in (0, 1)
+        for j in range(len(pair[side]))
+    ]
+    last = [(i, side, j) for i, side, j in places if j == len(eta.vectors[i][side]) - 1]
+    pool = {
+        "none": [None],
+        "above left": [place for place in places if place[2] > 0],
+        "above level": [place for place in places if place[0] < k - 1 and place[2] == 0],
+        "below level": [place for place in last if place[0] < k - 1],
+        "below top": [place for place in last if place[0] == k - 1],
+    }.get(kind, places)
+    if not pool:
+        return
+    place = data.draw(st.sampled_from(pool))
+    if place is not None:
+        level, side, index = place
+        parts = eta.vectors[level][side]
+        part = parts[index]
+        if kind == "zero":
+            value = 0
+        elif kind == "negative":
+            value = -data.draw(st.integers(1, 5))
+        elif kind == "float":
+            value = float(part)
+        elif kind == "str":
+            value = str(part)
+        elif kind == "above left":
+            value = parts[index - 1] + data.draw(st.integers(1, 3))
+        elif kind == "above level":
+            value = bounds[level + 1] + data.draw(st.integers(1, 3))
+        elif kind == "below level":
+            value = bounds[level] - data.draw(st.integers(1, 3))
+        else:  # below the top marker
+            value = bounds[k - 1] - data.draw(st.integers(1, 3))
+        eta = replace_part(eta, level, side, index, value)
+    assert validate_marked(eta) == copying_validate_marked(eta), (kind, eta)
+    if kind == "none":
+        assert validate_marked(eta)

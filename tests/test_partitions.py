@@ -64,6 +64,58 @@ def test_conjugate_is_involution(n):
         assert conjugate(conjugate(lam)) == lam
 
 
+def recursive_partitions_of(n, max_part=None):
+    """The recursive generator partitions_of replaced, kept as its oracle."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if max_part is None or max_part > n:
+        max_part = n
+    if n == 0:
+        yield ()
+        return
+    for first in range(max_part, 0, -1):
+        for rest in recursive_partitions_of(n - first, first):
+            yield (first,) + rest
+
+
+def cellwise_conjugate(lam):
+    """Column heights counted one cell at a time."""
+    if not lam:
+        return ()
+    cols = [0] * lam[0]
+    for part in lam:
+        for j in range(part):
+            cols[j] += 1
+    return tuple(cols)
+
+
+def test_partitions_of_matches_the_recursive_oracle():
+    for n in range(26):
+        for max_part in [None] + list(range(n + 2)):
+            assert list(partitions_of(n, max_part)) == list(
+                recursive_partitions_of(n, max_part)
+            ), (n, max_part)
+
+
+def test_partitions_of_below_the_oracle_bounds():
+    assert list(partitions_of(0, -1)) == list(recursive_partitions_of(0, -1)) == [()]
+    assert list(partitions_of(3, -1)) == list(recursive_partitions_of(3, -1)) == []
+    with pytest.raises(ValueError):
+        next(partitions_of(-1))
+
+
+def test_partitions_of_counts_reach_p_n():
+    for n in range(46):
+        assert sum(1 for _ in partitions_of(n)) == partition_count(n)
+
+
+def test_conjugate_matches_the_cellwise_oracle():
+    for n in range(26):
+        for lam in recursive_partitions_of(n):
+            assert conjugate(lam) == cellwise_conjugate(lam)
+            assert conjugate(conjugate(lam)) == lam
+
+
 def test_rank_and_crank_examples():
     assert rank((4,)) == 3
     assert rank((1, 1, 1, 1)) == -3
