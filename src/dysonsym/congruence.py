@@ -12,8 +12,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fullcrank import Verdict, count_full_crank_residue, theorem43_rhs
-from .partitions import _moment, crank_counts, gen_binomial
+from .fullcrank import Verdict, full_crank_table, theorem43_rhs
+from .partitions import _moment, _residues, crank_counts, gen_binomial
 
 
 def is_prime(n: int) -> bool:
@@ -33,24 +33,12 @@ def crank_residue_table(t: int, n: int) -> Tuple[int, ...]:
         raise ValueError("modulus must be positive")
     if n < 2:
         raise ValueError("residue tables require n >= 2")
-    out = [0] * t
-    for m, c in crank_counts(n).counts.items():
-        out[m % t] += c
-    return tuple(out)
+    return _residues(crank_counts(n).counts, t)
 
 
 # ---------------------------------------------------------------------------
 # Modular identity between the full-crank residue counts and M(i, p^r; n)
 # ---------------------------------------------------------------------------
-
-
-def _closed_form_residue_count(k: int, i: int, modulus: int, n: int) -> int:
-    # Sum of the closed-form full-crank counts over the residue class.
-    total = 0
-    for m in range(-n, n + 1):
-        if m % modulus == i:
-            total += theorem43_rhs(k, m, n)
-    return total
 
 
 def modular_identity_cases(
@@ -70,26 +58,23 @@ def modular_identity_cases(
     if 2 * k > p + 1:
         raise ValueError(f"k={k} violates the bound 2k <= p+1 for p={p}")
     modulus = p**r
-    residues = crank_residue_table(modulus, n)
-    cases = []
-    for i in range(modulus):
-        if method == "enumerate":
-            lhs = count_full_crank_residue(k, i, modulus, n)
-        elif method == "closed":
-            lhs = _closed_form_residue_count(k, i, modulus, n)
-        else:
-            raise ValueError(f"unknown method: {method}")
-        rhs = gen_binomial(i + k - 2, 2 * k - 2) * residues[i]
-        cases.append(
-            Verdict(
-                identity=f"mod-identity[p={p},r={r},i={i},{method}]",
-                k=k,
-                n=n,
-                lhs=lhs % modulus,
-                rhs=rhs % modulus,
-            )
+    if method == "enumerate":
+        full = full_crank_table(k, n)
+    elif method == "closed":
+        full = {m: theorem43_rhs(k, m, n) for m in range(-n, n + 1)}
+    else:
+        raise ValueError(f"unknown method: {method}")
+    lhs, residues = _residues(full, modulus), crank_residue_table(modulus, n)
+    return [
+        Verdict(
+            identity=f"mod-identity[p={p},r={r},i={i},{method}]",
+            k=k,
+            n=n,
+            lhs=lhs[i] % modulus,
+            rhs=gen_binomial(i + k - 2, 2 * k - 2) * residues[i] % modulus,
         )
-    return cases
+        for i in range(modulus)
+    ]
 
 
 def binomial_congruence_holds(k: int, p: int, r: int, i: int, t_range: Sequence[int]) -> bool:

@@ -21,8 +21,8 @@ from .partitions import (
     partitions_of,
 )
 
-# Crank histograms kept; `verify all` reads 13 (thm2.1's theorem21_rhs at
-# n = 2..14).  cor2.3 builds its own histograms in its single encoding pass.
+# Crank histograms kept for count_f1.  `verify all` fills none: cor2.3 builds
+# its own histograms in its single encoding pass and thm2.1 reads crank_counts.
 _CRANK_TABLE_CACHE = 64
 
 
@@ -75,6 +75,8 @@ def to_dyson_symbol(lam: Partition) -> DysonSymbol:
     """Encode a nonempty partition as a Dyson symbol of the same weight."""
     if not lam:
         raise ValueError("cannot encode the empty partition")
+    if not is_partition(lam):
+        raise ValueError(f"not a partition: {lam}")
     ones = lam.count(1)
     if ones == 0:
         return DysonSymbol((), conjugate(lam))

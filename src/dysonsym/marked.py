@@ -23,7 +23,7 @@ from itertools import product
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from .dyson import DysonSymbol, dyson_crank, validate_dyson
-from .partitions import Partition, check_partition, is_partition
+from .partitions import Partition, check_partition, crank_counts, gen_binomial, is_partition
 
 Pair = Tuple[Partition, Partition]
 Group = Tuple[tuple, Tuple[Pair, ...]]  # (statistics key, pairs); see _level_groups
@@ -44,10 +44,6 @@ class MarkedDysonSymbol:
     @property
     def k(self) -> int:
         return len(self.vectors)
-
-    def level(self, i: int) -> Pair:
-        """The i-th vector, 1-based."""
-        return self.vectors[i - 1]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -273,37 +269,42 @@ def _level_groups(lo: int, hi: int, cap: int) -> Tuple[Group, ...]:
     return tuple((key, tuple(groups[key])) for key in sorted(groups))
 
 
-def _top_level_pairs(lo: int, cap: int) -> Iterator[Tuple[Partition, Partition, int, bool]]:
-    """Top-level (alpha, beta, mass, deferred) choices for marker value lo.
+def _top_groups(lo: int, cap: int, dyson: bool) -> Tuple[Group, ...]:
+    """Top-level pairs with parts >= lo and mass <= cap, grouped by statistics.
 
-    ``deferred`` marks the both-empty pair, whose validity depends on the
-    level below exposing ``lo`` as its largest part.
+    The top obeys the Dyson-symbol shape rules with lo as its smallest
+    allowed part: alpha is empty, (lo,) or repeats its largest part; beta
+    is free under a nonempty alpha and of the same shape under an empty
+    one.  Keys are laid out as in ``_level_groups``, with balance 0 and
+    strict True (neither counts at the top), and end with a flag for the
+    both-empty pair, which needs the level below to expose ``lo``.  A
+    Dyson symbol (``dyson``, k = 1) has no ((), (lo,)).  A key depends on
+    beta only through its sum and length, so the betas of one (sum,
+    length) are taken together.
     """
-    singles = ((lo,),)
-    alphas_rep = tuple(
-        p for p in _partitions_in_range(lo, cap, cap) if len(p) >= 2 and p[0] == p[1]
-    )
-    betas_any = _partitions_in_range(lo, cap, cap)
-    # alpha empty:
-    yield (), (), 0, True
-    if lo <= cap:
-        yield (), singles[0], lo, False
-    for b in alphas_rep:  # beta with repeated largest part
-        yield (), b, sum(b), False
-    # alpha a single part equal to the marker:
-    if lo <= cap:
-        for b in betas_any:
-            mass = lo + sum(b)
-            if mass <= cap:
-                yield singles[0], b, mass, False
-    # alpha with repeated largest part:
-    for a in alphas_rep:
+
+    def by_shape(betas: Tuple[Partition, ...]):
+        # (sum, length) -> betas, in the ascending sums of `betas`.
+        shapes: Dict[Tuple[int, int], List[Partition]] = {}
+        for b in betas:
+            shapes.setdefault((sum(b), len(b)), []).append(b)
+        return shapes.items()
+
+    parts = _partitions_in_range(lo, cap, cap)
+    shaped = tuple(p for p in parts if p == (lo,) or len(p) > 1 and p[0] == p[1])
+    under_empty = ((),) + tuple(b for b in shaped if not (dyson and b == (lo,)))
+    every = by_shape(parts)
+    groups: Dict[tuple, List[Pair]] = {}
+    for a, shapes in (((), by_shape(under_empty)),) + tuple((a, every) for a in shaped):
         asum = sum(a)
-        for b in betas_any:
-            mass = asum + sum(b)
+        for (bsum, _), betas in shapes:
+            mass = asum + bsum
             if mass > cap:
                 break
-            yield a, b, mass, False
+            c, l_i, s_i, bal = _pair_stats(a, betas[0], top=True)
+            key = (mass, l_i, s_i, bal, c, True, not (a or betas[0]))
+            groups.setdefault(key, []).extend((a, b) for b in betas)
+    return tuple((key, tuple(groups[key])) for key in sorted(groups))
 
 
 def _marker_choices(k: int, n: int) -> Iterator[Tuple[int, ...]]:
@@ -319,17 +320,18 @@ def _marker_choices(k: int, n: int) -> Iterator[Tuple[int, ...]]:
     yield from rec(0, 1, n, ())
 
 
-def _walk(k: int, n: int, visit: Callable[[Tuple[int, ...], Pair, List[Group]], None]) -> None:
-    """Call ``visit(markers, top, path)`` at every leaf of weight n.
+def _walk(k: int, n: int, visit: Callable[[Tuple[int, ...], List[Group]], None]) -> None:
+    """Call ``visit(markers, path)`` at every leaf of weight n.
 
-    ``top`` is the top-level pair and ``path`` one group per level, from
-    k-1 down to 1 (reused once ``visit`` returns).  One pair per group
-    makes a symbol, and each symbol lies under exactly one leaf.  A branch
-    is pruned once the part sums plus markers exceed n, or the rectangle
-    term (l + D + k - 1)(s - D) exceeds what is left of n; the term never
-    shrinks as levels are added (each adds s_i - bal_i >= 0 to s - D).
-    For k = 1 the top follows the Dyson-symbol shape rules and the weight
-    rule is l * s = n - mass.
+    ``path`` holds one group per level, top first (``_top_groups`` for
+    level k, ``_level_groups`` below it), and is reused once ``visit``
+    returns.  One pair per group makes a symbol, and each symbol lies
+    under exactly one leaf.  Every level, the top included, is pruned once
+    the part sums plus markers exceed n, or the rectangle term
+    (l + D + k - 1)(s - D) exceeds what is left of n: the term never
+    shrinks as levels are added (each adds s_i - bal_i >= 0 to s - D).  A
+    leaf is a level-1 group at which the term equals what is left; for
+    k = 1 that is l * s = n - mass.
     """
     for markers in _marker_choices(k, n):
         bounds = (1,) + markers
@@ -338,13 +340,16 @@ def _walk(k: int, n: int, visit: Callable[[Tuple[int, ...], Pair, List[Group]], 
 
         def descend(level: int, budget: int, l_acc: int, s_acc: int, d_acc: int,
                     need_exposed: bool) -> None:
-            # Extends the top pair `top` chosen below; `need_exposed` is set
-            # only on level k-1 under a deferred both-empty top level.
-            for group in _level_groups(bounds[level - 1], bounds[level], budget0):
-                mass, l_i, s_i, bal, _, _, exposes = group[0]
+            # `need_exposed` is set only on level k-1 under a both-empty top.
+            if level == k:
+                groups = _top_groups(bounds[-1], budget0, k == 1)
+            else:
+                groups = _level_groups(bounds[level - 1], bounds[level], budget0)
+            for group in groups:
+                mass, l_i, s_i, bal, _, _, flag = group[0]
                 if mass > budget:
                     break
-                if need_exposed and not exposes:
+                if need_exposed and not flag:
                     continue
                 l_new, s_new, d_new = l_acc + l_i, s_acc + s_i, d_acc + bal
                 left = budget - mass
@@ -353,19 +358,12 @@ def _walk(k: int, n: int, visit: Callable[[Tuple[int, ...], Pair, List[Group]], 
                     continue
                 path.append(group)
                 if level > 1:
-                    descend(level - 1, left, l_new, s_new, d_new, False)
+                    descend(level - 1, left, l_new, s_new, d_new, level == k and flag)
                 elif rectangle == left:
-                    visit(markers, top, path)
+                    visit(markers, path)
                 path.pop()
 
-        for a, b, mass, deferred in _top_level_pairs(bounds[-1], budget0):
-            top = (a, b)
-            l_top, s_top = max(len(a), len(b)), min(len(a), len(b))
-            if k > 1:
-                descend(k - 1, budget0 - mass, l_top, s_top, 0, deferred)
-            elif (a or len(b) >= 2) and l_top * s_top == budget0 - mass:
-                # A Dyson symbol with alpha empty repeats beta's largest part.
-                visit(markers, top, [])
+        descend(k, budget0, 0, 0, 0, False)
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
@@ -373,16 +371,17 @@ def enumerate_marked(k: int, n: int) -> Tuple[MarkedDysonSymbol, ...]:
     """All k-marked Dyson symbols of weight n, in a deterministic order.
 
     Each leaf of ``_walk`` is expanded into its symbols, one pair from
-    each level's group.  For k = 1 these are the Dyson symbols of n, found
-    by the same walk rather than by the partition encoding.
+    each level's group, the top's included.  For k = 1 these are the Dyson
+    symbols of n, found by the same walk rather than by the partition
+    encoding.
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
     out: List[MarkedDysonSymbol] = []
 
-    def collect(markers: Tuple[int, ...], top: Pair, path: List[Group]) -> None:
-        for lower in product(*(pairs for _, pairs in reversed(path))):
-            out.append(MarkedDysonSymbol(lower + (top,), markers))
+    def collect(markers: Tuple[int, ...], path: List[Group]) -> None:
+        for pairs in product(*(pairs for _, pairs in path)):
+            out.append(MarkedDysonSymbol(pairs[::-1], markers))
 
     _walk(k, n, collect)
     return tuple(out)
@@ -394,20 +393,21 @@ def _profile_table(k: int, n: int) -> Counter:
 
     ``balances`` are those of levels 1..k-1 and ``strict`` is
     ``is_strict``.  No symbol is built: each leaf of ``_walk`` stands for
-    the product of its groups' sizes, all with the same profile.
+    the product of its groups' sizes, the top's included, all with the
+    same profile, which is read off the group keys.
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
     table: Counter = Counter()
 
-    def tally(markers: Tuple[int, ...], top: Pair, path: List[Group]) -> None:
-        count, cranks, balances, strict = 1, (len(top[0]) - len(top[1]),), (), True
-        for (_, _, _, bal, c, pair_strict, _), pairs in path:
+    def tally(markers: Tuple[int, ...], path: List[Group]) -> None:
+        count, cranks, balances, strict = 1, (), (), True
+        for (_, _, _, bal, c, pair_strict, _), pairs in path:  # top first
             count *= len(pairs)
             cranks = (c,) + cranks
             balances = (bal,) + balances
             strict = strict and pair_strict
-        table[cranks, balances, strict] += count
+        table[cranks, balances[:-1], strict] += count  # the top has no balance
 
     _walk(k, n, tally)
     return table
@@ -465,25 +465,23 @@ def count_fk_strict(cranks: Tuple[int, ...], n: int) -> int:
 def theorem21_rhs(cranks: Tuple[int, ...], n: int) -> int:
     """Predicted k-level count as a sum of one-level crank counts.
 
-    Sums F_1(sum |m_i| + 2 sum t_i + k - 1; n) over all nonnegative shift
-    vectors (t_1, ..., t_{k-1}); terms vanish once the argument exceeds n.
+    Theorem 2.1 sums F_1(base + 2(t_1 + ... + t_{k-1}); n), with
+    base = sum |m_i| + k - 1, over all nonnegative shift vectors t.  The
+    shift vectors with sum s number C(s + k - 2, s), and Cor. 2.3 gives
+    F_1(m; n) = M(-m, n), so the sum is O(n) reads of ``crank_counts(n)``.
+    Needs n >= 2: at n = 1 the crank table is signed, not a count.
     """
-    from .dyson import count_f1
-
     cranks = tuple(cranks)
     k = len(cranks)
+    if k < 1 or n < 2:
+        raise ValueError("need at least one crank and n >= 2")
     base = sum(abs(m) for m in cranks) + k - 1
-    if k == 1:
-        return count_f1(base, n)
-    total = 0
-    limit = (n - base) // 2
-    if limit < 0:
-        return 0
-    for shifts in product(range(limit + 1), repeat=k - 1):
-        arg = base + 2 * sum(shifts)
-        if arg <= n:
-            total += count_f1(arg, n)
-    return total
+    table = crank_counts(n)
+    # C(s + k - 2, s) is C(s + k - 2, k - 2) for k >= 2 and [s == 0] for k = 1.
+    return sum(
+        gen_binomial(s + k - 2, s) * table[-(base + 2 * s)]
+        for s in range((n - base) // 2 + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,14 @@ def _moment(k: int, table: CountTable) -> int:
     return sum(gen_binomial(m + shift, k) * c for m, c in table.counts.items())
 
 
+def _residues(counts: Dict[int, int], t: int) -> Tuple[int, ...]:
+    # Entry i sums the counts of the values congruent to i mod t.
+    out = [0] * t
+    for m, c in counts.items():
+        out[m % t] += c
+    return tuple(out)
+
+
 def crank_moment(k: int, n: int) -> int:
     """Symmetrized crank moment: sum over m of C(m + floor((k-1)/2), k) M(m, n)."""
     if k < 1 or n < 1:

@@ -101,6 +101,10 @@ def test_errors():
     with pytest.raises(ValueError):
         to_dyson_symbol(())
     with pytest.raises(ValueError):
+        to_dyson_symbol((2, 3, 1))
+    with pytest.raises(ValueError):
+        to_dyson_symbol((1, 2))
+    with pytest.raises(ValueError):
         from_dyson_symbol(DysonSymbol((2,), ()))
     with pytest.raises(ValueError):
         enumerate_dyson_symbols(0)

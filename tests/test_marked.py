@@ -121,6 +121,30 @@ def test_count_fk_against_formula():
                 assert count_fk((m1, m2), n) == theorem21_rhs((m1, m2), n)
 
 
+def product_theorem21_rhs(cranks, n):
+    """Theorem 2.1's right-hand side read literally: one F_1 term, counted
+    by enumeration, per shift vector (t_1, ..., t_{k-1})."""
+    from dysonsym import count_f1
+
+    k = len(cranks)
+    base = sum(abs(m) for m in cranks) + k - 1
+    shifts = product(range((n - base) // 2 + 1), repeat=k - 1)
+    return sum(count_f1(base + 2 * sum(t), n) for t in shifts)
+
+
+def signed_profiles(k, bound):
+    return [m for m in product(range(-bound, bound + 1), repeat=k) if sum(map(abs, m)) <= bound]
+
+
+def test_theorem21_rhs_matches_the_shift_vector_sum():
+    for k in range(1, 5):
+        for n in range(2, 15):
+            for m in signed_profiles(k, n - k + 2):
+                assert theorem21_rhs(m, n) == product_theorem21_rhs(m, n), (m, n)
+    with pytest.raises(ValueError):
+        theorem21_rhs((0, 0), 1)
+
+
 def test_fiber_symmetry_under_sign_flip():
     for n in range(2, 11):
         for m1 in range(0, 4):
