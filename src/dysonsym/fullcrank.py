@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List
 
-from .marked import _TABLE_CACHE, MarkedDysonSymbol, _profile_table, statistics
+from .marked import _TABLE_CACHE, MarkedDysonSymbol, _fold, statistics
 from .partitions import _residues, crank_counts, crank_moment, gen_binomial
 
 
@@ -53,18 +53,22 @@ def full_crank(eta: MarkedDysonSymbol) -> int:
     return -magnitude
 
 
+def _no_label(crank: int, balance: int, strict: bool) -> tuple:
+    return ()
+
+
 @lru_cache(maxsize=_TABLE_CACHE)
 def full_crank_table(k: int, n: int) -> Dict[int, int]:
     """Distribution of the full crank over all k-marked symbols of weight n.
 
-    Read off the profile table of the level walk: l - s is the sum of the
-    |c_i|, so a symbol's full crank depends only on its cranks and
-    balances.
+    Read off ``marked._fold``, which keys each count by the top crank and
+    l - s + 2D; the lower levels get no label, so their cranks and
+    balances are never told apart and no crank-vector table is built.
     """
     table: Counter = Counter()
-    for (cranks, balances, _), count in _profile_table(k, n).items():
-        magnitude = sum(map(abs, cranks)) + 2 * sum(balances) + k - 1
-        table[magnitude if cranks[-1] > 0 else -magnitude] += count
+    for (top, spread), count in _fold(k, n, _no_label).items():
+        magnitude = spread + k - 1
+        table[magnitude if top > 0 else -magnitude] += count
     return table
 
 
@@ -195,10 +199,11 @@ def series_coefficients(k: int, order: int) -> List[int]:
 def verify_theorem31(k: int, n: int) -> Verdict:
     """Compare the (k+1)-marked symbol count with the 2k-th crank moment.
 
-    The count is the total of the profile table of the level walk.
+    The count is the total of the full-crank table, so no crank vector is
+    kept.
     """
     if k < 1 or n < 2:
         raise ValueError("need k >= 1 and n >= 2")
-    lhs = sum(_profile_table(k + 1, n).values())
+    lhs = sum(full_crank_table(k + 1, n).values())
     rhs = crank_moment(2 * k, n)
     return Verdict(identity="thm3.1", k=k, n=n, lhs=lhs, rhs=rhs)

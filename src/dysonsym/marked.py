@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .dyson import DysonSymbol, dyson_crank, validate_dyson
 from .partitions import Partition, check_partition, crank_counts, gen_binomial, is_partition
@@ -28,16 +28,18 @@ from .partitions import Partition, check_partition, crank_counts, gen_binomial, 
 Pair = Tuple[Partition, Partition]
 Group = Tuple[tuple, Tuple[Pair, ...]]  # (statistics key, pairs); see _level_groups
 
-# Cache bounds.  `verify all` at its default bounds touches 39 (k, n) tables,
-# 266 level groupings and 355 partition lists (the benchmark's objects
-# workload: 141 and 211); these bounds keep all of them.
+# Cache bounds.  `verify all` at its default bounds fills each (k, n) table
+# cache with at most 39 tables (33 symbol lists, 35 profile tables, 39
+# full-crank tables), and enumeration's caches with 173 level groupings and
+# 239 partition lists (the benchmark's objects workload: 141 and 177); these
+# bounds keep all of them.  Counting adds no cache: its DP states, grouped
+# counts and memo live for one table.
 _TABLE_CACHE = 64
 _GROUP_CACHE = 512
 _PARTITION_CACHE = 512
 
 
-@dataclass(frozen=True)
-class MarkedDysonSymbol:
+class MarkedDysonSymbol(NamedTuple):
     vectors: Tuple[Pair, ...]  # vectors[i] is level i+1
     markers: Tuple[int, ...]  # (p_1, ..., p_{k-1}), ascending index
 
@@ -221,8 +223,7 @@ def is_strict(eta: MarkedDysonSymbol) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The level walk: one search over markers and levels, shared by enumeration
-# and counting
+# Enumeration: a walk over markers and levels that builds every symbol
 # ---------------------------------------------------------------------------
 
 
@@ -320,29 +321,35 @@ def _marker_choices(k: int, n: int) -> Iterator[Tuple[int, ...]]:
     yield from rec(0, 1, n, ())
 
 
-def _walk(k: int, n: int, visit: Callable[[Tuple[int, ...], List[Group]], None]) -> None:
-    """Call ``visit(markers, path)`` at every leaf of weight n.
+def _walk(k: int, n: int) -> List[MarkedDysonSymbol]:
+    """Every k-marked symbol of weight n, built level by level, top first.
 
-    ``path`` holds one group per level, top first (``_top_groups`` for
-    level k, ``_level_groups`` below it), and is reused once ``visit``
-    returns.  One pair per group makes a symbol, and each symbol lies
-    under exactly one leaf.  Every level, the top included, is pruned once
-    the part sums plus markers exceed n, or the rectangle term
-    (l + D + k - 1)(s - D) exceeds what is left of n: the term never
-    shrinks as levels are added (each adds s_i - bal_i >= 0 to s - D).  A
-    leaf is a level-1 group at which the term equals what is left; for
-    k = 1 that is l * s = n - mass.
+    For each marker tuple the walk descends through one group per level
+    (``_top_groups`` for level k, ``_level_groups`` below it); each leaf
+    stands for the product of its groups' pairs.  Every level, the top
+    included, is pruned once the part sums plus markers exceed n, or the
+    rectangle term (l + D + k - 1)(s - D) exceeds what is left of n: the
+    term never shrinks as levels are added (each adds s_i - bal_i >= 0 to
+    s - D).  A leaf is a level-1 group at which the term equals what is
+    left; for k = 1 that is l * s = n - mass.  It shares no counting code
+    with ``_fold``, which the tests compare it against.
     """
+    out: List[MarkedDysonSymbol] = []
+    tops: Dict[int, Tuple[Group, ...]] = {}  # by top marker, for this call
     for markers in _marker_choices(k, n):
         bounds = (1,) + markers
         budget0 = n - sum(markers)
+        top = bounds[-1]
+        if top not in tops:
+            # Built once, for the largest budget: the other markers are >= 1.
+            tops[top] = _top_groups(top, n - top - (k - 2) if k > 1 else n, k == 1)
         path: List[Group] = []
 
         def descend(level: int, budget: int, l_acc: int, s_acc: int, d_acc: int,
                     need_exposed: bool) -> None:
             # `need_exposed` is set only on level k-1 under a both-empty top.
             if level == k:
-                groups = _top_groups(bounds[-1], budget0, k == 1)
+                groups = tops[top]
             else:
                 groups = _level_groups(bounds[level - 1], bounds[level], budget0)
             for group in groups:
@@ -360,31 +367,249 @@ def _walk(k: int, n: int, visit: Callable[[Tuple[int, ...], List[Group]], None])
                 if level > 1:
                     descend(level - 1, left, l_new, s_new, d_new, level == k and flag)
                 elif rectangle == left:
-                    visit(markers, path)
+                    for pairs in product(*(pairs for _, pairs in path)):
+                        out.append(MarkedDysonSymbol(pairs[::-1], markers))
                 path.pop()
 
         descend(k, budget0, 0, 0, 0, False)
+    return out
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
 def enumerate_marked(k: int, n: int) -> Tuple[MarkedDysonSymbol, ...]:
     """All k-marked Dyson symbols of weight n, in a deterministic order.
 
-    Each leaf of ``_walk`` is expanded into its symbols, one pair from
-    each level's group, the top's included.  For k = 1 these are the Dyson
-    symbols of n, found by the same walk rather than by the partition
-    encoding.
+    Built by ``_walk``.  For k = 1 these are the Dyson symbols of n, found
+    by the same walk rather than by the partition encoding.
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
-    out: List[MarkedDysonSymbol] = []
+    return tuple(_walk(k, n))
 
-    def collect(markers: Tuple[int, ...], path: List[Group]) -> None:
-        for pairs in product(*(pairs for _, pairs in path)):
-            out.append(MarkedDysonSymbol(pairs[::-1], markers))
 
-    _walk(k, n, collect)
-    return tuple(out)
+# ---------------------------------------------------------------------------
+# Counting: one memoized fold over level histograms
+# ---------------------------------------------------------------------------
+
+
+def _level_states(hi: int, cap: int, k: int) -> List[Dict[tuple, int]]:
+    """Counts of the pairs with parts in [lo, hi], for every lo = 1..hi
+    (index lo - 1), by DP state; ``_level_counts`` reads them.
+
+    No pair is built: one DP over the part values v = hi, ..., 1 tracks
+    (mass, len alpha, len beta, unbalanced, strict, has a part hi), with
+    alpha as the longer side, ties included.  When the c beta parts equal
+    to v arrive, the G = len alpha parts already read are the ones above v,
+    and min(c, G - unbalanced) of the c parts are unbalanced; a pair is
+    strict while #{beta >= v} <= #{alpha > v}.  The states after v are
+    those for lo = v.  States whose own rectangle term (large + balance +
+    k - 1)(small - balance) takes mass past ``cap`` are dropped, since no
+    symbol with k levels holds them.
+    """
+    states: Dict[tuple, int] = {(0, 0, 0, 0, True, False): 1}
+    out: List[Dict[tuple, int]] = []  # lo = hi first
+    for v in range(hi, 0, -1):
+        first = v == hi
+        # The b beta parts equal to v, then the a alpha parts: the term
+        # only grows with each, so both loops stop at the first miss.
+        mid: Dict[tuple, int] = {}
+        for (mass, la, lb, unbalanced, strict, has_hi), count in states.items():
+            for b in range((cap - mass) // v + 1):
+                lb_b = lb + b
+                u = unbalanced + min(b, la - unbalanced)
+                m = mass + v * b
+                if m + (la + lb_b - u + k - 1) * u > cap:
+                    break
+                key = (m, la, lb_b, u, strict and lb_b <= la, has_hi or first and b > 0)
+                mid[key] = mid.get(key, 0) + count
+        nxt: Dict[tuple, int] = {}
+        for (mass, la, lb, u, strict, has_hi), count in mid.items():
+            side = lb - u + k - 1  # balance + k - 1
+            for a in range((cap - mass) // v + 1):
+                m = mass + v * a
+                if m + (la + a + side) * u > cap:
+                    break
+                key = (m, la + a, lb, u, strict, has_hi or first and a > 0)
+                nxt[key] = nxt.get(key, 0) + count
+        out.append(nxt)
+        states = nxt
+    return out[::-1]
+
+
+def _level_counts(states: Dict[tuple, int], lo_is_hi: bool) -> Iterator[Tuple[tuple, int]]:
+    """(key, count) of the pairs in one entry of ``_level_states``, keyed as
+    in ``_level_groups``: (mass, large, small, balance, crank, strict,
+    exposes).  Balance is len beta minus the unbalanced count, and a state
+    with alpha strictly longer also stands for its swap (beta strictly
+    longer, crank negated, never strict).  Every pair exposes hi when
+    lo = hi.
+    """
+    for (mass, la, lb, unbalanced, strict, has_hi), count in states.items():
+        if la >= lb:
+            exposes = has_hi or lo_is_hi
+            yield (mass, la, lb, lb - unbalanced, la - lb, strict, exposes), count
+            if la > lb:
+                yield (mass, la, lb, lb - unbalanced, lb - la, False, exposes), count
+
+
+def _top_histogram(lo: int, cap: int, k: int, dyson: bool) -> Dict[tuple, int]:
+    """Top-level pair counts with parts >= lo, keyed as in ``_top_groups``.
+
+    Counted in closed form: with P(m, L) the partitions of m into exactly L
+    parts >= lo, the alphas of Dyson shape with length L >= 2 (largest part
+    repeated) number P(m, L) - P(m - 1, L), since adding one to a largest
+    part is a bijection onto the rest; the one alpha of length 1 is (lo,).
+    Beta is free (P(m, L)) under a nonempty alpha and of alpha's shape under
+    an empty one, without (lo,) for a Dyson symbol (``dyson``).  Pairs
+    whose rectangle term (large + k - 1) small takes mass past ``cap`` are
+    left out.
+    """
+    longest = cap // lo
+    # parts[L][m]: partitions of m into exactly L parts >= lo (smallest part
+    # lo, or every part lowered by one).
+    parts = [[1] + [0] * cap]
+    for length in range(1, longest + 1):
+        row, below = [0] * (cap + 1), parts[-1]
+        for m in range(lo * length, cap + 1):
+            row[m] = row[m - length] + below[m - lo]
+        parts.append(row)
+
+    def shaped(length: int, m: int) -> int:
+        if length < 2:
+            return int(m == lo * length)  # () and (lo,)
+        return parts[length][m] - parts[length][m - 1]
+
+    hist: Dict[tuple, int] = {}
+    for la in range(longest + 1):
+        for lb in range(longest + 1 - la):
+            large, small = max(la, lb), min(la, lb)
+            room = cap - (large + k - 1) * small
+            if lo * (la + lb) > room:  # the term only grows with lb
+                break
+            key = (large, small, 0, la - lb, True, la == lb == 0)
+            if la == 0:
+                if not (dyson and lb == 1):
+                    for mb in range(lo * lb, room + 1):
+                        ways = shaped(lb, mb)
+                        if ways:
+                            hist[(mb,) + key] = ways
+                continue
+            for ma in range(lo * la, room - lo * lb + 1):
+                ways = shaped(la, ma)
+                if ways:
+                    for mb in range(lo * lb, room - ma + 1):
+                        if parts[lb][mb]:
+                            both = (ma + mb,) + key
+                            hist[both] = hist.get(both, 0) + ways * parts[lb][mb]
+    return hist
+
+
+def _fold(k: int, n: int, label: Callable[[int, int, bool], tuple]) -> Dict[tuple, int]:
+    """Counts of k-marked symbols of weight n, keyed by the top crank,
+    l - s + 2D, and the labels of levels 1..k-1 laid end to end.
+
+    A level's label is the tuple ``label(crank, balance, strict)``; levels
+    whose labels are equal are not told apart.  The fold runs from the top
+    down and chooses each level's lower marker itself, so one state stands
+    for every marker prefix that reaches it.  The weight reads l, s and D
+    only through the rectangle term (A + k - 1) B, with A = l + D and
+    B = s - D, so a state below the top is (level, upper marker, weight
+    left, A, B, need exposed).  It is memoized, and its value counts the
+    lower levels by (A - B at the leaf, their labels).  A level adds the
+    pair counts of ``_level_states`` by (A_i, B_i, mass, label), pruned as
+    in ``_walk``: the term never shrinks, and a leaf is a level-1 entry at
+    which it equals what is left.  The top's counts come from
+    ``_top_histogram``.  The DP states, the grouped counts and the memo
+    live for one call.
+    """
+    if k < 1 or n < 1:
+        raise ValueError("k and n must be positive")
+    states: Dict[int, List[Dict[tuple, int]]] = {}
+    levels: Dict[Tuple[int, int, bool], list] = {}
+    memo: Dict[tuple, Dict[tuple, int]] = {}
+
+    def grouped(counts: Iterable[Tuple[tuple, int]], need: bool, top: bool) -> list:
+        # [(shape..., {mass: ((tag, count), ...)} in ascending mass)]: the
+        # shape is (A_i, B_i) below the top and (l, s, both empty) at the
+        # top, whose tag is its crank.
+        shapes: Dict[tuple, Dict[int, Dict[tuple, int]]] = {}
+        for (mass, large, small, bal, crank, strict, flag), count in counts:
+            if need and not flag:
+                continue
+            if top:
+                shape, tag = (large, small, flag), (crank,)
+            else:
+                shape, tag = (large + bal, small - bal), label(crank, bal, strict)
+            tags = shapes.setdefault(shape, {}).setdefault(mass, {})
+            tags[tag] = tags.get(tag, 0) + count
+        return [
+            shape + ({mass: tuple(tags.items()) for mass, tags in sorted(by_mass.items())},)
+            for shape, by_mass in shapes.items()
+        ]
+
+    def level_entries(lo: int, hi: int, need: bool) -> list:
+        if (lo, hi, need) not in levels:
+            if hi not in states:
+                # hi is a marker, so a level under it holds at most n - hi.
+                states[hi] = _level_states(hi, n - hi, k)
+            counts = _level_counts(states[hi][lo - 1], lo == hi)
+            levels[lo, hi, need] = grouped(counts, need, False)
+        return levels[lo, hi, need]
+
+    def below(level: int, hi: int, left: int, a_acc: int, b_acc: int,
+              need: bool) -> Dict[tuple, int]:
+        state = (level, hi, left, a_acc, b_acc, need)
+        if state in memo:
+            return memo[state]
+        out: Dict[tuple, int] = {}
+        for lo in range(1, hi + 1) if level > 1 else (1,):
+            room = left - lo if level > 1 else left  # p_{level-1} = lo
+            if room < 0:
+                break
+            for a_i, b_i, by_mass in level_entries(lo, hi, need):
+                a_new, b_new = a_acc + a_i, b_acc + b_i
+                rectangle = (a_new + k - 1) * b_new
+                if rectangle > room:
+                    continue
+                if level == 1:
+                    for tag, count in by_mass.get(room - rectangle, ()):
+                        key = (a_new - b_new,) + tag
+                        out[key] = out.get(key, 0) + count
+                    continue
+                for mass, tagged in by_mass.items():
+                    if mass + rectangle > room:
+                        break
+                    lower = below(level - 1, lo, room - mass, a_new, b_new, False).items()
+                    for tag, count in tagged:
+                        for key, ways in lower:
+                            key += tag
+                            out[key] = out.get(key, 0) + count * ways
+        memo[state] = out
+        return out
+
+    table: Dict[tuple, int] = {}
+    for lo in range(1, n + 1) if k > 1 else (1,):
+        room = n - lo if k > 1 else n  # p_{k-1} = lo
+        for large, small, both_empty, by_mass in grouped(
+            _top_histogram(lo, room, k, k == 1).items(), False, True
+        ):
+            rectangle = (large + k - 1) * small
+            for mass, tagged in by_mass.items():
+                if mass + rectangle > room:
+                    break
+                if k == 1:  # the top is the leaf
+                    lower = [((large - small,), 1)] if mass + rectangle == room else []
+                else:
+                    lower = below(k - 1, lo, room - mass, large, small, both_empty).items()
+                for tag, count in tagged:
+                    for key, ways in lower:
+                        key = tag + key
+                        table[key] = table.get(key, 0) + count * ways
+    return table
+
+
+def _profile_label(crank: int, balance: int, strict: bool) -> tuple:
+    return crank, balance, strict
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
@@ -392,25 +617,15 @@ def _profile_table(k: int, n: int) -> Counter:
     """Counts of k-marked symbols of weight n by (cranks, balances, strict).
 
     ``balances`` are those of levels 1..k-1 and ``strict`` is
-    ``is_strict``.  No symbol is built: each leaf of ``_walk`` stands for
-    the product of its groups' sizes, the top's included, all with the
-    same profile, which is read off the group keys.
+    ``is_strict``.  Read off ``_fold`` with each lower level labelled by
+    its (crank, balance, strict); no symbol and no pair is built.
     """
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be positive")
-    table: Counter = Counter()
-
-    def tally(markers: Tuple[int, ...], path: List[Group]) -> None:
-        count, cranks, balances, strict = 1, (), (), True
-        for (_, _, _, bal, c, pair_strict, _), pairs in path:  # top first
-            count *= len(pairs)
-            cranks = (c,) + cranks
-            balances = (bal,) + balances
-            strict = strict and pair_strict
-        table[cranks, balances[:-1], strict] += count  # the top has no balance
-
-    _walk(k, n, tally)
-    return table
+    table: Dict[tuple, int] = {}
+    for key, count in _fold(k, n, _profile_label).items():
+        # key = (top crank, l - s + 2D, c_1, bal_1, strict_1, c_2, ...)
+        key = (key[2::3] + key[:1], key[3::3], False not in key[4::3])
+        table[key] = table.get(key, 0) + count
+    return Counter(table)
 
 
 @lru_cache(maxsize=_TABLE_CACHE)

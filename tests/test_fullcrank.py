@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,10 @@ from dysonsym import (
     theorem43_rhs,
     verify_theorem31,
 )
+
+from dysonsym import fullcrank, marked, partitions
+from dysonsym.fullcrank import full_crank_table
+from dysonsym.marked import _profile_table
 
 from golden_data import BIG_THREE_MARKED
 
@@ -159,3 +164,50 @@ def test_counting_past_the_verify_bounds_builds_no_symbol():
     for m in range(-18, 19):
         assert count_full_crank(3, m, 18) == theorem43_rhs(3, m, 18)
     assert enumerate_marked.cache_info().misses == misses
+
+
+def profile_full_crank_table(k, n):
+    """The full-crank histogram read off the profile table: l - s is the
+    sum of the |c_i|, so the statistic follows from cranks and balances."""
+    table = Counter()
+    for (cranks, balances, _), count in _profile_table(k, n).items():
+        magnitude = sum(map(abs, cranks)) + 2 * sum(balances) + k - 1
+        table[magnitude if cranks[-1] > 0 else -magnitude] += count
+    return table
+
+
+@pytest.mark.parametrize("k,max_n", [(1, 14), (2, 12), (3, 10), (4, 9)])
+def test_full_crank_table_matches_the_profile_table_and_the_symbols(k, max_n):
+    for n in range(1, max_n + 1):
+        table = full_crank_table(k, n)
+        assert table == profile_full_crank_table(k, n), (k, n)
+        assert table == Counter(full_crank(eta) for eta in enumerate_marked(k, n)), (k, n)
+
+
+def test_counting_reads_no_crank_table(monkeypatch):
+    # The left-hand sides of thm2.1, thm3.1 and thm4.3 must not come from
+    # the generating-function side they are checked against.
+    def forbidden(n):
+        raise AssertionError("counting read crank_counts")
+
+    for module in (partitions, marked, fullcrank):
+        monkeypatch.setattr(module, "crank_counts", forbidden)
+    for k, n in ((1, 12), (2, 12), (3, 10), (4, 9)):
+        assert sum(_profile_table.__wrapped__(k, n).values()) == len(enumerate_marked(k, n))
+        assert sum(full_crank_table.__wrapped__(k, n).values()) == len(enumerate_marked(k, n))
+
+
+def test_extended_tier_at_n_32():
+    # Theorem 3.1 for 2- and 3-marked symbols, and Theorem 4.3 for
+    # k = 1..3, at n = 32 (the verify defaults stop at 14), against the
+    # generating-function side: mu_2k(32) and C(m + k - 2, 2k - 2) M(m, 32).
+    n = 32
+    for k in (1, 2):
+        verdict = verify_theorem31(k, n)
+        assert verdict.passed and verdict.lhs == crank_moment(2 * k, n), k
+    for k in (1, 2, 3):
+        for m in range(-n, n + 1):
+            assert count_full_crank(k, m, n) == theorem43_rhs(k, m, n), (k, m)
+        assert sum(full_crank_table(k, n).values()) == sum(
+            theorem43_rhs(k, m, n) for m in range(-n, n + 1)
+        ), k

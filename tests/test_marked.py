@@ -28,7 +28,14 @@ from dysonsym import (
     validate_marked,
     weight,
 )
-from dysonsym.marked import _profile_table
+from dysonsym.marked import (
+    _level_counts,
+    _level_groups,
+    _level_states,
+    _profile_table,
+    _top_groups,
+    _top_histogram,
+)
 from dysonsym.partitions import check_partition
 
 from golden_data import (
@@ -335,6 +342,40 @@ def test_walk_matches_brute_force_oracle(k, max_n):
         symbols = enumerate_marked(k, n)
         assert len(symbols) == len(oracle) and set(symbols) == set(oracle), (k, n)
         assert _profile_table(k, n) == profile(oracle), (k, n)
+
+
+def group_sizes(groups, cap, k):
+    """Pair counts of a group list, without the pairs whose own rectangle
+    term (large + balance + k - 1)(small - balance) takes mass past cap."""
+    sizes = {}
+    for key, pairs in groups:
+        mass, large, small, bal = key[:4]
+        if mass + (large + bal + k - 1) * (small - bal) <= cap:
+            sizes[key] = len(pairs)
+    return sizes
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_level_states_match_the_pair_lists(k):
+    # The part-value DP against `_level_groups`, which lists every pair.
+    cap = 14
+    for hi in range(1, 13):
+        states = _level_states(hi, cap, k)
+        for lo in range(1, hi + 1):
+            counts = {}
+            for key, count in _level_counts(states[lo - 1], lo == hi):
+                counts[key] = counts.get(key, 0) + count
+            assert counts == group_sizes(_level_groups(lo, hi, cap), cap, k), (lo, hi)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_top_histogram_matches_the_top_pair_lists(k):
+    # The closed-form top against `_top_groups`, which lists every pair.
+    for dyson in (False, True):
+        for lo in range(1, 6):
+            for cap in range(0, 14):
+                expected = group_sizes(_top_groups(lo, cap, dyson), cap, k)
+                assert _top_histogram(lo, cap, k, dyson) == expected, (lo, cap, dyson)
 
 
 def test_one_marked_counts_match_the_crank_generating_function():
