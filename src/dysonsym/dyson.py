@@ -42,23 +42,32 @@ class DysonSymbol(NamedTuple):
 
     @classmethod
     def from_json(cls, text: str) -> "DysonSymbol":
+        """Parse and validate; every part is checked once, by ``validate_dyson``.
+
+        ``check_partition`` runs only on a rejected symbol, to name a bad part.
+        """
         data = json.loads(text)
-        sym = cls(check_partition(data["alpha"]), check_partition(data["beta"]))
+        sym = cls(tuple(data["alpha"]), tuple(data["beta"]))
         if not validate_dyson(sym):
+            check_partition(sym.alpha)
+            check_partition(sym.beta)
             raise ValueError(f"not a valid Dyson symbol: {sym}")
         return sym
 
 
 def validate_dyson(sym: DysonSymbol) -> bool:
-    """True iff the pair satisfies the structural side conditions.
+    """True iff both sides are partitions and the pair has Dyson's shape."""
+    alpha, beta = sym
+    return is_partition(alpha) and is_partition(beta) and has_dyson_shape(alpha, beta)
+
+
+def has_dyson_shape(alpha: Partition, beta: Partition) -> bool:
+    """The structural side conditions on a pair of partitions.
 
     Empty alpha forces beta to repeat its largest part (so beta has at
     least two parts); a one-part alpha must be (1); a longer alpha must
     repeat its largest part.
     """
-    alpha, beta = sym
-    if not (is_partition(alpha) and is_partition(beta)):
-        return False
     if len(alpha) == 0:
         return len(beta) >= 2 and beta[0] == beta[1]
     if len(alpha) == 1:
@@ -91,7 +100,12 @@ def to_dyson_symbol(lam: Partition) -> DysonSymbol:
 
 
 def from_dyson_symbol(sym: DysonSymbol) -> Partition:
-    """Decode a Dyson symbol back to the partition it encodes."""
+    """Decode a Dyson symbol back to the partition it encodes.
+
+    The partition is beta's parts raised by len(alpha), then conjugate(alpha)
+    without its largest part, then len(alpha) ones; it comes out in
+    decreasing order, so nothing is sorted.
+    """
     if not validate_dyson(sym):
         raise ValueError(f"not a valid Dyson symbol: {sym}")
     alpha, beta = sym
@@ -103,8 +117,10 @@ def from_dyson_symbol(sym: DysonSymbol) -> Partition:
     # during encoding and is dropped here.
     assert nu and nu[0] == ones
     mid = nu[1:]
+    # Every part of big exceeds `ones` and no part of mid does, so the
+    # concatenation is already weakly decreasing.
     big = tuple(part + ones for part in beta)
-    return tuple(sorted(big + mid + (1,) * ones, reverse=True))
+    return big + mid + (1,) * ones
 
 
 def enumerate_dyson_symbols(n: int, method: str = "bijection") -> Tuple[DysonSymbol, ...]:

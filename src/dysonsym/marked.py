@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
-from .dyson import DysonSymbol, dyson_crank, validate_dyson
+from .dyson import DysonSymbol, dyson_crank, has_dyson_shape, validate_dyson
 from .partitions import Partition, check_partition, crank_counts, gen_binomial, is_partition
 
 Pair = Tuple[Partition, Partition]
@@ -33,10 +33,15 @@ Group = Tuple[tuple, Tuple[Pair, ...]]  # (statistics key, pairs); see _level_gr
 # full-crank tables), and enumeration's caches with 173 level groupings and
 # 239 partition lists (the benchmark's objects workload: 141 and 177); these
 # bounds keep all of them.  Counting adds no cache: its DP states, grouped
-# counts and memo live for one table.
+# counts and memo live for one table.  The wire format keeps two caches of
+# levels, the JSON text of each (`_level_json`) and one shared object per
+# decoded level (`_level`); `verify all` fills neither, and the objects
+# workload fills each with 817 levels (its sizes (2, 14), (3, 13) and
+# (4, 12) have 683, 462 and 214 distinct levels, some shared).
 _TABLE_CACHE = 64
 _GROUP_CACHE = 512
 _PARTITION_CACHE = 512
+_LEVEL_CACHE = 2048
 
 
 class MarkedDysonSymbol(NamedTuple):
@@ -48,30 +53,82 @@ class MarkedDysonSymbol(NamedTuple):
         return len(self.vectors)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "vectors": [
-                    {"alpha": list(a), "beta": list(b)} for a, b in reversed(self.vectors)
-                ],
-                "p": list(reversed(self.markers)),
-            }
-        )
+        """The wire form: ``{"k": k, "vectors": [levels k..1], "p": [p_{k-1}..p_1]}``.
+
+        Byte for byte what ``json.dumps`` writes for that dict, joined from
+        one fragment per level (see ``_level_fragment``), so equal levels
+        are written once.
+        """
+        levels = ", ".join([_level_fragment(pair) for pair in reversed(self.vectors)])
+        p = list(reversed(self.markers))
+        # A list of ints reads the same in repr and in JSON.
+        markers = repr(p) if _exact_ints(p) else json.dumps(p)
+        return f'{{"k": {self.k}, "vectors": [{levels}], "p": {markers}}}'
 
     @classmethod
     def from_json(cls, text: str) -> "MarkedDysonSymbol":
+        """Parse and validate the wire form; the inverse of ``to_json``.
+
+        Every part is checked once, by ``validate_marked``; ``k``, parts
+        and markers must be of type ``int`` (``true`` and ``1.0`` are
+        rejected).  A rejected symbol is checked again part by part and
+        marker by marker, so that the error names the first bad one.  Equal
+        levels of decoded symbols are one object (``_level``).
+        """
         data = json.loads(text)
         vectors = tuple(
-            (check_partition(v["alpha"]), check_partition(v["beta"]))
-            for v in reversed(data["vectors"])
+            [(tuple(v["alpha"]), tuple(v["beta"])) for v in reversed(data["vectors"])]
         )
-        markers = tuple(reversed([int(p) for p in data["p"]]))
-        if len(vectors) != data["k"] or len(markers) != data["k"] - 1:
+        markers = tuple(data["p"])[::-1]
+        k = data["k"]
+        if type(k) is not int or len(vectors) != k or len(markers) != k - 1:
             raise ValueError("inconsistent level/marker counts")
         eta = cls(vectors, markers)
         if not validate_marked(eta):
+            for a, b in vectors:
+                check_partition(a)
+                check_partition(b)
+            for p in markers:
+                if type(p) is not int:
+                    int(p)  # a marker that is no number fails with int()'s own message
+                    raise ValueError(f"markers must be integers, got {p!r}")
             raise ValueError(f"not a valid marked Dyson symbol: {eta}")
-        return eta
+        return cls(tuple([_level(pair) for pair in vectors]), markers)
+
+
+def _exact_ints(parts) -> bool:
+    for part in parts:
+        if type(part) is not int:
+            return False
+    return True
+
+
+def _level_fragment(pair: Pair) -> str:
+    """One level's ``{"alpha": [...], "beta": [...]}`` text.
+
+    Levels of ``int`` tuples come from ``_level_json``.  Any other level
+    is written directly: ``(True,) == (1,)`` and ``(1.0,) == (1,)``, so a
+    cache keyed by value would give such a level another level's text, and
+    a list is no cache key.
+    """
+    a, b = pair
+    if type(a) is tuple and type(b) is tuple and _exact_ints(a) and _exact_ints(b):
+        return _level_json(a, b)
+    return _level_json.__wrapped__(a, b)
+
+
+@lru_cache(maxsize=_LEVEL_CACHE)
+def _level_json(a: Partition, b: Partition) -> str:
+    return json.dumps({"alpha": list(a), "beta": list(b)})
+
+
+@lru_cache(maxsize=_LEVEL_CACHE)
+def _level(pair: Pair) -> Pair:
+    """The first-seen pair equal to ``pair``: decoded symbols share levels.
+
+    Only validated pairs, whose parts are ``int``, come here.
+    """
+    return pair
 
 
 @dataclass(frozen=True)
@@ -183,10 +240,14 @@ def validate_marked(eta: MarkedDysonSymbol) -> bool:
         # A 1-marked symbol is exactly a Dyson symbol; the (empty, single
         # part 1) pair is excluded so that the weight-n sets agree with
         # the Dyson symbols of n for every n >= 1.
-        return validate_dyson(DysonSymbol(*vectors[0]))
+        return has_dyson_shape(*vectors[0])
+    # The markers are ints ascending from p_0 = 1.
+    lo = 1
+    for p in markers:
+        if type(p) is not int or p < lo:
+            return False
+        lo = p
     bounds = (1,) + markers  # bounds[i] = p_i with p_0 = 1
-    if list(bounds) != sorted(bounds):
-        return False
     # Each partition decreases, so its last and first parts bound the rest.
     for lo, hi, (a, b) in zip(bounds, markers, vectors):
         if a and (a[-1] < lo or a[0] > hi) or b and (b[-1] < lo or b[0] > hi):

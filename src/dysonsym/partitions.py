@@ -40,10 +40,14 @@ _RANK_CACHE = 128
 
 
 def check_partition(parts) -> Partition:
-    """Normalize to a tuple, verifying weakly decreasing positive parts."""
+    """Normalize to a tuple, verifying weakly decreasing positive parts.
+
+    A part must be of type ``int`` exactly, so ``True`` (a ``bool``) is
+    no part; the JSON wire formats hold parts to the same rule.
+    """
     lam = tuple(parts)
     for i, part in enumerate(lam):
-        if not isinstance(part, int) or part < 1:
+        if type(part) is not int or part < 1:
             raise ValueError(f"parts must be positive integers, got {part!r}")
         if i and lam[i - 1] < part:
             raise ValueError(f"parts must be weakly decreasing: {lam}")
@@ -54,7 +58,7 @@ def is_partition(parts) -> bool:
     """True iff ``check_partition`` would accept ``parts``; copies nothing."""
     prev = None
     for part in parts:
-        if not isinstance(part, int) or part < 1 or (prev is not None and prev < part):
+        if type(part) is not int or part < 1 or (prev is not None and prev < part):
             return False
         prev = part
     return True

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dysonsym import (
     DysonSymbol,
@@ -97,6 +97,16 @@ def test_from_json_rejects_invalid_symbol():
         DysonSymbol.from_json('{"alpha": [3], "beta": []}')
 
 
+def test_from_json_rejects_boolean_parts():
+    assert DysonSymbol.from_json('{"alpha": [1], "beta": [2, 2]}') == DysonSymbol((1,), (2, 2))
+    for text in ('{"alpha": [true], "beta": []}', '{"alpha": [], "beta": [true, true]}'):
+        with pytest.raises(ValueError, match="positive integers, got True"):
+            DysonSymbol.from_json(text)
+    # A single bad part is still named by the part check.
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        DysonSymbol.from_json('{"alpha": [1, 2], "beta": []}')
+
+
 def test_errors():
     with pytest.raises(ValueError):
         to_dyson_symbol(())
@@ -124,3 +134,30 @@ def test_round_trip_random_partitions(lam):
     assert validate_dyson(sym)
     assert sym.weight() == sum(lam)
     assert from_dyson_symbol(sym) == lam
+
+
+@st.composite
+def partitions_up_to_200(draw):
+    # The smallest drawn parts that fit in weight 200, largest first; small
+    # parts are drawn more often, so that long partitions come up too.
+    sizes = st.one_of(st.integers(1, 9), st.integers(1, 200))
+    parts, total = [], 0
+    for part in sorted(draw(st.lists(sizes, min_size=1, max_size=60))):
+        if total + part > 200:
+            break
+        parts.append(part)
+        total += part
+    return tuple(reversed(parts))
+
+
+@settings(max_examples=200)
+@given(partitions_up_to_200())
+def test_encode_decode_round_trip_up_to_200(lam):
+    n = sum(lam)
+    sym = to_dyson_symbol(lam)
+    assert validate_dyson(sym) and sym.weight() == n
+    assert from_dyson_symbol(sym) == lam
+    assert DysonSymbol.from_json(sym.to_json()) == sym
+    # The symbol's crank is -crank(lam), a crank that M(m, n) counts.
+    assert dyson_crank(sym) == -crank(lam)
+    assert crank_counts(n)[dyson_crank(sym)] > 0

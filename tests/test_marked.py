@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from itertools import product
 
@@ -29,6 +30,8 @@ from dysonsym import (
     weight,
 )
 from dysonsym.marked import (
+    _level,
+    _level_json,
     _level_counts,
     _level_groups,
     _level_states,
@@ -262,6 +265,108 @@ def test_from_json_rejects_invalid_symbol():
     )
     with pytest.raises(ValueError):
         MarkedDysonSymbol.from_json(text)
+
+
+def reference_to_json(eta):
+    """The wire form as one ``json.dumps`` of the whole symbol."""
+    return json.dumps(
+        {
+            "k": eta.k,
+            "vectors": [{"alpha": list(a), "beta": list(b)} for a, b in reversed(eta.vectors)],
+            "p": list(reversed(eta.markers)),
+        }
+    )
+
+
+@pytest.mark.parametrize("k,n", [(1, 10), (2, 12), (3, 10), (4, 9)])
+def test_to_json_matches_one_dumps_of_the_symbol(k, n):
+    symbols = enumerate_marked(k, n)
+    for eta in symbols:
+        assert eta.to_json() == reference_to_json(eta)
+    # A mirror image holds a fresh pair object at its mirrored level.
+    for j in range(1, k + 1):
+        for eta in symbols:
+            image = mirror(eta, j)
+            assert image.to_json() == reference_to_json(image)
+
+
+def test_decoded_symbols_share_their_levels():
+    symbols = enumerate_marked(3, 10)
+    texts = [eta.to_json() for eta in symbols]
+    first = [MarkedDysonSymbol.from_json(text) for text in texts]
+    second = [MarkedDysonSymbol.from_json(text) for text in texts]
+    assert first == second == list(symbols)
+    for one, two in zip(first, second):
+        assert all(p is q for p, q in zip(one.vectors, two.vectors))
+    # Equal levels of different symbols are one object as well.
+    tops = {}
+    for eta in first:
+        assert tops.setdefault(eta.vectors[-1], eta.vectors[-1]) is eta.vectors[-1]
+
+
+@pytest.mark.parametrize("twin", [True, 1.0])
+def test_to_json_keeps_non_int_parts_out_of_the_level_cache(twin):
+    eta = BIG_THREE_MARKED  # level 1 is ((1, 1), (2, 1, 1))
+    odd = MarkedDysonSymbol((((1, twin), (2, 1, 1)),) + eta.vectors[1:], eta.markers)
+    assert odd == eta  # equal by value, so one value-keyed entry would serve both
+    for order in ((eta, odd), (odd, eta)):
+        _level_json.cache_clear()
+        for symbol in order:
+            assert symbol.to_json() == reference_to_json(symbol)
+    # Markers are written by the same rule: a bool stays ``true``.
+    odd_marker = MarkedDysonSymbol(eta.vectors, (twin, 4))
+    assert odd_marker.to_json() == reference_to_json(odd_marker)
+
+
+# k = 2 with marker 1: level 1 is ((1,), ()) and so is the top.
+ONE_MARKED_AT_ONE = (
+    '{"k": 2, "vectors": [{"alpha": [1], "beta": []}, {"alpha": [1], "beta": []}], "p": %s}'
+)
+
+
+def test_from_json_rejects_boolean_parts():
+    text = ONE_MARKED_AT_ONE % "[1]"
+    assert MarkedDysonSymbol.from_json(text) == MarkedDysonSymbol(
+        (((1,), ()), ((1,), ())), (1,)
+    )
+    top = text.replace('"alpha": [1]', '"alpha": [true]', 1)
+    bottom = text.replace('"alpha": [1], "beta": []}]', '"alpha": [true], "beta": []}]')
+    dyson = '{"k": 1, "vectors": [{"alpha": [true], "beta": [true, true]}], "p": []}'
+    for bad in (top, bottom, dyson):
+        assert bad != text
+        with pytest.raises(ValueError, match="positive integers, got True"):
+            MarkedDysonSymbol.from_json(bad)
+
+
+@pytest.mark.parametrize("marker", ["1.5", '"1"', "true", "1.0"])
+def test_markers_must_be_ints(marker):
+    with pytest.raises(ValueError, match="markers must be integers"):
+        MarkedDysonSymbol.from_json(ONE_MARKED_AT_ONE % f"[{marker}]")
+    value = json.loads(marker)
+    assert not validate_marked(MarkedDysonSymbol((((1,), ()), ((1,), ())), (value,)))
+
+
+def test_from_json_names_the_first_bad_part_or_marker():
+    # One fault each; the messages are those of the part and marker checks.
+    text = ONE_MARKED_AT_ONE
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        MarkedDysonSymbol.from_json(text.replace("[1]", "[1, 2]", 1) % "[1]")
+    with pytest.raises(ValueError, match="invalid literal"):
+        MarkedDysonSymbol.from_json(text % '["x"]')
+    with pytest.raises(TypeError):
+        MarkedDysonSymbol.from_json(text % "[null]")
+    with pytest.raises(ValueError, match="inconsistent level/marker counts"):
+        MarkedDysonSymbol.from_json(text % "[1, 1]")
+    for k in ('"2"', "2.0"):
+        with pytest.raises(ValueError, match="inconsistent level/marker counts"):
+            MarkedDysonSymbol.from_json((text % "[1]").replace('"k": 2', f'"k": {k}'))
+    with pytest.raises(ValueError, match="not a valid marked Dyson symbol"):
+        MarkedDysonSymbol.from_json(text % "[2]")
+
+
+def test_wire_caches_are_bounded():
+    assert _level_json.cache_parameters()["maxsize"] is not None
+    assert _level.cache_parameters()["maxsize"] is not None
 
 
 def quadratic_balanced_count(longer, shorter):

@@ -17,7 +17,7 @@ from dysonsym import (
     rank_counts,
     rank_moment,
 )
-from dysonsym.partitions import CRANK_TABLE_ONE, check_partition
+from dysonsym.partitions import CRANK_TABLE_ONE, check_partition, is_partition
 
 
 def test_partitions_of_small():
@@ -50,6 +50,13 @@ def test_check_partition_rejects_bad_input():
     with pytest.raises(ValueError):
         check_partition((2, 0))
     assert check_partition([3, 1]) == (3, 1)
+
+
+def test_booleans_are_not_parts():
+    for parts in ([True], [True, True], [2, True], [False]):
+        assert not is_partition(parts)
+        with pytest.raises(ValueError, match="positive integers"):
+            check_partition(parts)
 
 
 def test_conjugate_examples():
