@@ -9,7 +9,7 @@ not attempt any subsumption ("non-nested") analysis of the reported pairs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fullcrank import Verdict, full_crank_table, theorem43_rhs
@@ -131,19 +131,7 @@ class CongruenceWitness:
     points: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "r": self.r,
-                "A": self.A,
-                "B": self.B,
-                "kind": self.kind,
-                "k": self.k,
-                "n_max": self.n_max,
-                "holds": self.holds,
-                "points": self.points,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def scan_progressions(

@@ -45,9 +45,13 @@ class DysonSymbol(NamedTuple):
         """Parse and validate; every part is checked once, by ``validate_dyson``.
 
         ``check_partition`` runs only on a rejected symbol, to name a bad part.
+        Every fault raises ``ValueError``.
         """
         data = json.loads(text)
-        sym = cls(tuple(data["alpha"]), tuple(data["beta"]))
+        try:
+            sym = cls(tuple(data["alpha"]), tuple(data["beta"]))
+        except (KeyError, TypeError) as exc:  # a key missing, or a value of the wrong kind
+            raise ValueError(f"not a Dyson symbol: {exc!r}") from exc
         if not validate_dyson(sym):
             check_partition(sym.alpha)
             check_partition(sym.beta)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Dict, List
 
@@ -32,16 +32,7 @@ class Verdict:
         return self.lhs == self.rhs
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "identity": self.identity,
-                "k": self.k,
-                "n": self.n,
-                "lhs": self.lhs,
-                "rhs": self.rhs,
-                "pass": self.passed,
-            }
-        )
+        return json.dumps({**asdict(self), "pass": self.passed})
 
 
 def full_crank(eta: MarkedDysonSymbol) -> int:

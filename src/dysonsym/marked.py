@@ -20,20 +20,20 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 from .dyson import DysonSymbol, dyson_crank, has_dyson_shape, validate_dyson
 from .partitions import Partition, check_partition, crank_counts, gen_binomial, is_partition
 
 Pair = Tuple[Partition, Partition]
-Group = Tuple[tuple, Tuple[Pair, ...]]  # (statistics key, pairs); see _level_groups
+Group = Tuple[Tuple[int, int, int, bool], Tuple[Pair, ...]]  # ((mass, A, B, flag), pairs)
 
 # Cache bounds.  `verify all` at its default bounds fills each (k, n) table
 # cache with at most 39 tables (33 symbol lists, 35 profile tables, 39
 # full-crank tables), and enumeration's caches with 173 level groupings and
 # 239 partition lists (the benchmark's objects workload: 141 and 177); these
-# bounds keep all of them.  Counting adds no cache: its DP states, grouped
-# counts and memo live for one table.  The wire format keeps two caches of
+# bounds keep all of them.  Counting adds no cache: its DP states, level
+# entries and memo live for one table.  The wire format keeps two caches of
 # levels, the JSON text of each (`_level_json`) and one shared object per
 # decoded level (`_level`); `verify all` fills neither, and the objects
 # workload fills each with 817 levels (its sizes (2, 14), (3, 13) and
@@ -72,15 +72,19 @@ class MarkedDysonSymbol(NamedTuple):
         Every part is checked once, by ``validate_marked``; ``k``, parts
         and markers must be of type ``int`` (``true`` and ``1.0`` are
         rejected).  A rejected symbol is checked again part by part and
-        marker by marker, so that the error names the first bad one.  Equal
-        levels of decoded symbols are one object (``_level``).
+        marker by marker, so that the error names the first bad one.  Every
+        fault raises ``ValueError``.  Equal levels of decoded symbols are one
+        object (``_level``).
         """
         data = json.loads(text)
-        vectors = tuple(
-            [(tuple(v["alpha"]), tuple(v["beta"])) for v in reversed(data["vectors"])]
-        )
-        markers = tuple(data["p"])[::-1]
-        k = data["k"]
+        try:
+            vectors = tuple(
+                [(tuple(v["alpha"]), tuple(v["beta"])) for v in reversed(data["vectors"])]
+            )
+            markers = tuple(data["p"])[::-1]
+            k = data["k"]
+        except (KeyError, TypeError) as exc:  # a key missing, or a value of the wrong kind
+            raise ValueError(f"not a marked Dyson symbol: {exc!r}") from exc
         if type(k) is not int or len(vectors) != k or len(markers) != k - 1:
             raise ValueError("inconsistent level/marker counts")
         eta = cls(vectors, markers)
@@ -90,8 +94,12 @@ class MarkedDysonSymbol(NamedTuple):
                 check_partition(b)
             for p in markers:
                 if type(p) is not int:
-                    int(p)  # a marker that is no number fails with int()'s own message
-                    raise ValueError(f"markers must be integers, got {p!r}")
+                    message = f"markers must be integers, got {p!r}"
+                    try:
+                        int(p)  # "x" and NaN fail with int()'s own message
+                    except (TypeError, OverflowError) as exc:  # null, a list, infinity
+                        raise ValueError(message) from exc
+                    raise ValueError(message)
             raise ValueError(f"not a valid marked Dyson symbol: {eta}")
         return cls(tuple([_level(pair) for pair in vectors]), markers)
 
@@ -309,13 +317,13 @@ def _partitions_in_range(lo: int, hi: int, cap: int) -> Tuple[Partition, ...]:
 
 @lru_cache(maxsize=_GROUP_CACHE)
 def _level_groups(lo: int, hi: int, cap: int) -> Tuple[Group, ...]:
-    """Pairs with parts in [lo, hi] and mass <= cap, grouped by statistics.
+    """Pairs with parts in [lo, hi] and mass <= cap, grouped by summary.
 
-    Keys are (mass, large, small, balance, crank, strict, exposes), in
-    ascending order; ``exposes`` says whether the pair exposes ``hi`` as
-    its largest part or through ``lo``, which a both-empty top level
-    right above it requires.  The pairs of a group add the same to a
-    symbol's weight and profile, so the walk picks groups, not pairs.
+    The summaries (mass, A_i, B_i, exposes), with A_i = large + balance and
+    B_i = small - balance, ascend; ``exposes`` says whether the pair
+    exposes ``hi`` as its largest part or through ``lo``, which a
+    both-empty top level right above it requires.  The pairs of a group
+    add the same to a symbol's weight, so the walk picks groups, not pairs.
     """
     groups: Dict[tuple, List[Pair]] = {}
     candidates = _partitions_in_range(lo, hi, cap)
@@ -324,25 +332,24 @@ def _level_groups(lo: int, hi: int, cap: int) -> Tuple[Group, ...]:
             mass = sum(a) + sum(b)
             if mass > cap:
                 break
-            c, l_i, s_i, bal = _pair_stats(a, b, top=False)
+            _, l_i, s_i, bal = _pair_stats(a, b, top=False)
             exposes = max(a[:1] + b[:1] + (lo,)) == hi
-            key = (mass, l_i, s_i, bal, c, is_strict_pair(a, b), exposes)
-            groups.setdefault(key, []).append((a, b))
+            groups.setdefault((mass, l_i + bal, s_i - bal, exposes), []).append((a, b))
     return tuple((key, tuple(groups[key])) for key in sorted(groups))
 
 
 def _top_groups(lo: int, cap: int, dyson: bool) -> Tuple[Group, ...]:
-    """Top-level pairs with parts >= lo and mass <= cap, grouped by statistics.
+    """Top-level pairs with parts >= lo and mass <= cap, grouped by summary.
 
     The top obeys the Dyson-symbol shape rules with lo as its smallest
     allowed part: alpha is empty, (lo,) or repeats its largest part; beta
     is free under a nonempty alpha and of the same shape under an empty
-    one.  Keys are laid out as in ``_level_groups``, with balance 0 and
-    strict True (neither counts at the top), and end with a flag for the
-    both-empty pair, which needs the level below to expose ``lo``.  A
-    Dyson symbol (``dyson``, k = 1) has no ((), (lo,)).  A key depends on
-    beta only through its sum and length, so the betas of one (sum,
-    length) are taken together.
+    one.  A Dyson symbol (``dyson``, k = 1) has no ((), (lo,)).  The top
+    has no balance, so its summary is (mass, large, small, both empty),
+    laid out as in ``_level_groups`` with A = large and B = small; the
+    both-empty pair needs the level below to expose ``lo``.  A summary
+    depends on beta only through its sum and length, so the betas of one
+    (sum, length) are taken together.
     """
 
     def by_shape(betas: Tuple[Partition, ...]):
@@ -359,12 +366,11 @@ def _top_groups(lo: int, cap: int, dyson: bool) -> Tuple[Group, ...]:
     groups: Dict[tuple, List[Pair]] = {}
     for a, shapes in (((), by_shape(under_empty)),) + tuple((a, every) for a in shaped):
         asum = sum(a)
-        for (bsum, _), betas in shapes:
+        for (bsum, blen), betas in shapes:
             mass = asum + bsum
             if mass > cap:
                 break
-            c, l_i, s_i, bal = _pair_stats(a, betas[0], top=True)
-            key = (mass, l_i, s_i, bal, c, True, not (a or betas[0]))
+            key = (mass, max(len(a), blen), min(len(a), blen), not (a or blen))
             groups.setdefault(key, []).extend((a, b) for b in betas)
     return tuple((key, tuple(groups[key])) for key in sorted(groups))
 
@@ -386,14 +392,13 @@ def _walk(k: int, n: int) -> List[MarkedDysonSymbol]:
     """Every k-marked symbol of weight n, built level by level, top first.
 
     For each marker tuple the walk descends through one group per level
-    (``_top_groups`` for level k, ``_level_groups`` below it); each leaf
-    stands for the product of its groups' pairs.  Every level, the top
-    included, is pruned once the part sums plus markers exceed n, or the
-    rectangle term (l + D + k - 1)(s - D) exceeds what is left of n: the
-    term never shrinks as levels are added (each adds s_i - bal_i >= 0 to
-    s - D).  A leaf is a level-1 group at which the term equals what is
-    left; for k = 1 that is l * s = n - mass.  It shares no counting code
-    with ``_fold``, which the tests compare it against.
+    (``_top_groups`` for level k, ``_level_groups`` below it), summing
+    their A and B; each leaf stands for the product of its groups' pairs.
+    A level is pruned once the part sums plus markers exceed n, or the
+    rectangle term (A + k - 1) B exceeds what is left of n: the term never
+    shrinks as levels are added (A_i >= B_i >= 0).  A leaf is a level-1
+    group at which the term equals what is left.  It shares no counting
+    code with ``_fold``, which the tests compare it against.
     """
     out: List[MarkedDysonSymbol] = []
     tops: Dict[int, Tuple[Group, ...]] = {}  # by top marker, for this call
@@ -404,35 +409,33 @@ def _walk(k: int, n: int) -> List[MarkedDysonSymbol]:
         if top not in tops:
             # Built once, for the largest budget: the other markers are >= 1.
             tops[top] = _top_groups(top, n - top - (k - 2) if k > 1 else n, k == 1)
-        path: List[Group] = []
+        path: List[Tuple[Pair, ...]] = []
 
-        def descend(level: int, budget: int, l_acc: int, s_acc: int, d_acc: int,
-                    need_exposed: bool) -> None:
+        def descend(level: int, budget: int, a_acc: int, b_acc: int, need_exposed: bool) -> None:
             # `need_exposed` is set only on level k-1 under a both-empty top.
             if level == k:
                 groups = tops[top]
             else:
                 groups = _level_groups(bounds[level - 1], bounds[level], budget0)
-            for group in groups:
-                mass, l_i, s_i, bal, _, _, flag = group[0]
+            for (mass, a_i, b_i, flag), pairs in groups:
                 if mass > budget:
                     break
                 if need_exposed and not flag:
                     continue
-                l_new, s_new, d_new = l_acc + l_i, s_acc + s_i, d_acc + bal
+                a_new, b_new = a_acc + a_i, b_acc + b_i
                 left = budget - mass
-                rectangle = (l_new + d_new + k - 1) * (s_new - d_new)
+                rectangle = (a_new + k - 1) * b_new
                 if rectangle > left:
                     continue
-                path.append(group)
+                path.append(pairs)
                 if level > 1:
-                    descend(level - 1, left, l_new, s_new, d_new, level == k and flag)
+                    descend(level - 1, left, a_new, b_new, level == k and flag)
                 elif rectangle == left:
-                    for pairs in product(*(pairs for _, pairs in path)):
-                        out.append(MarkedDysonSymbol(pairs[::-1], markers))
+                    for chosen in product(*path):
+                        out.append(MarkedDysonSymbol(chosen[::-1], markers))
                 path.pop()
 
-        descend(k, budget0, 0, 0, 0, False)
+        descend(k, budget0, 0, 0, False)
     return out
 
 
@@ -440,8 +443,8 @@ def _walk(k: int, n: int) -> List[MarkedDysonSymbol]:
 def enumerate_marked(k: int, n: int) -> Tuple[MarkedDysonSymbol, ...]:
     """All k-marked Dyson symbols of weight n, in a deterministic order.
 
-    Built by ``_walk``.  For k = 1 these are the Dyson symbols of n, found
-    by the same walk rather than by the partition encoding.
+    Built by ``_walk``; the order is not part of the interface.  For k = 1
+    these are the Dyson symbols of n, found by the same walk.
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
@@ -455,7 +458,7 @@ def enumerate_marked(k: int, n: int) -> Tuple[MarkedDysonSymbol, ...]:
 
 def _level_states(hi: int, cap: int, k: int) -> List[Dict[tuple, int]]:
     """Counts of the pairs with parts in [lo, hi], for every lo = 1..hi
-    (index lo - 1), by DP state; ``_level_counts`` reads them.
+    (index lo - 1), by DP state; ``_level_entries`` reads them.
 
     No pair is built: one DP over the part values v = hi, ..., 1 tracks
     (mass, len alpha, len beta, unbalanced, strict, has a part hi), with
@@ -463,9 +466,9 @@ def _level_states(hi: int, cap: int, k: int) -> List[Dict[tuple, int]]:
     to v arrive, the G = len alpha parts already read are the ones above v,
     and min(c, G - unbalanced) of the c parts are unbalanced; a pair is
     strict while #{beta >= v} <= #{alpha > v}.  The states after v are
-    those for lo = v.  States whose own rectangle term (large + balance +
-    k - 1)(small - balance) takes mass past ``cap`` are dropped, since no
-    symbol with k levels holds them.
+    those for lo = v.  A state's A = len alpha + len beta - unbalanced and
+    B = unbalanced; states whose own rectangle term (A + k - 1) B takes
+    mass past ``cap`` are dropped, since no symbol with k levels holds them.
     """
     states: Dict[tuple, int] = {(0, 0, 0, 0, True, False): 1}
     out: List[Dict[tuple, int]] = []  # lo = hi first
@@ -497,24 +500,37 @@ def _level_states(hi: int, cap: int, k: int) -> List[Dict[tuple, int]]:
     return out[::-1]
 
 
-def _level_counts(states: Dict[tuple, int], lo_is_hi: bool) -> Iterator[Tuple[tuple, int]]:
-    """(key, count) of the pairs in one entry of ``_level_states``, keyed as
-    in ``_level_groups``: (mass, large, small, balance, crank, strict,
-    exposes).  Balance is len beta minus the unbalanced count, and a state
-    with alpha strictly longer also stands for its swap (beta strictly
-    longer, crank negated, never strict).  Every pair exposes hi when
-    lo = hi.
+Entries = Dict[tuple, Dict[int, Dict[tuple, int]]]  # shape -> mass -> tag -> count
+
+
+def _level_entries(states: Dict[tuple, int], lo_is_hi: bool, need: bool,
+                   label: Callable[[int, int, bool], tuple]) -> Entries:
+    """One entry of ``_level_states`` as the fold reads it: (A_i, B_i) ->
+    mass -> label -> count, masses ascending.
+
+    A state (mass, la, lb, u, strict, has a part hi) with la >= lb has
+    balance lb - u, so A_i = la + lb - u and B_i = u, and the label
+    ``label(la - lb, lb - u, strict)``; with la > lb it also stands for its
+    swap, ``label(lb - la, lb - u, False)``.  ``need`` keeps only the pairs
+    that expose hi (every pair does when lo = hi).
     """
-    for (mass, la, lb, unbalanced, strict, has_hi), count in states.items():
-        if la >= lb:
-            exposes = has_hi or lo_is_hi
-            yield (mass, la, lb, lb - unbalanced, la - lb, strict, exposes), count
-            if la > lb:
-                yield (mass, la, lb, lb - unbalanced, lb - la, False, exposes), count
+    entries: Entries = {}
+    for (mass, la, lb, u, strict, has_hi), count in states.items():
+        if la < lb or need and not (has_hi or lo_is_hi):
+            continue
+        tags = entries.setdefault((la + lb - u, u), {}).setdefault(mass, {})
+        tag = label(la - lb, lb - u, strict)
+        tags[tag] = tags.get(tag, 0) + count
+        if la > lb:
+            tag = label(lb - la, lb - u, False)
+            tags[tag] = tags.get(tag, 0) + count
+    return {shape: dict(sorted(by_mass.items())) for shape, by_mass in entries.items()}
 
 
-def _top_histogram(lo: int, cap: int, k: int, dyson: bool) -> Dict[tuple, int]:
-    """Top-level pair counts with parts >= lo, keyed as in ``_top_groups``.
+def _top_histogram(lo: int, cap: int, k: int, dyson: bool) -> Entries:
+    """The fold's top entries, (large, small, both empty) -> mass -> crank
+    -> count, for the top pairs with parts >= lo; laid out as the groups of
+    ``_top_groups``, with A = large and B = small.
 
     Counted in closed form: with P(m, L) the partitions of m into exactly L
     parts >= lo, the alphas of Dyson shape with length L >= 2 (largest part
@@ -536,32 +552,28 @@ def _top_histogram(lo: int, cap: int, k: int, dyson: bool) -> Dict[tuple, int]:
         parts.append(row)
 
     def shaped(length: int, m: int) -> int:
-        if length < 2:
-            return int(m == lo * length)  # () and (lo,)
+        if length < 2 or m < lo * length:
+            return int(m == lo * length)  # (), (lo,) and too small an m
         return parts[length][m] - parts[length][m - 1]
 
-    hist: Dict[tuple, int] = {}
+    hist: Entries = {}
     for la in range(longest + 1):
         for lb in range(longest + 1 - la):
             large, small = max(la, lb), min(la, lb)
             room = cap - (large + k - 1) * small
             if lo * (la + lb) > room:  # the term only grows with lb
                 break
-            key = (large, small, 0, la - lb, True, la == lb == 0)
-            if la == 0:
-                if not (dyson and lb == 1):
-                    for mb in range(lo * lb, room + 1):
-                        ways = shaped(lb, mb)
-                        if ways:
-                            hist[(mb,) + key] = ways
+            if la == 0 and dyson and lb == 1:
                 continue
+            betas = parts[lb] if la else [shaped(lb, m) for m in range(cap + 1)]
             for ma in range(lo * la, room - lo * lb + 1):
-                ways = shaped(la, ma)
+                ways = shaped(la, ma)  # only ma = 0 for the empty alpha
                 if ways:
                     for mb in range(lo * lb, room - ma + 1):
-                        if parts[lb][mb]:
-                            both = (ma + mb,) + key
-                            hist[both] = hist.get(both, 0) + ways * parts[lb][mb]
+                        if betas[mb]:
+                            by_mass = hist.setdefault((large, small, la == lb == 0), {})
+                            cranks = by_mass.setdefault(ma + mb, {})
+                            cranks[la - lb] = cranks.get(la - lb, 0) + ways * betas[mb]
     return hist
 
 
@@ -572,49 +584,26 @@ def _fold(k: int, n: int, label: Callable[[int, int, bool], tuple]) -> Dict[tupl
     A level's label is the tuple ``label(crank, balance, strict)``; levels
     whose labels are equal are not told apart.  The fold runs from the top
     down and chooses each level's lower marker itself, so one state stands
-    for every marker prefix that reaches it.  The weight reads l, s and D
-    only through the rectangle term (A + k - 1) B, with A = l + D and
-    B = s - D, so a state below the top is (level, upper marker, weight
+    for every marker prefix that reaches it.  Like ``_walk`` it reads a
+    level only through its summary (mass, A_i, B_i, flag), with A - B =
+    l - s + 2D, so a state below the top is (level, upper marker, weight
     left, A, B, need exposed).  It is memoized, and its value counts the
-    lower levels by (A - B at the leaf, their labels).  A level adds the
-    pair counts of ``_level_states`` by (A_i, B_i, mass, label), pruned as
-    in ``_walk``: the term never shrinks, and a leaf is a level-1 entry at
-    which it equals what is left.  The top's counts come from
-    ``_top_histogram``.  The DP states, the grouped counts and the memo
-    live for one call.
+    lower levels by (A - B at the leaf, their labels).  The levels come
+    from ``_level_entries`` and the top from ``_top_histogram``, pruned as
+    in ``_walk``.  The DP states, level entries and memo live for one call.
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
     states: Dict[int, List[Dict[tuple, int]]] = {}
-    levels: Dict[Tuple[int, int, bool], list] = {}
+    levels: Dict[Tuple[int, int, bool], Entries] = {}
     memo: Dict[tuple, Dict[tuple, int]] = {}
 
-    def grouped(counts: Iterable[Tuple[tuple, int]], need: bool, top: bool) -> list:
-        # [(shape..., {mass: ((tag, count), ...)} in ascending mass)]: the
-        # shape is (A_i, B_i) below the top and (l, s, both empty) at the
-        # top, whose tag is its crank.
-        shapes: Dict[tuple, Dict[int, Dict[tuple, int]]] = {}
-        for (mass, large, small, bal, crank, strict, flag), count in counts:
-            if need and not flag:
-                continue
-            if top:
-                shape, tag = (large, small, flag), (crank,)
-            else:
-                shape, tag = (large + bal, small - bal), label(crank, bal, strict)
-            tags = shapes.setdefault(shape, {}).setdefault(mass, {})
-            tags[tag] = tags.get(tag, 0) + count
-        return [
-            shape + ({mass: tuple(tags.items()) for mass, tags in sorted(by_mass.items())},)
-            for shape, by_mass in shapes.items()
-        ]
-
-    def level_entries(lo: int, hi: int, need: bool) -> list:
+    def level_entries(lo: int, hi: int, need: bool) -> Entries:
         if (lo, hi, need) not in levels:
             if hi not in states:
                 # hi is a marker, so a level under it holds at most n - hi.
                 states[hi] = _level_states(hi, n - hi, k)
-            counts = _level_counts(states[hi][lo - 1], lo == hi)
-            levels[lo, hi, need] = grouped(counts, need, False)
+            levels[lo, hi, need] = _level_entries(states[hi][lo - 1], lo == hi, need, label)
         return levels[lo, hi, need]
 
     def below(level: int, hi: int, left: int, a_acc: int, b_acc: int,
@@ -627,13 +616,13 @@ def _fold(k: int, n: int, label: Callable[[int, int, bool], tuple]) -> Dict[tupl
             room = left - lo if level > 1 else left  # p_{level-1} = lo
             if room < 0:
                 break
-            for a_i, b_i, by_mass in level_entries(lo, hi, need):
+            for (a_i, b_i), by_mass in level_entries(lo, hi, need).items():
                 a_new, b_new = a_acc + a_i, b_acc + b_i
                 rectangle = (a_new + k - 1) * b_new
                 if rectangle > room:
                     continue
                 if level == 1:
-                    for tag, count in by_mass.get(room - rectangle, ()):
+                    for tag, count in by_mass.get(room - rectangle, {}).items():
                         key = (a_new - b_new,) + tag
                         out[key] = out.get(key, 0) + count
                     continue
@@ -641,7 +630,7 @@ def _fold(k: int, n: int, label: Callable[[int, int, bool], tuple]) -> Dict[tupl
                     if mass + rectangle > room:
                         break
                     lower = below(level - 1, lo, room - mass, a_new, b_new, False).items()
-                    for tag, count in tagged:
+                    for tag, count in tagged.items():
                         for key, ways in lower:
                             key += tag
                             out[key] = out.get(key, 0) + count * ways
@@ -651,20 +640,17 @@ def _fold(k: int, n: int, label: Callable[[int, int, bool], tuple]) -> Dict[tupl
     table: Dict[tuple, int] = {}
     for lo in range(1, n + 1) if k > 1 else (1,):
         room = n - lo if k > 1 else n  # p_{k-1} = lo
-        for large, small, both_empty, by_mass in grouped(
-            _top_histogram(lo, room, k, k == 1).items(), False, True
-        ):
+        # The histogram already leaves out pairs whose term passes `room`.
+        for (large, small, both_empty), by_mass in _top_histogram(lo, room, k, k == 1).items():
             rectangle = (large + k - 1) * small
-            for mass, tagged in by_mass.items():
-                if mass + rectangle > room:
-                    break
+            for mass, cranks in by_mass.items():
                 if k == 1:  # the top is the leaf
                     lower = [((large - small,), 1)] if mass + rectangle == room else []
                 else:
                     lower = below(k - 1, lo, room - mass, large, small, both_empty).items()
-                for tag, count in tagged:
+                for crank, count in cranks.items():
                     for key, ways in lower:
-                        key = tag + key
+                        key = (crank,) + key
                         table[key] = table.get(key, 0) + count * ways
     return table
 

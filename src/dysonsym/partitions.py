@@ -204,8 +204,20 @@ class CountTable:
 
     @classmethod
     def from_json(cls, text: str) -> "CountTable":
+        """Parse the wire form; ``n``, values and counts must be of type
+        ``int``, and no value may repeat.  Every fault raises ``ValueError``."""
         data = json.loads(text)
-        return cls(n=data["n"], counts={int(m): int(c) for m, c in data["counts"]})
+        try:
+            n, rows = data["n"], [(m, c) for m, c in data["counts"]]
+        except (KeyError, TypeError) as exc:  # a key missing, or a value of the wrong kind
+            raise ValueError(f"not a count table: {exc!r}") from exc
+        for entry in [n] + [x for row in rows for x in row]:
+            if type(entry) is not int:
+                raise ValueError(f"count table entries must be integers, got {entry!r}")
+        counts = dict(rows)
+        if len(counts) < len(rows):
+            raise ValueError("a value repeats in the count table")
+        return cls(n=n, counts=counts)
 
     def to_csv(self) -> str:
         lines = ["m,count"]

@@ -115,7 +115,7 @@ def test_scanner_crank_residue_kind():
     assert all((w.A, w.B) != (5, 4) for w in witnesses)
 
 
-def test_scanner_determinism_and_threads():
+def test_scanner_is_deterministic():
     base = scan_progressions(5, 1, k=1, a_max=4, n_max=40)
     again = scan_progressions(5, 1, k=1, a_max=4, n_max=40)
     assert base == again

@@ -32,12 +32,15 @@ from dysonsym import (
 from dysonsym.marked import (
     _level,
     _level_json,
-    _level_counts,
+    _level_entries,
     _level_groups,
     _level_states,
+    _pair_stats,
+    _profile_label,
     _profile_table,
     _top_groups,
     _top_histogram,
+    is_strict_pair,
 )
 from dysonsym.partitions import check_partition
 
@@ -353,7 +356,7 @@ def test_from_json_names_the_first_bad_part_or_marker():
         MarkedDysonSymbol.from_json(text.replace("[1]", "[1, 2]", 1) % "[1]")
     with pytest.raises(ValueError, match="invalid literal"):
         MarkedDysonSymbol.from_json(text % '["x"]')
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="markers must be integers, got None"):
         MarkedDysonSymbol.from_json(text % "[null]")
     with pytest.raises(ValueError, match="inconsistent level/marker counts"):
         MarkedDysonSymbol.from_json(text % "[1, 1]")
@@ -362,6 +365,32 @@ def test_from_json_names_the_first_bad_part_or_marker():
             MarkedDysonSymbol.from_json((text % "[1]").replace('"k": 2', f'"k": {k}'))
     with pytest.raises(ValueError, match="not a valid marked Dyson symbol"):
         MarkedDysonSymbol.from_json(text % "[2]")
+
+
+# Malformed texts, each with the exception its fault raises inside the
+# parser; ``from_json`` chains it as the cause of its ValueError.
+MALFORMED = [
+    (MarkedDysonSymbol, '{"vectors": [{"alpha": [1], "beta": []}], "p": []}', KeyError),
+    (MarkedDysonSymbol, '{"k": 1, "vectors": [{"alpha": [1]}], "p": []}', KeyError),
+    (MarkedDysonSymbol, '{"k": 1, "vectors": [{"alpha": [1], "beta": []}]}', KeyError),
+    (MarkedDysonSymbol, '{"k": 1, "vectors": [{"alpha": 5, "beta": []}], "p": []}', TypeError),
+    (MarkedDysonSymbol, ONE_MARKED_AT_ONE % "[null]", TypeError),
+    (MarkedDysonSymbol, ONE_MARKED_AT_ONE % "[[1]]", TypeError),
+    (MarkedDysonSymbol, '{"k": 2, "vectors": [5, {"alpha": [1], "beta": []}], "p": [1]}', TypeError),
+    (MarkedDysonSymbol, "[" + ONE_MARKED_AT_ONE % "[1]" + "]", TypeError),
+    (MarkedDysonSymbol, ONE_MARKED_AT_ONE % "[1e400]", OverflowError),
+    (DysonSymbol, '{"alpha": [1]}', KeyError),
+    (DysonSymbol, '{"beta": [1]}', KeyError),
+    (DysonSymbol, '{"alpha": 5, "beta": []}', TypeError),
+    (DysonSymbol, '[{"alpha": [1], "beta": []}]', TypeError),
+]
+
+
+@pytest.mark.parametrize("cls,text,cause", MALFORMED)
+def test_from_json_raises_only_value_error(cls, text, cause):
+    with pytest.raises(ValueError) as caught:
+        cls.from_json(text)
+    assert isinstance(caught.value.__cause__, cause)
 
 
 def test_wire_caches_are_bounded():
@@ -449,15 +478,43 @@ def test_walk_matches_brute_force_oracle(k, max_n):
         assert _profile_table(k, n) == profile(oracle), (k, n)
 
 
-def group_sizes(groups, cap, k):
-    """Pair counts of a group list, without the pairs whose own rectangle
-    term (large + balance + k - 1)(small - balance) takes mass past cap."""
-    sizes = {}
-    for key, pairs in groups:
-        mass, large, small, bal = key[:4]
-        if mass + (large + bal + k - 1) * (small - bal) <= cap:
-            sizes[key] = len(pairs)
-    return sizes
+def nested_counts(items):
+    """shape -> mass -> tag -> count, from (shape, mass, tag) triples."""
+    out = {}
+    for shape, mass, tag in items:
+        tags = out.setdefault(shape, {}).setdefault(mass, {})
+        tags[tag] = tags.get(tag, 0) + 1
+    return out
+
+
+def level_pair_entries(lo, hi, cap, k, need):
+    """``_level_entries``' layout, read off the pairs ``_level_groups`` lists.
+
+    Each pair's (mass, A_i, B_i) is checked against its group's key, and
+    its label comes from ``_pair_stats`` and ``is_strict_pair``; pairs
+    whose own rectangle term takes mass past cap, and under ``need`` pairs
+    whose group does not expose hi, are left out."""
+    items = []
+    for (mass, a_i, b_i, exposes), pairs in _level_groups(lo, hi, cap):
+        for a, b in pairs:
+            crank, large, small, bal = _pair_stats(a, b, top=False)
+            assert (sum(a) + sum(b), large + bal, small - bal) == (mass, a_i, b_i)
+            if mass + (a_i + k - 1) * b_i <= cap and (exposes or not need):
+                items.append(((a_i, b_i), mass, _profile_label(crank, bal, is_strict_pair(a, b))))
+    return nested_counts(items)
+
+
+def top_pair_entries(lo, cap, k, dyson):
+    """``_top_histogram``'s layout, read off the pairs ``_top_groups`` lists."""
+    items = []
+    for (mass, large, small, both_empty), pairs in _top_groups(lo, cap, dyson):
+        for a, b in pairs:
+            crank, l_i, s_i, bal = _pair_stats(a, b, top=True)
+            assert (sum(a) + sum(b), l_i, s_i, bal) == (mass, large, small, 0)
+            assert both_empty == (a == b == ())
+            if mass + (large + k - 1) * small <= cap:
+                items.append(((large, small, both_empty), mass, crank))
+    return nested_counts(items)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -467,10 +524,11 @@ def test_level_states_match_the_pair_lists(k):
     for hi in range(1, 13):
         states = _level_states(hi, cap, k)
         for lo in range(1, hi + 1):
-            counts = {}
-            for key, count in _level_counts(states[lo - 1], lo == hi):
-                counts[key] = counts.get(key, 0) + count
-            assert counts == group_sizes(_level_groups(lo, hi, cap), cap, k), (lo, hi)
+            for need in (False, True):
+                entries = _level_entries(states[lo - 1], lo == hi, need, _profile_label)
+                assert entries == level_pair_entries(lo, hi, cap, k, need), (lo, hi, need)
+                for by_mass in entries.values():  # the fold stops at the first mass too large
+                    assert list(by_mass) == sorted(by_mass)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -479,7 +537,7 @@ def test_top_histogram_matches_the_top_pair_lists(k):
     for dyson in (False, True):
         for lo in range(1, 6):
             for cap in range(0, 14):
-                expected = group_sizes(_top_groups(lo, cap, dyson), cap, k)
+                expected = top_pair_entries(lo, cap, k, dyson)
                 assert _top_histogram(lo, cap, k, dyson) == expected, (lo, cap, dyson)
 
 

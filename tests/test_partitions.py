@@ -187,6 +187,33 @@ def test_count_table_serialization_round_trip():
     assert len(lines) == len(table.support()) + 1
 
 
+def test_count_tables_round_trip_through_json():
+    for n in range(1, 31):
+        for table in (crank_counts(n), rank_counts(n)):
+            assert CountTable.from_json(table.to_json()) == table
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"n": 5.0, "counts": [[1, 2]]}', "integers, got 5.0"),
+        ('{"n": true, "counts": [[1, 2]]}', "integers, got True"),
+        ('{"n": 5, "counts": [[1.5, 2]]}', "integers, got 1.5"),
+        ('{"n": 5, "counts": [[true, 2]]}', "integers, got True"),
+        ('{"n": 5, "counts": [[1, "3"]]}', "integers, got '3'"),
+        ('{"n": 5, "counts": [[1, 2.0]]}', "integers, got 2.0"),
+        ('{"n": 5, "counts": [[1.5, 2], [true, "3"]]}', "integers, got 1.5"),
+        ('{"n": 5, "counts": [[1, 2], [0, 1], [1, 3]]}', "repeats"),
+        ('{"n": 5, "counts": [[1, 2], [1, 2]]}', "repeats"),
+        ('{"n": 5}', "not a count table"),
+        ('{"n": 5, "counts": 3}', "not a count table"),
+    ],
+)
+def test_count_table_from_json_rejects_what_it_would_coerce(text, message):
+    with pytest.raises(ValueError, match=message):
+        CountTable.from_json(text)
+
+
 def test_gen_binomial_negative_and_positive():
     assert gen_binomial(5, 2) == 10
     assert gen_binomial(-1, 4) == 1
