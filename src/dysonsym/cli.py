@@ -21,11 +21,13 @@ from .fullcrank import (
     ck_brute,
     ck_closed_form,
     count_full_crank,
+    full_crank_table,
     series_coefficients,
     theorem43_rhs,
     verify_theorem31,
 )
 from .marked import (
+    _counts,
     count_fk,
     count_fk_strict,
     count_fk_with_balance,
@@ -73,6 +75,13 @@ def _tally(identity: str, k: int, n: int, checks: Iterable[bool]) -> Verdict:
     return Verdict(identity=identity, k=k, n=n, lhs=ok, rhs=total)
 
 
+def _fold_up_to(table: Callable[[int, int], object], k: int, max_n: int) -> None:
+    """Ask ``table`` once for weight max_n, so that one range fold builds
+    the tables of every n >= 2 that a driver's loop then reads."""
+    if max_n >= 2:
+        table(k, max_n)
+
+
 def _signed_profiles(k: int, bound: int) -> Iterator[Tuple[int, ...]]:
     # All integer k-tuples with sum of absolute values <= bound.
     if k == 0:
@@ -116,6 +125,7 @@ def verify_thm21(
     k: int, max_n: int, profile: Optional[Tuple[int, ...]] = None
 ) -> List[Verdict]:
     """count_fk equals the shifted one-level sum, for all (or one) profile."""
+    _fold_up_to(_counts, k, max_n)
     verdicts = []
     for n in range(2, max_n + 1):
         candidates = _signed_profiles(k, n - k + 1) if profile is None else [profile]
@@ -146,6 +156,7 @@ def verify_thm24(k: int, max_n: int) -> List[Verdict]:
                     and mirror(mu, j) == eta
                 )
 
+    _fold_up_to(_counts, k, max_n)
     return [_tally("thm2.4", k, n, checks(n)) for n in range(2, max_n + 1)]
 
 
@@ -168,6 +179,7 @@ def verify_thm25(k: int, max_n: int) -> List[Verdict]:
                 shifted = tuple(m[i] + 2 * t[i] for i in range(k - 1)) + (m[-1],)
                 yield count_fk_with_balance(m, t, n) == count_fk_strict(shifted, n)
 
+    _fold_up_to(_counts, k, max_n)
     return [_tally("thm2.5", k, n, checks(n)) for n in range(2, max_n + 1)]
 
 
@@ -201,10 +213,12 @@ def verify_thm26(k: int, max_n: int) -> List[Verdict]:
 def verify_thm31(k: int, max_n: int, n: Optional[int] = None) -> List[Verdict]:
     if n is not None:
         return [verify_theorem31(k, n)]
+    _fold_up_to(full_crank_table, k + 1, max_n)
     return [verify_theorem31(k, m) for m in range(2, max_n + 1)]
 
 
 def verify_thm43(k: int, max_n: int) -> List[Verdict]:
+    _fold_up_to(full_crank_table, k, max_n)
     verdicts = []
     for n in range(2, max_n + 1):
         checks = (
@@ -224,7 +238,9 @@ def verify_gfck(k: int, max_j: int) -> List[Verdict]:
 
 
 def verify_mod_identity_suite(k: int, max_n: int, p: int, r: int) -> List[Verdict]:
-    enumerated = range(2, min(max_n, ENUMERATE_MAX_N) + 1)
+    enumerate_max_n = min(max_n, ENUMERATE_MAX_N)
+    _fold_up_to(full_crank_table, k, enumerate_max_n)
+    enumerated = range(2, enumerate_max_n + 1)
     return [verify_modular_identity(k, p, r, n, method="enumerate") for n in enumerated] + [
         verify_modular_identity(k, p, r, n, method="closed") for n in range(2, max_n + 1)
     ]

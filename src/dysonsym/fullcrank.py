@@ -10,10 +10,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from typing import Dict, List
 
-from .marked import _TABLE_CACHE, MarkedDysonSymbol, _fold, statistics
+from .marked import MarkedDysonSymbol, _fold_range, _widest_range, statistics
 from .partitions import _residues, crank_counts, crank_moment, gen_binomial
 
 
@@ -48,19 +47,25 @@ def _no_label(crank: int, balance: int, strict: bool) -> tuple:
     return ()
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
-def full_crank_table(k: int, n: int) -> Dict[int, int]:
+@_widest_range
+def full_crank_table(k: int, max_n: int) -> List[Dict[int, int]]:
     """Distribution of the full crank over all k-marked symbols of weight n.
 
-    Read off ``marked._fold``, which keys each count by the top crank and
-    l - s + 2D; the lower levels get no label, so their cranks and
-    balances are never told apart and no crank-vector table is built.
+    Called as ``full_crank_table(k, n)``; the tables of every weight up to
+    n are built at once and the widest such range is kept for each k (see
+    ``marked._widest_range``).  Read off ``marked._fold_range``, which keys
+    each count by the top crank and l - s + 2D; the lower levels get no
+    label, so their cranks and balances are never told apart and no
+    crank-vector table is built.
     """
-    table: Counter = Counter()
-    for (top, spread), count in _fold(k, n, _no_label).items():
-        magnitude = spread + k - 1
-        table[magnitude if top > 0 else -magnitude] += count
-    return table
+    tables = _fold_range(k, max_n, _no_label)
+    for n, folded in enumerate(tables):
+        table: Counter = Counter()
+        for (top, spread), count in folded.items():
+            magnitude = spread + k - 1
+            table[magnitude if top > 0 else -magnitude] += count
+        tables[n] = table
+    return tables
 
 
 def count_full_crank(k: int, m: int, n: int) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 from itertools import product
 from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
@@ -28,16 +28,19 @@ from .partitions import Partition, check_partition, crank_counts, gen_binomial, 
 Pair = Tuple[Partition, Partition]
 Group = Tuple[Tuple[int, int, int, bool], Tuple[Pair, ...]]  # ((mass, A, B, flag), pairs)
 
-# Cache bounds.  `verify all` at its default bounds fills each (k, n) table
-# cache with at most 39 tables (33 symbol lists, 35 profile tables, 39
-# full-crank tables), and enumeration's caches with 173 level groupings and
-# 239 partition lists (the benchmark's objects workload: 141 and 177); these
-# bounds keep all of them.  Counting adds no cache: its DP states, level
-# entries and memo live for one table.  The wire format keeps two caches of
-# levels, the JSON text of each (`_level_json`) and one shared object per
-# decoded level (`_level`); `verify all` fills neither, and the objects
-# workload fills each with 817 levels (its sizes (2, 14), (3, 13) and
-# (4, 12) have 683, 462 and 214 distinct levels, some shared).
+# Cache bounds.  `verify all` at its default bounds fills the symbol-list cache
+# (`enumerate_marked`) with 33 lists, and enumeration's caches with 173 level
+# groupings and 239 partition lists (the benchmark's objects workload: 141 and
+# 177); these bounds keep all of them.  Counting keeps one range of tables per
+# k for each label (`_widest_range`): the tables of every weight up to the
+# largest asked for, 3 profile and 3 full-crank ranges in `verify all`.  A
+# range replaces the narrower one before it, so a store holds at most one
+# range per k.  The fold's DP states, level entries and memo live for one
+# range.  The wire format keeps two caches of levels, the JSON text of each
+# (`_level_json`) and one shared object per decoded level (`_level`); `verify
+# all` fills neither, and the objects workload fills each with 817 levels (its
+# sizes (2, 14), (3, 13) and (4, 12) have 683, 462 and 214 distinct levels,
+# some shared).
 _TABLE_CACHE = 64
 _GROUP_CACHE = 512
 _PARTITION_CACHE = 512
@@ -398,7 +401,7 @@ def _walk(k: int, n: int) -> List[MarkedDysonSymbol]:
     rectangle term (A + k - 1) B exceeds what is left of n: the term never
     shrinks as levels are added (A_i >= B_i >= 0).  A leaf is a level-1
     group at which the term equals what is left.  It shares no counting
-    code with ``_fold``, which the tests compare it against.
+    code with ``_fold_range``, which the tests compare it against.
     """
     out: List[MarkedDysonSymbol] = []
     tops: Dict[int, Tuple[Group, ...]] = {}  # by top marker, for this call
@@ -577,9 +580,11 @@ def _top_histogram(lo: int, cap: int, k: int, dyson: bool) -> Entries:
     return hist
 
 
-def _fold(k: int, n: int, label: Callable[[int, int, bool], tuple]) -> Dict[tuple, int]:
-    """Counts of k-marked symbols of weight n, keyed by the top crank,
-    l - s + 2D, and the labels of levels 1..k-1 laid end to end.
+def _fold_range(k: int, max_n: int,
+                label: Callable[[int, int, bool], tuple]) -> List[Dict[tuple, int]]:
+    """Counts of k-marked symbols of every weight 1 <= n <= max_n (entry
+    n), keyed by the top crank, l - s + 2D, and the labels of levels 1..k-1
+    laid end to end.
 
     A level's label is the tuple ``label(crank, balance, strict)``; levels
     whose labels are equal are not told apart.  The fold runs from the top
@@ -590,9 +595,18 @@ def _fold(k: int, n: int, label: Callable[[int, int, bool], tuple]) -> Dict[tupl
     left, A, B, need exposed).  It is memoized, and its value counts the
     lower levels by (A - B at the leaf, their labels).  The levels come
     from ``_level_entries`` and the top from ``_top_histogram``, pruned as
-    in ``_walk``.  The DP states, level entries and memo live for one call.
+    in ``_walk``.
+
+    No state depends on n: a level under the upper marker hi holds at most
+    max_n - hi, and a DP or top histogram built for a larger weight only
+    holds more states, which ``below`` prunes by what is left.  So one DP
+    per upper marker, one top histogram per lower marker and one memo serve
+    every n.  The top is read one (lower marker, shape, weight left under
+    it) at a time; each such state is asked for once, so the memo keeps
+    only the states further down, and its counts go to the weight of every
+    top mass at once.
     """
-    if k < 1 or n < 1:
+    if k < 1 or max_n < 1:
         raise ValueError("k and n must be positive")
     states: Dict[int, List[Dict[tuple, int]]] = {}
     levels: Dict[Tuple[int, int, bool], Entries] = {}
@@ -601,8 +615,8 @@ def _fold(k: int, n: int, label: Callable[[int, int, bool], tuple]) -> Dict[tupl
     def level_entries(lo: int, hi: int, need: bool) -> Entries:
         if (lo, hi, need) not in levels:
             if hi not in states:
-                # hi is a marker, so a level under it holds at most n - hi.
-                states[hi] = _level_states(hi, n - hi, k)
+                # hi is a marker, so a level under it holds at most max_n - hi.
+                states[hi] = _level_states(hi, max_n - hi, k)
             levels[lo, hi, need] = _level_entries(states[hi][lo - 1], lo == hi, need, label)
         return levels[lo, hi, need]
 
@@ -634,57 +648,131 @@ def _fold(k: int, n: int, label: Callable[[int, int, bool], tuple]) -> Dict[tupl
                         for key, ways in lower:
                             key += tag
                             out[key] = out.get(key, 0) + count * ways
-        memo[state] = out
+        if level < k - 1:  # the top asks for each state right under it once
+            memo[state] = out
         return out
 
-    table: Dict[tuple, int] = {}
-    for lo in range(1, n + 1) if k > 1 else (1,):
-        room = n - lo if k > 1 else n  # p_{k-1} = lo
-        # The histogram already leaves out pairs whose term passes `room`.
-        for (large, small, both_empty), by_mass in _top_histogram(lo, room, k, k == 1).items():
+    tables: List[Dict[tuple, int]] = [{} for _ in range(max_n + 1)]
+    for lo in range(1, max_n + 1) if k > 1 else (1,):
+        marker = lo if k > 1 else 0  # p_{k-1} = lo; a Dyson symbol has none
+        # The histogram leaves out only the pairs whose term passes the
+        # largest room.
+        for (large, small, both_empty), by_mass in _top_histogram(
+                lo, max_n - marker, k, k == 1).items():
             rectangle = (large + k - 1) * small
-            for mass, cranks in by_mass.items():
-                if k == 1:  # the top is the leaf
-                    lower = [((large - small,), 1)] if mass + rectangle == room else []
+            # The levels below fill what the top leaves, `left`, exactly; a
+            # 1-marked top is the leaf.  Each `left` is counted once and
+            # serves every top mass, at weight marker + mass + left; the
+            # masses do not ascend, so each is tested.
+            if k > 1:
+                lefts = range(rectangle, max_n - marker - min(by_mass) + 1)
+            else:
+                lefts = (rectangle,)
+            for left in lefts:
+                if k > 1:
+                    lower = below(k - 1, lo, left, large, small, both_empty).items()
                 else:
-                    lower = below(k - 1, lo, room - mass, large, small, both_empty).items()
-                for crank, count in cranks.items():
-                    for key, ways in lower:
-                        key = (crank,) + key
-                        table[key] = table.get(key, 0) + count * ways
-    return table
+                    lower = [((large - small,), 1)]
+                # crank -> [(key, ways)], built once for every mass, so the
+                # tables of the weights this `left` reaches share their keys.
+                keyed: Dict[int, list] = {}
+                for mass, cranks in by_mass.items():
+                    if marker + mass + left <= max_n:
+                        table = tables[marker + mass + left]
+                        for crank, count in cranks.items():
+                            if crank not in keyed:
+                                keyed[crank] = [((crank,) + key, ways) for key, ways in lower]
+                            for key, ways in keyed[crank]:
+                                table[key] = table.get(key, 0) + count * ways
+    return tables
+
+
+class _RangeInfo(NamedTuple):
+    hits: int  # tables read from a kept range
+    misses: int  # ranges built
+    currsize: int  # ranges kept, one per k
+
+
+def _widest_range(build: Callable[[int, int], list]) -> Callable[[int, int], object]:
+    """A per-weight front end ``table(k, n)`` over ``build(k, max_n)``, which
+    gives the tables of every weight up to max_n (entry n).
+
+    ``table(k, n)`` reads entry n of the widest range built so far for k
+    and builds a new range, at max_n = n, only for an n beyond it (or an n
+    below 1, which ``build`` rejects); so one range per k is kept.  Like an
+    ``lru_cache`` it has ``cache_info()`` and ``cache_clear()``, and takes
+    the name, docstring and module of ``build``, which is ``__wrapped__``.
+    """
+    ranges: Dict[int, list] = {}
+    hits = misses = 0
+
+    def table(k: int, n: int):
+        nonlocal hits, misses
+        tables = ranges.get(k)
+        if tables is not None and 0 < n < len(tables):
+            hits += 1
+        else:
+            tables = ranges[k] = build(k, n)
+            misses += 1
+        return tables[n]
+
+    def cache_info() -> _RangeInfo:
+        return _RangeInfo(hits, misses, len(ranges))
+
+    def cache_clear() -> None:
+        nonlocal hits, misses
+        ranges.clear()
+        hits = misses = 0
+
+    table.cache_info = cache_info
+    table.cache_clear = cache_clear
+    return update_wrapper(table, build)
 
 
 def _profile_label(crank: int, balance: int, strict: bool) -> tuple:
     return crank, balance, strict
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
-def _profile_table(k: int, n: int) -> Counter:
-    """Counts of k-marked symbols of weight n by (cranks, balances, strict).
+class _Counts(NamedTuple):
+    profiles: Counter  # by (cranks, balances, strict)
+    every: Counter  # by crank vector
+    strict: Counter  # the strict symbols, by crank vector
 
-    ``balances`` are those of levels 1..k-1 and ``strict`` is
-    ``is_strict``.  Read off ``_fold`` with each lower level labelled by
-    its (crank, balance, strict); no symbol and no pair is built.
+
+@_widest_range
+def _counts(k: int, max_n: int) -> List[_Counts]:
+    """Counts of k-marked symbols of each weight n <= max_n (entry n).
+
+    The profile of a symbol is (cranks, balances, strict): ``balances``
+    are those of levels 1..k-1 and ``strict`` is ``is_strict``.  Read off
+    ``_fold_range`` with each lower level labelled by its (crank, balance,
+    strict); no symbol and no pair is built.
     """
-    table: Dict[tuple, int] = {}
-    for key, count in _fold(k, n, _profile_label).items():
-        # key = (top crank, l - s + 2D, c_1, bal_1, strict_1, c_2, ...)
-        key = (key[2::3] + key[:1], key[3::3], False not in key[4::3])
-        table[key] = table.get(key, 0) + count
-    return Counter(table)
+    tables = _fold_range(k, max_n, _profile_label)
+    read: Dict[tuple, tuple] = {}  # fold key -> profile, one object shared by every weight
+    for n, table in enumerate(tables):
+        profiles: Dict[tuple, int] = {}
+        every: Dict[tuple, int] = {}
+        strict: Dict[tuple, int] = {}
+        for key, count in table.items():
+            profile = read.get(key)
+            if profile is None:
+                # key = (top crank, l - s + 2D, c_1, bal_1, strict_1, c_2, ...)
+                profile = read[key] = (key[2::3] + key[:1], key[3::3], False not in key[4::3])
+            profiles[profile] = profiles.get(profile, 0) + count
+            cranks, _, is_strict_symbol = profile
+            every[cranks] = every.get(cranks, 0) + count
+            if is_strict_symbol:
+                strict[cranks] = strict.get(cranks, 0) + count
+        # Each fold table gives way to its counts: Counter(d) copies d
+        # into a table of just its size.
+        tables[n] = _Counts(Counter(profiles), Counter(every), Counter(strict))
+    return tables
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
-def _crank_tables(k: int, n: int) -> Tuple[Counter, Counter]:
-    """(all, strict) symbol counts by crank vector, read off the profile table."""
-    every: Counter = Counter()
-    strict: Counter = Counter()
-    for (cranks, _, is_strict_symbol), count in _profile_table(k, n).items():
-        every[cranks] += count
-        if is_strict_symbol:
-            strict[cranks] += count
-    return every, strict
+def _profile_table(k: int, n: int) -> Counter:
+    """Counts of k-marked symbols of weight n by (cranks, balances, strict)."""
+    return _counts(k, n).profiles
 
 
 def count_fk(cranks: Tuple[int, ...], n: int) -> int:
@@ -695,7 +783,7 @@ def count_fk(cranks: Tuple[int, ...], n: int) -> int:
     cranks = tuple(cranks)
     if not cranks:
         raise ValueError("need at least one crank")
-    return _crank_tables(len(cranks), n)[0].get(cranks, 0)
+    return _counts(len(cranks), n).every.get(cranks, 0)
 
 
 def count_fk_with_balance(
@@ -721,7 +809,7 @@ def count_fk_strict(cranks: Tuple[int, ...], n: int) -> int:
     cranks = tuple(cranks)
     if len(cranks) < 2:
         raise ValueError("strict counting requires k >= 2")
-    return _crank_tables(len(cranks), n)[1].get(cranks, 0)
+    return _counts(len(cranks), n).strict.get(cranks, 0)
 
 
 def theorem21_rhs(cranks: Tuple[int, ...], n: int) -> int:

@@ -23,9 +23,9 @@ from dysonsym import (
     verify_theorem31,
 )
 
-from dysonsym import fullcrank, marked, partitions
+from dysonsym import cli, fullcrank, marked, partitions
 from dysonsym.fullcrank import full_crank_table
-from dysonsym.marked import _profile_table
+from dysonsym.marked import _counts, _profile_table
 
 from golden_data import BIG_THREE_MARKED
 
@@ -75,6 +75,26 @@ def test_count_full_crank_residue():
         count_full_crank_residue(2, 5, 5, 6)
     with pytest.raises(ValueError):
         count_full_crank(2, 0, 1)
+
+
+FULL_CRANK_ERRORS = [
+    (full_crank_table, (0, 5), "k and n must be positive"),
+    (full_crank_table, (2, 0), "k and n must be positive"),
+    (full_crank_table, (2, -1), "k and n must be positive"),
+    (count_full_crank, (2, 0, 1), "n must be at least 2"),
+    (count_full_crank_residue, (2, 0, 5, 0), "k and n must be positive"),
+    (count_full_crank_residue, (2, 5, 5, 6), "need t >= 1 and 0 <= i < t"),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("front_end,args,message", FULL_CRANK_ERRORS)
+def test_full_crank_front_ends_reject_bad_input(front_end, args, message, warm):
+    # The same error whether or not tables of larger weights are kept.
+    if warm:
+        full_crank_table(2, 8)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        front_end(*args)
 
 
 def test_full_crank_residue_values_at_five():
@@ -184,6 +204,26 @@ def test_full_crank_table_matches_the_profile_table_and_the_symbols(k, max_n):
         assert table == Counter(full_crank(eta) for eta in enumerate_marked(k, n)), (k, n)
 
 
+def test_verify_thm43_runs_one_fold(monkeypatch):
+    runs = []
+
+    def counted(k, max_n, label):
+        runs.append((k, max_n))
+        return fold(k, max_n, label)
+
+    fold = fullcrank._fold_range
+    monkeypatch.setattr(fullcrank, "_fold_range", counted)
+    full_crank_table.cache_clear()
+    assert all(verdict.passed for verdict in cli.verify_thm43(3, 14))
+    assert runs == [(3, 14)]
+    # A narrower weight reads the kept range; a wider one replaces it.
+    assert count_full_crank(3, 4, 9) == theorem43_rhs(3, 4, 9)
+    assert runs == [(3, 14)]
+    assert count_full_crank(3, 4, 15) == theorem43_rhs(3, 4, 15)
+    assert runs == [(3, 14), (3, 15)]
+    assert full_crank_table.cache_info().currsize == 1
+
+
 def test_counting_reads_no_crank_table(monkeypatch):
     # The left-hand sides of thm2.1, thm3.1 and thm4.3 must not come from
     # the generating-function side they are checked against.
@@ -192,9 +232,11 @@ def test_counting_reads_no_crank_table(monkeypatch):
 
     for module in (partitions, marked, fullcrank):
         monkeypatch.setattr(module, "crank_counts", forbidden)
+    # `__wrapped__` builds the range up to n afresh, past the kept tables.
     for k, n in ((1, 12), (2, 12), (3, 10), (4, 9)):
-        assert sum(_profile_table.__wrapped__(k, n).values()) == len(enumerate_marked(k, n))
-        assert sum(full_crank_table.__wrapped__(k, n).values()) == len(enumerate_marked(k, n))
+        profiles = _counts.__wrapped__(k, n)[n].profiles
+        assert sum(profiles.values()) == len(enumerate_marked(k, n))
+        assert sum(full_crank_table.__wrapped__(k, n)[n].values()) == len(enumerate_marked(k, n))
 
 
 def test_extended_tier_at_n_32():

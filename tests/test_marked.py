@@ -29,7 +29,11 @@ from dysonsym import (
     validate_marked,
     weight,
 )
+from dysonsym import cli, marked
+from dysonsym.fullcrank import _no_label
 from dysonsym.marked import (
+    _counts,
+    _fold_range,
     _level,
     _level_json,
     _level_entries,
@@ -201,6 +205,28 @@ def test_balance_refinement_matches_strict_counts():
                     assert count_fk_with_balance(
                         (m1, m2), (t1,), n
                     ) == count_fk_strict((m1 + 2 * t1, m2), n)
+
+
+COUNTING_ERRORS = [
+    (count_fk, ((), 5), "need at least one crank"),
+    (count_fk, ((1,), 0), "k and n must be positive"),
+    (count_fk, ((1, -1), -2), "k and n must be positive"),
+    (count_fk_with_balance, ((1, 2), (), 5), "need k >= 2 cranks and k-1 balance numbers"),
+    (count_fk_with_balance, ((1, 2), (0,), 0), "k and n must be positive"),
+    (count_fk_strict, ((1,), 5), "strict counting requires k >= 2"),
+    (count_fk_strict, ((1, 2), 0), "k and n must be positive"),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("front_end,args,message", COUNTING_ERRORS)
+def test_counting_front_ends_reject_bad_input(front_end, args, message, warm):
+    # The same error whether or not tables of larger weights are kept.
+    if warm:
+        for k in (1, 2):
+            count_fk((0,) * k, 8)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        front_end(*args)
 
 
 def test_strict_counts_collapse_to_one_level():
@@ -539,6 +565,37 @@ def test_top_histogram_matches_the_top_pair_lists(k):
             for cap in range(0, 14):
                 expected = top_pair_entries(lo, cap, k, dyson)
                 assert _top_histogram(lo, cap, k, dyson) == expected, (lo, cap, dyson)
+
+
+@pytest.mark.parametrize("label", [_profile_label, _no_label])
+@pytest.mark.parametrize("k,max_n", [(1, 14), (2, 14), (3, 12), (4, 10)])
+def test_fold_range_tables_do_not_depend_on_the_cap(k, max_n, label):
+    # The table of weight n from one fold up to max_n is the table of a
+    # fold up to n: the DPs and top histograms of the larger cap only hold
+    # states that the smaller weights prune.
+    tables = _fold_range(k, max_n, label)
+    for n in range(1, max_n + 1):
+        assert tables[n] == _fold_range(k, n, label)[n], (k, n)
+
+
+def test_verify_thm21_runs_one_fold(monkeypatch):
+    runs = []
+
+    def counted(k, max_n, label):
+        runs.append((k, max_n))
+        return fold(k, max_n, label)
+
+    fold = marked._fold_range
+    monkeypatch.setattr(marked, "_fold_range", counted)
+    _counts.cache_clear()
+    assert all(verdict.passed for verdict in cli.verify_thm21(2, 14))
+    assert runs == [(2, 14)]
+    # A narrower weight reads the kept range; a wider one replaces it.
+    assert count_fk((1, 0), 9) == theorem21_rhs((1, 0), 9)
+    assert runs == [(2, 14)]
+    assert count_fk((1, 0), 15) == theorem21_rhs((1, 0), 15)
+    assert runs == [(2, 14), (2, 15)]
+    assert _counts.cache_info().currsize == 1
 
 
 def test_one_marked_counts_match_the_crank_generating_function():
