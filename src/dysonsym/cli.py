@@ -14,7 +14,7 @@ import sys
 from collections import Counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .congruence import is_prime, scan_progressions, verify_modular_identity
+from .congruence import is_prime, prime_power, scan_progressions, verify_modular_identity
 from .dyson import dyson_crank, enumerate_dyson_symbols, to_dyson_symbol
 from .fullcrank import (
     Verdict,
@@ -304,9 +304,11 @@ def _plan(identifier: str, args: argparse.Namespace) -> Tuple[Callable, List[tup
     if args.p is not None:
         if not is_prime(args.p) or args.p < 5:
             raise ValueError("p must be a prime >= 5")
-        if args.r is not None and args.r < 1:
+        r = 1 if args.r is None else args.r
+        if r < 1:
             raise ValueError("--r must be positive")
-        rows = [rows[0][:2] + (args.p, 1 if args.r is None else args.r)]
+        prime_power(args.p, r)
+        rows = [rows[0][:2] + (args.p, r)]
     elif args.r is not None:
         raise ValueError("--r needs --p")
     if args.max_n is not None:
@@ -421,6 +423,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         # Out-of-range arguments are usage errors: status 2, no traceback.
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except RecursionError:
+        # The walk recurses once per level, a partition list once per part.
+        limit = sys.getrecursionlimit()
+        parser.exit(2, f"{parser.prog}: error: input too large: recursion limit {limit} reached\n")
     except BrokenPipeError:
         # The reader closed standard output early (`| head`).  Point it at
         # the null device so that the flush at exit cannot fail again, and

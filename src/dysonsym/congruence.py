@@ -16,6 +16,21 @@ from .fullcrank import Verdict, full_crank_table, theorem43_rhs
 from .partitions import _moment, _residues, crank_counts, gen_binomial
 
 
+# The largest modulus p^r checked: a residue table has p^r entries.
+MAX_MODULUS = 10**6
+
+
+def prime_power(p: int, r: int) -> int:
+    """p^r, for a modulus of at most ``MAX_MODULUS``; a larger one raises
+    ``ValueError`` before any power past it is formed."""
+    modulus = 1
+    for _ in range(r):
+        modulus *= p
+        if modulus > MAX_MODULUS:
+            raise ValueError(f"p^r = {p}^{r} exceeds the largest modulus, {MAX_MODULUS}")
+    return modulus
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -57,7 +72,7 @@ def modular_identity_cases(
         raise ValueError("need r >= 1 and n >= 2")
     if 2 * k > p + 1:
         raise ValueError(f"k={k} violates the bound 2k <= p+1 for p={p}")
-    modulus = p**r
+    modulus = prime_power(p, r)
     if method == "enumerate":
         full = full_crank_table(k, n)
     elif method == "closed":
@@ -158,7 +173,7 @@ def scan_progressions(
         raise ValueError("r must be positive")
     if k is not None and k < 0:
         raise ValueError("k must be nonnegative")
-    modulus = p**r
+    modulus = prime_power(p, r)
     # n -> (every residue count vanishes mod p^r, mu_2k(n) vanishes mod p^r)
     memo: Dict[int, Tuple[bool, bool]] = {}
 

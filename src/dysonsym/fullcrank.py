@@ -43,7 +43,7 @@ def full_crank(eta: MarkedDysonSymbol) -> int:
     return -magnitude
 
 
-def _no_label(crank: int, balance: int, strict: bool) -> tuple:
+def _no_label(crank: int, balance: int) -> tuple:
     return ()
 
 
@@ -106,19 +106,22 @@ def _convolve(a: List[int], b: List[int], order: int) -> List[int]:
     return out
 
 
-def _signed_variable(order: int) -> List[int]:
-    # Ways to write v as |m| for one signed integer m: 1 at 0, else 2.
-    return [1] + [2] * order
-
-
-def _positive_variable(order: int) -> List[int]:
-    # Ways to write v as m with m >= 1.
-    return [0] + [1] * order
-
-
-def _even_variable(order: int) -> List[int]:
-    # Ways to write v as 2t with t >= 0.
-    return [1 if v % 2 == 0 else 0 for v in range(order + 1)]
+def _solutions(target: int, signed: int, positive: int, even: int) -> int:
+    """Solutions of |m_1| + ... + p_1 + ... + 2t_1 + ... = target in
+    ``signed`` integers m_i, ``positive`` integers p_i >= 1 and ``even``
+    terms with t_i >= 0, by exact integer convolution over the variables."""
+    if target < 0:
+        return 0
+    variables = (
+        ([1] + [2] * target, signed),  # |m| = v: one way at 0, else two
+        ([0] + [1] * target, positive),  # p = v
+        ([1 - v % 2 for v in range(target + 1)], even),  # 2t = v
+    )
+    ways = [1] + [0] * target
+    for variable, count in variables:
+        for _ in range(count):
+            ways = _convolve(ways, variable, target)
+    return ways[target]
 
 
 def ck_brute(k: int, j: int) -> int:
@@ -129,12 +132,7 @@ def ck_brute(k: int, j: int) -> int:
     """
     if k < 1 or j < 0:
         raise ValueError("need k >= 1 and j >= 0")
-    ways = [1] + [0] * j
-    for _ in range(k + 1):
-        ways = _convolve(ways, _signed_variable(j), j)
-    for _ in range(k):
-        ways = _convolve(ways, _even_variable(j), j)
-    return ways[j]
+    return _solutions(j, k + 1, 0, k)
 
 
 def ck_closed_form(k: int, j: int) -> int:
@@ -149,16 +147,7 @@ def barck_brute(k: int, m: int) -> int:
     with m_k positive and t_i >= 0, by exact convolution."""
     if k < 1:
         raise ValueError("need k >= 1")
-    target = m - k + 1
-    if target < 0:
-        return 0
-    ways = [1] + [0] * target
-    for _ in range(k - 1):
-        ways = _convolve(ways, _signed_variable(target), target)
-    ways = _convolve(ways, _positive_variable(target), target)
-    for _ in range(k - 1):
-        ways = _convolve(ways, _even_variable(target), target)
-    return ways[target]
+    return _solutions(m - k + 1, k - 1, 1, k - 1)
 
 
 def barck_closed_form(k: int, m: int) -> int:

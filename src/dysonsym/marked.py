@@ -290,7 +290,13 @@ def is_strict_pair(a: Partition, b: Partition) -> bool:
 
 
 def is_strict(eta: MarkedDysonSymbol) -> bool:
-    """True iff every level below the top is a strict bipartition."""
+    """True iff every level below the top is a strict bipartition.
+
+    A pair is strict exactly when its crank is >= 0 and its balance 0: by
+    induction on j, the ``balanced_count`` scan finds beta_1..beta_j all
+    unbalanced iff at least i parts of alpha exceed each beta_i, i <= j.
+    The counting tables read strictness off (crank, balance).
+    """
     return all(is_strict_pair(a, b) for a, b in eta.vectors[: eta.k - 1])
 
 
@@ -464,39 +470,39 @@ def _level_states(hi: int, cap: int, k: int) -> List[Dict[tuple, int]]:
     (index lo - 1), by DP state; ``_level_entries`` reads them.
 
     No pair is built: one DP over the part values v = hi, ..., 1 tracks
-    (mass, len alpha, len beta, unbalanced, strict, has a part hi), with
-    alpha as the longer side, ties included.  When the c beta parts equal
-    to v arrive, the G = len alpha parts already read are the ones above v,
-    and min(c, G - unbalanced) of the c parts are unbalanced; a pair is
-    strict while #{beta >= v} <= #{alpha > v}.  The states after v are
-    those for lo = v.  A state's A = len alpha + len beta - unbalanced and
-    B = unbalanced; states whose own rectangle term (A + k - 1) B takes
-    mass past ``cap`` are dropped, since no symbol with k levels holds them.
+    the pair's summary (mass, len alpha, len beta, unbalanced), with alpha
+    as the longer side, ties included.  When the c beta parts equal to v
+    arrive, the G = len alpha parts already read are the ones above v, and
+    min(c, G - unbalanced) of the c parts are unbalanced.  The states after
+    v are those for lo = v.  A state's A = len alpha + len beta -
+    unbalanced and B = unbalanced; states whose own rectangle term
+    (A + k - 1) B takes mass past ``cap`` are dropped, since no symbol with
+    k levels holds them; both only grow, so a kept state's count is that of
+    every pair with its summary, whatever ``cap``.
     """
-    states: Dict[tuple, int] = {(0, 0, 0, 0, True, False): 1}
+    states: Dict[tuple, int] = {(0, 0, 0, 0): 1}
     out: List[Dict[tuple, int]] = []  # lo = hi first
     for v in range(hi, 0, -1):
-        first = v == hi
         # The b beta parts equal to v, then the a alpha parts: the term
         # only grows with each, so both loops stop at the first miss.
         mid: Dict[tuple, int] = {}
-        for (mass, la, lb, unbalanced, strict, has_hi), count in states.items():
+        for (mass, la, lb, unbalanced), count in states.items():
             for b in range((cap - mass) // v + 1):
                 lb_b = lb + b
                 u = unbalanced + min(b, la - unbalanced)
                 m = mass + v * b
                 if m + (la + lb_b - u + k - 1) * u > cap:
                     break
-                key = (m, la, lb_b, u, strict and lb_b <= la, has_hi or first and b > 0)
+                key = (m, la, lb_b, u)
                 mid[key] = mid.get(key, 0) + count
         nxt: Dict[tuple, int] = {}
-        for (mass, la, lb, u, strict, has_hi), count in mid.items():
+        for (mass, la, lb, u), count in mid.items():
             side = lb - u + k - 1  # balance + k - 1
             for a in range((cap - mass) // v + 1):
                 m = mass + v * a
                 if m + (la + a + side) * u > cap:
                     break
-                key = (m, la + a, lb, u, strict, has_hi or first and a > 0)
+                key = (m, la + a, lb, u)
                 nxt[key] = nxt.get(key, 0) + count
         out.append(nxt)
         states = nxt
@@ -506,26 +512,23 @@ def _level_states(hi: int, cap: int, k: int) -> List[Dict[tuple, int]]:
 Entries = Dict[tuple, Dict[int, Dict[tuple, int]]]  # shape -> mass -> tag -> count
 
 
-def _level_entries(states: Dict[tuple, int], lo_is_hi: bool, need: bool,
-                   label: Callable[[int, int, bool], tuple]) -> Entries:
-    """One entry of ``_level_states`` as the fold reads it: (A_i, B_i) ->
+def _level_entries(states: Dict[tuple, int], label: Callable[[int, int], tuple]) -> Entries:
+    """States of ``_level_states`` as the fold reads them: (A_i, B_i) ->
     mass -> label -> count, masses ascending.
 
-    A state (mass, la, lb, u, strict, has a part hi) with la >= lb has
-    balance lb - u, so A_i = la + lb - u and B_i = u, and the label
-    ``label(la - lb, lb - u, strict)``; with la > lb it also stands for its
-    swap, ``label(lb - la, lb - u, False)``.  ``need`` keeps only the pairs
-    that expose hi (every pair does when lo = hi).
+    A state (mass, la, lb, u) with la >= lb has balance lb - u, so A_i =
+    la + lb - u and B_i = u, and the label ``label(la - lb, lb - u)``; with
+    la > lb it also stands for its swap, ``label(lb - la, lb - u)``.
     """
     entries: Entries = {}
-    for (mass, la, lb, u, strict, has_hi), count in states.items():
-        if la < lb or need and not (has_hi or lo_is_hi):
+    for (mass, la, lb, u), count in states.items():
+        if la < lb:
             continue
         tags = entries.setdefault((la + lb - u, u), {}).setdefault(mass, {})
-        tag = label(la - lb, lb - u, strict)
+        tag = label(la - lb, lb - u)
         tags[tag] = tags.get(tag, 0) + count
         if la > lb:
-            tag = label(lb - la, lb - u, False)
+            tag = label(lb - la, lb - u)
             tags[tag] = tags.get(tag, 0) + count
     return {shape: dict(sorted(by_mass.items())) for shape, by_mass in entries.items()}
 
@@ -581,13 +584,13 @@ def _top_histogram(lo: int, cap: int, k: int, dyson: bool) -> Entries:
 
 
 def _fold_range(k: int, max_n: int,
-                label: Callable[[int, int, bool], tuple]) -> List[Dict[tuple, int]]:
+                label: Callable[[int, int], tuple]) -> List[Dict[tuple, int]]:
     """Counts of k-marked symbols of every weight 1 <= n <= max_n (entry
     n), keyed by the top crank, l - s + 2D, and the labels of levels 1..k-1
     laid end to end.
 
-    A level's label is the tuple ``label(crank, balance, strict)``; levels
-    whose labels are equal are not told apart.  The fold runs from the top
+    A level's label is the tuple ``label(crank, balance)``; levels whose
+    labels are equal are not told apart.  The fold runs from the top
     down and chooses each level's lower marker itself, so one state stands
     for every marker prefix that reaches it.  Like ``_walk`` it reads a
     level only through its summary (mass, A_i, B_i, flag), with A - B =
@@ -595,7 +598,9 @@ def _fold_range(k: int, max_n: int,
     left, A, B, need exposed).  It is memoized, and its value counts the
     lower levels by (A - B at the leaf, their labels).  The levels come
     from ``_level_entries`` and the top from ``_top_histogram``, pruned as
-    in ``_walk``.
+    in ``_walk``.  Under a both-empty top, level k - 1 must expose its
+    upper marker hi: with lo < hi its pairs are the DP's states under hi
+    less those under hi - 1, built at a larger cap; with lo = hi, all.
 
     No state depends on n: a level under the upper marker hi holds at most
     max_n - hi, and a DP or top histogram built for a larger weight only
@@ -612,12 +617,19 @@ def _fold_range(k: int, max_n: int,
     levels: Dict[Tuple[int, int, bool], Entries] = {}
     memo: Dict[tuple, Dict[tuple, int]] = {}
 
+    def level_states(hi: int) -> List[Dict[tuple, int]]:
+        if hi not in states:  # hi is a marker, so a level under it holds at most max_n - hi
+            states[hi] = _level_states(hi, max_n - hi, k)
+        return states[hi]
+
     def level_entries(lo: int, hi: int, need: bool) -> Entries:
+        need = need and lo < hi
         if (lo, hi, need) not in levels:
-            if hi not in states:
-                # hi is a marker, so a level under it holds at most max_n - hi.
-                states[hi] = _level_states(hi, max_n - hi, k)
-            levels[lo, hi, need] = _level_entries(states[hi][lo - 1], lo == hi, need, label)
+            counts = level_states(hi)[lo - 1]
+            if need:
+                under = level_states(hi - 1)[lo - 1]
+                counts = {s: c - under.get(s, 0) for s, c in counts.items() if c != under.get(s, 0)}
+            levels[lo, hi, need] = _level_entries(counts, label)
         return levels[lo, hi, need]
 
     def below(level: int, hi: int, left: int, a_acc: int, b_acc: int,
@@ -729,14 +741,13 @@ def _widest_range(build: Callable[[int, int], list]) -> Callable[[int, int], obj
     return update_wrapper(table, build)
 
 
-def _profile_label(crank: int, balance: int, strict: bool) -> tuple:
-    return crank, balance, strict
+def _profile_label(crank: int, balance: int) -> tuple:
+    return crank, balance
 
 
 class _Counts(NamedTuple):
     profiles: Counter  # by (cranks, balances, strict)
     every: Counter  # by crank vector
-    strict: Counter  # the strict symbols, by crank vector
 
 
 @_widest_range
@@ -745,28 +756,28 @@ def _counts(k: int, max_n: int) -> List[_Counts]:
 
     The profile of a symbol is (cranks, balances, strict): ``balances``
     are those of levels 1..k-1 and ``strict`` is ``is_strict``.  Read off
-    ``_fold_range`` with each lower level labelled by its (crank, balance,
-    strict); no symbol and no pair is built.
+    ``_fold_range`` with each lower level labelled by its (crank,
+    balance), strict when crank >= 0 and balance 0 (see ``is_strict``); no
+    symbol and no pair is built.
     """
     tables = _fold_range(k, max_n, _profile_label)
     read: Dict[tuple, tuple] = {}  # fold key -> profile, one object shared by every weight
     for n, table in enumerate(tables):
         profiles: Dict[tuple, int] = {}
         every: Dict[tuple, int] = {}
-        strict: Dict[tuple, int] = {}
         for key, count in table.items():
             profile = read.get(key)
             if profile is None:
-                # key = (top crank, l - s + 2D, c_1, bal_1, strict_1, c_2, ...)
-                profile = read[key] = (key[2::3] + key[:1], key[3::3], False not in key[4::3])
+                # key = (top crank, l - s + 2D, c_1, bal_1, c_2, bal_2, ...)
+                lower, balances = key[2::2], key[3::2]
+                strict = min(lower, default=0) >= 0 and not any(balances)
+                profile = read[key] = (lower + key[:1], balances, strict)
             profiles[profile] = profiles.get(profile, 0) + count
-            cranks, _, is_strict_symbol = profile
+            cranks = profile[0]
             every[cranks] = every.get(cranks, 0) + count
-            if is_strict_symbol:
-                strict[cranks] = strict.get(cranks, 0) + count
         # Each fold table gives way to its counts: Counter(d) copies d
         # into a table of just its size.
-        tables[n] = _Counts(Counter(profiles), Counter(every), Counter(strict))
+        tables[n] = _Counts(Counter(profiles), Counter(every))
     return tables
 
 
@@ -804,12 +815,14 @@ def count_fk_with_balance(
 def count_fk_strict(cranks: Tuple[int, ...], n: int) -> int:
     """Strict symbols of weight n with the given crank vector.
 
-    Read off the profile table, without building any symbol.
+    One entry of the profile table, as strict levels have balance 0;
+    no symbol is built.
     """
     cranks = tuple(cranks)
-    if len(cranks) < 2:
+    k = len(cranks)
+    if k < 2:
         raise ValueError("strict counting requires k >= 2")
-    return _counts(len(cranks), n).strict.get(cranks, 0)
+    return _profile_table(k, n).get((cranks, (0,) * (k - 1), True), 0)
 
 
 def theorem21_rhs(cranks: Tuple[int, ...], n: int) -> int:

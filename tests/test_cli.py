@@ -263,6 +263,8 @@ def test_verify_rejects_a_level_the_suite_does_not_have(capsys, argv, message):
         (("--p", "4"), "p must be a prime >= 5"),
         (("--p", "9", "--k", "2"), "p must be a prime >= 5"),
         (("--p", "5", "--r", "0"), "--r must be positive"),
+        (("--p", "5", "--r", "9", "--max-n", "3"), "p^r = 5^9 exceeds the largest modulus"),
+        (("--p", "5", "--r", "30", "--max-n", "3"), "p^r = 5^30 exceeds the largest modulus"),
     ],
 )
 def test_verify_mod_identity_rejects_bad_p_before_running(capsys, argv, message):
@@ -272,6 +274,23 @@ def test_verify_mod_identity_rejects_bad_p_before_running(capsys, argv, message)
     assert_one_line_error(err)
     assert message in err
     assert "verifying" not in err
+
+
+@pytest.mark.parametrize("r", ["9", "30"])
+def test_scan_past_the_largest_modulus_is_usage_error(capsys, r):
+    # A residue table has p^r entries: r = 30 used to end in an
+    # OverflowError traceback, and r = 9 asks for 5^9 entries.
+    err = usage_error(capsys, "scan", "--p", "5", "--r", r, "--max-n", "10")
+    assert_one_line_error(err)
+    assert f"p^r = 5^{r} exceeds the largest modulus" in err
+
+
+def test_too_many_levels_is_a_usage_error(capsys):
+    # The walk recurses once per level: k = 1200 used to end in a
+    # RecursionError traceback.
+    err = usage_error(capsys, "enumerate-marked", "--k", "1200", "--n", "1200")
+    assert_one_line_error(err)
+    assert "recursion limit" in err
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -12,8 +12,10 @@ from dysonsym import (
     verify_modular_identity,
 )
 from dysonsym.congruence import (
+    MAX_MODULUS,
     binomial_congruence_holds,
     modular_identity_cases,
+    prime_power,
 )
 
 
@@ -96,6 +98,8 @@ def test_modular_identity_input_validation():
         verify_modular_identity(2, 5, 0, 6)
     with pytest.raises(ValueError):
         modular_identity_cases(2, 5, 1, 6, method="nope")
+    with pytest.raises(ValueError, match="exceeds the largest modulus"):
+        modular_identity_cases(2, 5, 30, 3, method="closed")
 
 
 def test_scanner_finds_ramanujan_witness():
@@ -136,6 +140,17 @@ def test_scanner_input_validation():
         scan_progressions(5, 0)
     with pytest.raises(ValueError):
         scan_progressions(5, 1, k=-1)
+    with pytest.raises(ValueError, match="exceeds the largest modulus"):
+        scan_progressions(5, 30, n_max=10)
+
+
+def test_prime_power_stops_at_the_largest_modulus():
+    # A residue table has p^r entries, so no power past the bound is built.
+    assert prime_power(5, 8) == 5**8 <= MAX_MODULUS
+    assert prime_power(7, 7) == 7**7 <= MAX_MODULUS
+    for p, r in ((5, 9), (11, 6), (1_000_003, 1), (5, 10**9)):
+        with pytest.raises(ValueError, match=f"{p}\\^{r} exceeds"):
+            prime_power(p, r)
 
 
 def test_scanner_min_points():

@@ -239,11 +239,11 @@ def test_counting_reads_no_crank_table(monkeypatch):
         assert sum(full_crank_table.__wrapped__(k, n)[n].values()) == len(enumerate_marked(k, n))
 
 
-def test_extended_tier_at_n_32():
+@pytest.mark.parametrize("n", [32, 40])
+def test_extended_tier_at_large_n(n):
     # Theorem 3.1 for 2- and 3-marked symbols, and Theorem 4.3 for
-    # k = 1..3, at n = 32 (the verify defaults stop at 14), against the
-    # generating-function side: mu_2k(32) and C(m + k - 2, 2k - 2) M(m, 32).
-    n = 32
+    # k = 1..3, at n = 32 and 40 (the verify defaults stop at 14), against
+    # the generating-function side: mu_2k(n) and C(m + k - 2, 2k - 2) M(m, n).
     for k in (1, 2):
         verdict = verify_theorem31(k, n)
         assert verdict.passed and verdict.lhs == crank_moment(2 * k, n), k

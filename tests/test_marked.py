@@ -48,6 +48,7 @@ from dysonsym.marked import (
 )
 from dysonsym.partitions import check_partition
 
+from test_dyson import partitions_up_to_200
 from golden_data import (
     BIG_DYSON,
     BIG_PEELED,
@@ -446,6 +447,28 @@ def test_balanced_count_matches_quadratic_definition(p, q):
     assert balanced_count(longer, shorter) == quadratic_balanced_count(longer, shorter)
 
 
+@settings(max_examples=200)
+@given(partitions_up_to_200(), partitions_up_to_200(), st.integers(0, 3))
+def test_strict_pair_is_crank_at_least_zero_and_balance_zero(a, b, shift):
+    # The counting tables read strictness off (crank, balance).  alpha with
+    # its parts lowered by shift > 0 is a strict pair; by 0, alpha itself.
+    for beta in (b, tuple(part - shift for part in a if part > shift)):
+        crank, _, _, balance = _pair_stats(a, beta, top=False)
+        assert is_strict_pair(a, beta) == (crank >= 0 and balance == 0), (a, beta)
+
+
+@pytest.mark.parametrize("k,n", [(2, 12), (3, 10), (4, 9)])
+def test_strict_symbols_have_lower_cranks_at_least_zero_and_balance_zero(k, n):
+    seen = set()
+    for eta in enumerate_marked(k, n):
+        stats = statistics(eta)
+        lower = zip(stats.cranks[:-1], stats.balances[:-1])
+        strict = is_strict(eta)
+        assert strict == all(crank >= 0 and balance == 0 for crank, balance in lower), eta
+        seen.add(strict)
+    assert seen == {False, True}
+
+
 def profile(symbols):
     return Counter(
         (stats.cranks, stats.balances[:-1], is_strict(eta))
@@ -517,16 +540,16 @@ def level_pair_entries(lo, hi, cap, k, need):
     """``_level_entries``' layout, read off the pairs ``_level_groups`` lists.
 
     Each pair's (mass, A_i, B_i) is checked against its group's key, and
-    its label comes from ``_pair_stats`` and ``is_strict_pair``; pairs
-    whose own rectangle term takes mass past cap, and under ``need`` pairs
-    whose group does not expose hi, are left out."""
+    its label comes from ``_pair_stats``; pairs whose own rectangle term
+    takes mass past cap, and under ``need`` pairs whose group does not
+    expose hi, are left out."""
     items = []
     for (mass, a_i, b_i, exposes), pairs in _level_groups(lo, hi, cap):
         for a, b in pairs:
             crank, large, small, bal = _pair_stats(a, b, top=False)
             assert (sum(a) + sum(b), large + bal, small - bal) == (mass, a_i, b_i)
             if mass + (a_i + k - 1) * b_i <= cap and (exposes or not need):
-                items.append(((a_i, b_i), mass, _profile_label(crank, bal, is_strict_pair(a, b))))
+                items.append(((a_i, b_i), mass, _profile_label(crank, bal)))
     return nested_counts(items)
 
 
@@ -546,12 +569,23 @@ def top_pair_entries(lo, cap, k, dyson):
 @pytest.mark.parametrize("k", [1, 3])
 def test_level_states_match_the_pair_lists(k):
     # The part-value DP against `_level_groups`, which lists every pair.
+    # Under lo < hi the pairs that expose hi are those under hi less those
+    # under hi - 1, whose DP the fold builds at a larger cap; under lo = hi
+    # every pair exposes hi.
     cap = 14
     for hi in range(1, 13):
         states = _level_states(hi, cap, k)
+        under = _level_states(hi - 1, cap + 1, k)
         for lo in range(1, hi + 1):
-            for need in (False, True):
-                entries = _level_entries(states[lo - 1], lo == hi, need, _profile_label)
+            counts = states[lo - 1]
+            exposing = counts
+            if lo < hi:
+                below = under[lo - 1]
+                exposing = {s: c - below.get(s, 0) for s, c in counts.items()
+                            if c != below.get(s, 0)}
+                assert min(exposing.values(), default=1) > 0, (lo, hi)
+            for need, kept in ((False, counts), (True, exposing)):
+                entries = _level_entries(kept, _profile_label)
                 assert entries == level_pair_entries(lo, hi, cap, k, need), (lo, hi, need)
                 for by_mass in entries.values():  # the fold stops at the first mass too large
                     assert list(by_mass) == sorted(by_mass)
