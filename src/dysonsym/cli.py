@@ -53,9 +53,10 @@ from .partitions import (
 # 128 + SIGPIPE: what a shell reports for a process that SIGPIPE ended.
 BROKEN_PIPE_STATUS = 141
 
-# Enumeration caps: cor2.3 checks the encoding on every partition of n, and
-# mod-identity's enumerate route builds every k-marked symbol of n, only up
-# to these n; --max-n raises the other checks of those suites past them.
+# Caps: cor2.3 checks the encoding on every partition of n, and
+# mod-identity's enumerate route reads the full-crank table of the fold
+# (``full_crank_table``, which builds no symbol), only up to these n;
+# --max-n raises the other checks of those suites past them.
 OBJECT_MAX_N = 25
 ENUMERATE_MAX_N = 14
 

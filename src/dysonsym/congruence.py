@@ -43,9 +43,14 @@ def is_prime(n: int) -> bool:
 
 
 def crank_residue_table(t: int, n: int) -> Tuple[int, ...]:
-    """Entry i is the number of partitions of n with crank congruent to i mod t."""
+    """Entry i is the number of partitions of n with crank congruent to i mod t.
+
+    The table has t entries, so t is at most ``MAX_MODULUS``.
+    """
     if t < 1:
         raise ValueError("modulus must be positive")
+    if t > MAX_MODULUS:
+        raise ValueError(f"modulus {t} exceeds the largest modulus, {MAX_MODULUS}")
     if n < 2:
         raise ValueError("residue tables require n >= 2")
     return _residues(crank_counts(n).counts, t)
@@ -62,9 +67,9 @@ def modular_identity_cases(
     """Per-residue checks of NC_k(i, p^r; n) = C(i+k-2, 2k-2) M(i, p^r; n) mod p^r.
 
     ``method="enumerate"`` counts the k-marked symbols in each full-crank
-    residue class with the counting level walk, without building them;
-    ``method="closed"`` substitutes the verified closed form, which needs
-    no marked counting and so reaches much larger n.
+    residue class from ``full_crank_table``, which the fold builds without
+    building any symbol; ``method="closed"`` substitutes the verified
+    closed form, which needs no marked counting and so reaches much larger n.
     """
     if not is_prime(p) or p < 5:
         raise ValueError("p must be a prime >= 5")

@@ -19,7 +19,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, update_wrapper
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 from .dyson import DysonSymbol, dyson_crank, has_dyson_shape, validate_dyson
@@ -746,7 +746,7 @@ def _profile_label(crank: int, balance: int) -> tuple:
 
 
 class _Counts(NamedTuple):
-    profiles: Counter  # by (cranks, balances, strict)
+    folded: Dict[tuple, int]  # the fold table, by (top crank, l - s + 2D, c_1, bal_1, ...)
     every: Counter  # by crank vector
 
 
@@ -754,42 +754,34 @@ class _Counts(NamedTuple):
 def _counts(k: int, max_n: int) -> List[_Counts]:
     """Counts of k-marked symbols of each weight n <= max_n (entry n).
 
-    The profile of a symbol is (cranks, balances, strict): ``balances``
-    are those of levels 1..k-1 and ``strict`` is ``is_strict``.  Read off
-    ``_fold_range`` with each lower level labelled by its (crank,
-    balance), strict when crank >= 0 and balance 0 (see ``is_strict``); no
-    symbol and no pair is built.
+    Each weight keeps its ``_fold_range`` table, with every lower level
+    labelled by its (crank, balance): the key (top crank, l - s + 2D, c_1,
+    bal_1, ..., c_{k-1}, bal_{k-1}) is a symbol's cranks and balances, as
+    l - s is the sum of the |c_i|.  Beside it go the counts by crank
+    vector, read off the keys.  No symbol and no pair is built.
     """
     tables = _fold_range(k, max_n, _profile_label)
-    read: Dict[tuple, tuple] = {}  # fold key -> profile, one object shared by every weight
     for n, table in enumerate(tables):
-        profiles: Dict[tuple, int] = {}
         every: Dict[tuple, int] = {}
         for key, count in table.items():
-            profile = read.get(key)
-            if profile is None:
-                # key = (top crank, l - s + 2D, c_1, bal_1, c_2, bal_2, ...)
-                lower, balances = key[2::2], key[3::2]
-                strict = min(lower, default=0) >= 0 and not any(balances)
-                profile = read[key] = (lower + key[:1], balances, strict)
-            profiles[profile] = profiles.get(profile, 0) + count
-            cranks = profile[0]
+            cranks = key[2::2] + key[:1]
             every[cranks] = every.get(cranks, 0) + count
-        # Each fold table gives way to its counts: Counter(d) copies d
-        # into a table of just its size.
-        tables[n] = _Counts(Counter(profiles), Counter(every))
+        # Counter(d) copies d into a table of just its size.
+        tables[n] = _Counts(table, Counter(every))
     return tables
 
 
-def _profile_table(k: int, n: int) -> Counter:
-    """Counts of k-marked symbols of weight n by (cranks, balances, strict)."""
-    return _counts(k, n).profiles
+def _fold_key(cranks: Tuple[int, ...], balances: Tuple[int, ...]) -> tuple:
+    # The key under which `_counts` keeps the symbols of these cranks and
+    # lower balances: (top crank, l - s + 2D, c_1, bal_1, c_2, bal_2, ...).
+    return (cranks[-1], sum(map(abs, cranks)) + 2 * sum(balances),
+            *chain.from_iterable(zip(cranks, balances)))
 
 
 def count_fk(cranks: Tuple[int, ...], n: int) -> int:
     """Symbols of weight n with the given crank at every level.
 
-    Read off the profile table, without building any symbol.
+    One entry of the counts by crank vector, without building any symbol.
     """
     cranks = tuple(cranks)
     if not cranks:
@@ -802,27 +794,32 @@ def count_fk_with_balance(
 ) -> int:
     """Symbols with given cranks and given balance numbers below the top.
 
-    Read off the profile table, without building any symbol.
+    One entry of the fold table, whose keys are the symbols' cranks and
+    balances; no symbol is built.
     """
     cranks, balances = tuple(cranks), tuple(balances)
     k = len(cranks)
     if k < 2 or len(balances) != k - 1:
         raise ValueError("need k >= 2 cranks and k-1 balance numbers")
-    table = _profile_table(k, n)
-    return table.get((cranks, balances, True), 0) + table.get((cranks, balances, False), 0)
+    return _counts(k, n).folded.get(_fold_key(cranks, balances), 0)
 
 
 def count_fk_strict(cranks: Tuple[int, ...], n: int) -> int:
     """Strict symbols of weight n with the given crank vector.
 
-    One entry of the profile table, as strict levels have balance 0;
-    no symbol is built.
+    Strictness is read off crank and balance (see ``is_strict``): every
+    lower crank is >= 0 and every balance 0.  So the count is 0 for a
+    negative lower crank, and otherwise one entry of the fold table, at
+    zero balances; no symbol is built.
     """
     cranks = tuple(cranks)
     k = len(cranks)
     if k < 2:
         raise ValueError("strict counting requires k >= 2")
-    return _profile_table(k, n).get((cranks, (0,) * (k - 1), True), 0)
+    table = _counts(k, n).folded  # read first: it rejects a bad n
+    if min(cranks[:-1]) < 0:
+        return 0
+    return table.get(_fold_key(cranks, (0,) * (k - 1)), 0)
 
 
 def theorem21_rhs(cranks: Tuple[int, ...], n: int) -> int:

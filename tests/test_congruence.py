@@ -49,6 +49,10 @@ def test_crank_residue_table_errors():
         crank_residue_table(5, 1)
     with pytest.raises(ValueError):
         crank_residue_table(0, 5)
+    # A table has t entries, so none is built past the largest modulus.
+    for t in (MAX_MODULUS + 1, 5**30):
+        with pytest.raises(ValueError, match="exceeds the largest modulus"):
+            crank_residue_table(t, 5)
 
 
 def test_binomial_congruence():

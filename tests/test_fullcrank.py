@@ -24,8 +24,9 @@ from dysonsym import (
 )
 
 from dysonsym import cli, fullcrank, marked, partitions
+from dysonsym.congruence import MAX_MODULUS
 from dysonsym.fullcrank import full_crank_table
-from dysonsym.marked import _counts, _profile_table
+from dysonsym.marked import _counts
 
 from golden_data import BIG_THREE_MARKED
 
@@ -102,6 +103,14 @@ def test_full_crank_residue_values_at_five():
     assert count_full_crank(2, 5, 5) == 10
     assert count_full_crank(2, -5, 5) == 15
     assert count_full_crank_residue(2, 0, 5, 5) == 25
+
+
+def test_full_crank_residue_at_a_large_modulus():
+    # One class is summed, and no table of t entries is built.
+    for t in (MAX_MODULUS + 1, 5**30):
+        assert count_full_crank_residue(2, 5, t, 5) == 10
+        assert count_full_crank_residue(2, t - 5, t, 5) == 15
+        assert count_full_crank_residue(2, 0, t, 5) == 0
 
 
 def test_ck_closed_form_known_values():
@@ -187,11 +196,15 @@ def test_counting_past_the_verify_bounds_builds_no_symbol():
 
 
 def profile_full_crank_table(k, n):
-    """The full-crank histogram read off the profile table: l - s is the
-    sum of the |c_i|, so the statistic follows from cranks and balances."""
+    """The full-crank histogram read off the profile table's cranks and
+    balances: l - s is the sum of the |c_i|, so the statistic follows from
+    them, and the key's l - s + 2D must agree."""
     table = Counter()
-    for (cranks, balances, _), count in _profile_table(k, n).items():
-        magnitude = sum(map(abs, cranks)) + 2 * sum(balances) + k - 1
+    for key, count in _counts(k, n).folded.items():
+        cranks, balances = key[2::2] + key[:1], key[3::2]
+        spread = sum(map(abs, cranks)) + 2 * sum(balances)
+        assert key[1] == spread, key
+        magnitude = spread + k - 1
         table[magnitude if cranks[-1] > 0 else -magnitude] += count
     return table
 
@@ -234,8 +247,8 @@ def test_counting_reads_no_crank_table(monkeypatch):
         monkeypatch.setattr(module, "crank_counts", forbidden)
     # `__wrapped__` builds the range up to n afresh, past the kept tables.
     for k, n in ((1, 12), (2, 12), (3, 10), (4, 9)):
-        profiles = _counts.__wrapped__(k, n)[n].profiles
-        assert sum(profiles.values()) == len(enumerate_marked(k, n))
+        folded = _counts.__wrapped__(k, n)[n].folded
+        assert sum(folded.values()) == len(enumerate_marked(k, n))
         assert sum(full_crank_table.__wrapped__(k, n)[n].values()) == len(enumerate_marked(k, n))
 
 

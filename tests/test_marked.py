@@ -41,7 +41,6 @@ from dysonsym.marked import (
     _level_states,
     _pair_stats,
     _profile_label,
-    _profile_table,
     _top_groups,
     _top_histogram,
     is_strict_pair,
@@ -470,21 +469,42 @@ def test_strict_symbols_have_lower_cranks_at_least_zero_and_balance_zero(k, n):
 
 
 def profile(symbols):
-    return Counter(
-        (stats.cranks, stats.balances[:-1], is_strict(eta))
-        for eta in symbols
-        for stats in [statistics(eta)]
-    )
-
-
-def enumerated_profile(k, n):
-    return profile(enumerate_marked(k, n))
+    """The symbols counted by the documented fold key, (top crank,
+    l - s + 2D, c_1, bal_1, ..., c_{k-1}, bal_{k-1}), read off ``statistics``."""
+    out = Counter()
+    for eta in symbols:
+        stats = statistics(eta)
+        key = (stats.cranks[-1], stats.l - stats.s + 2 * stats.D)
+        for crank, balance in zip(stats.cranks[:-1], stats.balances):
+            key += (crank, balance)
+        out[key] += 1
+    return out
 
 
 @pytest.mark.parametrize("k,max_n", [(1, 12), (2, 14), (3, 14), (4, 12)])
 def test_profile_table_matches_enumeration(k, max_n):
     for n in range(1, max_n + 1):
-        assert _profile_table(k, n) == enumerated_profile(k, n), (k, n)
+        assert _counts(k, n).folded == profile(enumerate_marked(k, n)), (k, n)
+
+
+@pytest.mark.parametrize("k,n", [(2, 12), (3, 10), (4, 9)])
+def test_balance_and_strict_lookups_match_enumeration(k, n):
+    # Every (cranks, balances) that occurs, zero balances under every crank
+    # vector, and the strict count of every crank vector, negative lower
+    # cranks included.
+    by_balance, strict = Counter(), Counter()
+    for eta in enumerate_marked(k, n):
+        stats = statistics(eta)
+        by_balance[stats.cranks, stats.balances[:-1]] += 1
+        strict[stats.cranks] += is_strict(eta)
+    zero = (0,) * (k - 1)
+    for cranks, balances in list(by_balance) + [(cranks, zero) for cranks in strict]:
+        assert count_fk_with_balance(cranks, balances, n) == by_balance[cranks, balances]
+    for cranks, count in strict.items():
+        assert count_fk_strict(cranks, n) == count, cranks
+    # Symbols with a negative lower crank and zero balances exist, and are
+    # not strict.
+    assert any(min(cranks[:-1]) < 0 and by_balance[cranks, zero] for cranks in strict)
 
 
 def brute_force_marked(k, n):
@@ -524,7 +544,7 @@ def test_walk_matches_brute_force_oracle(k, max_n):
         oracle = brute_force_marked(k, n)
         symbols = enumerate_marked(k, n)
         assert len(symbols) == len(oracle) and set(symbols) == set(oracle), (k, n)
-        assert _profile_table(k, n) == profile(oracle), (k, n)
+        assert _counts(k, n).folded == profile(oracle), (k, n)
 
 
 def nested_counts(items):
@@ -635,11 +655,10 @@ def test_verify_thm21_runs_one_fold(monkeypatch):
 def test_one_marked_counts_match_the_crank_generating_function():
     # Cor. 2.3: F_1(m; n) = M(-m, n), past the n that enumeration reaches.
     for n in range(2, 25):
-        table = _profile_table(1, n)
         crank = crank_counts(n)
-        assert sum(table.values()) == sum(crank[m] for m in range(-n, n + 1))
+        assert sum(_counts(1, n).every.values()) == sum(crank[m] for m in range(-n, n + 1))
         for m in range(-n, n + 1):
-            assert table[(m,), (), True] == crank[-m], (n, m)
+            assert count_fk((m,), n) == crank[-m], (n, m)
 
 
 def statistics_weight(eta):
