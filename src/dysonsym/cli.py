@@ -136,26 +136,33 @@ def verify_thm21(
 
 
 def verify_thm24(k: int, max_n: int) -> List[Verdict]:
-    """Sign-flip invariance of the fibers, and the mirror round trip."""
+    """Sign-flip invariance of the fibers, and the mirror round trip.
+
+    Per n, the counting checks compare count_fk at m and at m with one
+    crank negated.  The object checks read one table, ``valid``: the
+    enumerated symbols that pass ``validate_marked`` and weigh n, each
+    checked once.  For each symbol eta and level j with c_j != 0, the image
+    mu = mirror(eta, j) must be in ``valid`` (so it is a valid symbol of
+    weight n, and one that the enumeration holds), have the crank vector of
+    eta with c_j negated, and mirror back to eta.  Images are built by int
+    arithmetic on validated int parts, so equal by value is the same symbol.
+    """
 
     def checks(n: int) -> Iterator[bool]:
         for m in _signed_profiles(k, n - k + 1):
             count = count_fk(m, n)
             for j in range(k):
                 yield count == count_fk(m[:j] + (-m[j],) + m[j + 1 :], n)
-        for eta in enumerate_marked(k, n):
+        symbols = enumerate_marked(k, n)
+        valid = {eta for eta in symbols if validate_marked(eta) and weight(eta) == n}
+        for eta in symbols:
             cranks = crank_vector(eta)
             for j in range(1, k + 1):
                 if cranks[j - 1] == 0:
                     continue
                 mu = mirror(eta, j)
                 want = cranks[: j - 1] + (-cranks[j - 1],) + cranks[j:]
-                yield (
-                    validate_marked(mu)
-                    and weight(mu) == n
-                    and crank_vector(mu) == want
-                    and mirror(mu, j) == eta
-                )
+                yield mu in valid and crank_vector(mu) == want and mirror(mu, j) == eta
 
     _fold_up_to(_counts, k, max_n)
     return [_tally("thm2.4", k, n, checks(n)) for n in range(2, max_n + 1)]
@@ -185,28 +192,40 @@ def verify_thm25(k: int, max_n: int) -> List[Verdict]:
 
 
 def verify_thm26(k: int, max_n: int) -> List[Verdict]:
-    """Both round trips of the merge/peel bijection."""
+    """Both round trips of the merge/peel bijection.
+
+    Per n, two tables: ``merged`` maps each enumerated strict eta with
+    nonnegative cranks to phi(eta), and ``peeled`` maps each Dyson symbol
+    sym of n and nonnegative profile m with sum(m) + k - 1 = crank(sym) to
+    phi_inverse(sym, m).  Each map runs once per object, and each round trip
+    reads the other table: phi(eta) must weigh n, have crank
+    sum(cranks) + k - 1 and peel back to eta in ``peeled``; phi_inverse(sym,
+    m) must have crank vector m and merge back to sym in ``merged``.  An
+    entry missing from the other table fails its check.
+    """
 
     def checks(n: int) -> Iterator[bool]:
+        merged = {}
         for eta in enumerate_marked(k, n):
-            cranks = crank_vector(eta)
-            if not is_strict(eta) or any(c < 0 for c in cranks):
-                continue
-            merged = phi(eta)
-            yield (
-                merged.weight() == n
-                and dyson_crank(merged) == sum(cranks) + k - 1
-                and phi_inverse(merged, cranks) == eta
-            )
+            if is_strict(eta) and min(crank_vector(eta)) >= 0:
+                merged[eta] = phi(eta)
+        peeled = {}
         for sym in enumerate_dyson_symbols(n):
             c = dyson_crank(sym)
             if c < k - 1:
                 continue
             for m in _nonneg_profiles(k, c - k + 1):
-                if sum(m) != c - k + 1:
-                    continue
-                eta = phi_inverse(sym, m)
-                yield crank_vector(eta) == m and phi(eta) == sym
+                if sum(m) == c - k + 1:
+                    peeled[sym, m] = phi_inverse(sym, m)
+        for eta, sym in merged.items():
+            cranks = crank_vector(eta)
+            yield (
+                sym.weight() == n
+                and dyson_crank(sym) == sum(cranks) + k - 1
+                and peeled.get((sym, cranks)) == eta
+            )
+        for (sym, m), eta in peeled.items():
+            yield crank_vector(eta) == m and merged.get(eta) == sym
 
     return [_tally("thm2.6", k, n, checks(n)) for n in range(2, max_n + 1)]
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, update_wrapper
+from functools import lru_cache, partial, update_wrapper
 from itertools import chain, product
 from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
@@ -105,6 +105,11 @@ class MarkedDysonSymbol(NamedTuple):
                     raise ValueError(message)
             raise ValueError(f"not a valid marked Dyson symbol: {eta}")
         return cls(tuple([_level(pair) for pair in vectors]), markers)
+
+
+# The class's own constructor less its keyword-argument wrapper, for the
+# kernels that build many symbols from a (vectors, markers) tuple.
+_new_marked = partial(tuple.__new__, MarkedDysonSymbol)
 
 
 def _exact_ints(parts) -> bool:
@@ -311,17 +316,22 @@ def _partitions_in_range(lo: int, hi: int, cap: int) -> Tuple[Partition, ...]:
     if lo < 1 or hi < lo:
         return ((),)
     out: List[Partition] = [()]
-
-    def rec(prefix: List[int], max_part: int, remaining: int) -> None:
-        for part in range(min(max_part, remaining), lo - 1, -1):
-            prefix.append(part)
-            out.append(tuple(prefix))
-            rec(prefix, part, remaining - part)
-            prefix.pop()
-
-    rec([], hi, cap)
+    _extend_partitions(out, [], lo, hi, cap)
     out.sort(key=lambda p: (sum(p), p))
     return tuple(out)
+
+
+def _extend_partitions(out: List[Partition], prefix: List[int], lo: int,
+                       max_part: int, remaining: int) -> None:
+    # Appends every extension of `prefix` by parts in [lo, max_part] that
+    # sum to at most `remaining`.  A module function, not a closure: a
+    # closure that calls itself is a reference cycle, and keeps what it
+    # captured alive until the cyclic collector runs.
+    for part in range(min(max_part, remaining), lo - 1, -1):
+        prefix.append(part)
+        out.append(tuple(prefix))
+        _extend_partitions(out, prefix, lo, part, remaining - part)
+        prefix.pop()
 
 
 @lru_cache(maxsize=_GROUP_CACHE)
@@ -384,17 +394,16 @@ def _top_groups(lo: int, cap: int, dyson: bool) -> Tuple[Group, ...]:
     return tuple((key, tuple(groups[key])) for key in sorted(groups))
 
 
-def _marker_choices(k: int, n: int) -> Iterator[Tuple[int, ...]]:
-    # Ascending tuples (p_1, ..., p_{k-1}) with p_1 >= 1 and sum <= n.
-    def rec(depth: int, lo: int, remaining: int, prefix: Tuple[int, ...]):
-        if depth == k - 1:
-            yield prefix
-            return
-        left = k - 1 - depth  # markers still to place, each >= lo
-        for p in range(lo, remaining // left + 1):
-            yield from rec(depth + 1, p, remaining - p, prefix + (p,))
-
-    yield from rec(0, 1, n, ())
+def _marker_choices(left: int, remaining: int, lo: int = 1,
+                    prefix: Tuple[int, ...] = ()) -> Iterator[Tuple[int, ...]]:
+    # `prefix` extended by `left` ascending markers, each >= lo, that sum
+    # to at most `remaining`; (k - 1, n) gives every (p_1, ..., p_{k-1})
+    # with p_1 >= 1 and sum <= n.
+    if left == 0:
+        yield prefix
+        return
+    for p in range(lo, remaining // left + 1):
+        yield from _marker_choices(left - 1, remaining - p, p, prefix + (p,))
 
 
 def _walk(k: int, n: int) -> List[MarkedDysonSymbol]:
@@ -411,41 +420,47 @@ def _walk(k: int, n: int) -> List[MarkedDysonSymbol]:
     """
     out: List[MarkedDysonSymbol] = []
     tops: Dict[int, Tuple[Group, ...]] = {}  # by top marker, for this call
-    for markers in _marker_choices(k, n):
+    for markers in _marker_choices(k - 1, n):
         bounds = (1,) + markers
         budget0 = n - sum(markers)
         top = bounds[-1]
         if top not in tops:
             # Built once, for the largest budget: the other markers are >= 1.
             tops[top] = _top_groups(top, n - top - (k - 2) if k > 1 else n, k == 1)
-        path: List[Tuple[Pair, ...]] = []
-
-        def descend(level: int, budget: int, a_acc: int, b_acc: int, need_exposed: bool) -> None:
-            # `need_exposed` is set only on level k-1 under a both-empty top.
-            if level == k:
-                groups = tops[top]
-            else:
-                groups = _level_groups(bounds[level - 1], bounds[level], budget0)
-            for (mass, a_i, b_i, flag), pairs in groups:
-                if mass > budget:
-                    break
-                if need_exposed and not flag:
-                    continue
-                a_new, b_new = a_acc + a_i, b_acc + b_i
-                left = budget - mass
-                rectangle = (a_new + k - 1) * b_new
-                if rectangle > left:
-                    continue
-                path.append(pairs)
-                if level > 1:
-                    descend(level - 1, left, a_new, b_new, level == k and flag)
-                elif rectangle == left:
-                    for chosen in product(*path):
-                        out.append(MarkedDysonSymbol(chosen[::-1], markers))
-                path.pop()
-
-        descend(k, budget0, 0, 0, False)
+        _descend(out, [], markers, bounds, budget0, tops[top], k, budget0, 0, 0, False)
     return out
+
+
+def _descend(out: List[MarkedDysonSymbol], path: List[Tuple[Pair, ...]],
+             markers: Tuple[int, ...], bounds: Tuple[int, ...], budget0: int,
+             top_groups: Tuple[Group, ...], level: int, budget: int, a_acc: int,
+             b_acc: int, need_exposed: bool) -> None:
+    # One level of ``_walk``: `path` holds the pair lists chosen above it,
+    # `need_exposed` is set only on level k-1 under a both-empty top.  A
+    # module function for the reason ``_extend_partitions`` gives.
+    k = len(bounds)
+    if level == k:
+        groups = top_groups
+    else:
+        groups = _level_groups(bounds[level - 1], bounds[level], budget0)
+    for (mass, a_i, b_i, flag), pairs in groups:
+        if mass > budget:
+            break
+        if need_exposed and not flag:
+            continue
+        a_new, b_new = a_acc + a_i, b_acc + b_i
+        left = budget - mass
+        rectangle = (a_new + k - 1) * b_new
+        if rectangle > left:
+            continue
+        path.append(pairs)
+        if level > 1:
+            _descend(out, path, markers, bounds, budget0, top_groups,
+                     level - 1, left, a_new, b_new, level == k and flag)
+        elif rectangle == left:
+            for chosen in product(*path):
+                out.append(_new_marked((chosen[::-1], markers)))
+        path.pop()
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
@@ -696,6 +711,10 @@ def _fold_range(k: int, max_n: int,
                                 keyed[crank] = [((crank,) + key, ways) for key, ways in lower]
                             for key, ways in keyed[crank]:
                                 table[key] = table.get(key, 0) + count * ways
+    # `below` calls itself through its closure cell, a reference cycle that
+    # holds the memo, level entries and DP states; emptying the cell frees
+    # them on return instead of at the cyclic collector's next run.
+    del below
     return tables
 
 
@@ -857,16 +876,17 @@ def mirror(eta: MarkedDysonSymbol, j: int) -> MarkedDysonSymbol:
     shape conditions survive; the same formula inverts itself, so the map
     is an involution.  Symbols with zero j-th crank are returned unchanged.
     """
-    k = eta.k
+    vectors, markers = eta
+    k = len(vectors)
     if not 1 <= j <= k:
         raise ValueError(f"level out of range: {j}")
-    a, b = eta.vectors[j - 1]
+    a, b = vectors[j - 1]
     if len(a) == len(b):
         return eta
     if j < k:
         new_pair = (b, a)
     else:
-        top_lo = eta.markers[-1] if k > 1 else 1
+        top_lo = markers[-1] if k > 1 else 1
         if len(b) >= 2:
             t = b[0] - b[1]
         elif len(b) == 1:
@@ -876,8 +896,7 @@ def mirror(eta: MarkedDysonSymbol, j: int) -> MarkedDysonSymbol:
         new_a = (b[0] - t,) + b[1:] if b else ()
         new_b = (a[0] + t,) + a[1:] if a else ()
         new_pair = (new_a, new_b)
-    vectors = eta.vectors[: j - 1] + (new_pair,) + eta.vectors[j:]
-    return MarkedDysonSymbol(vectors, eta.markers)
+    return _new_marked((vectors[: j - 1] + (new_pair,) + vectors[j:], markers))
 
 
 # ---------------------------------------------------------------------------

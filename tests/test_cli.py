@@ -6,7 +6,21 @@ import sys
 
 import pytest
 
-from dysonsym import cli, partition_count, to_dyson_symbol
+from dysonsym import (
+    cli,
+    crank_vector,
+    dyson_crank,
+    enumerate_dyson_symbols,
+    enumerate_marked,
+    is_strict,
+    mirror,
+    partition_count,
+    phi,
+    phi_inverse,
+    to_dyson_symbol,
+    validate_marked,
+    weight,
+)
 from dysonsym.cli import BROKEN_PIPE_STATUS, main
 
 
@@ -364,3 +378,153 @@ def test_broken_pipe_exits_without_traceback(capsys, monkeypatch, tmp_path):
         assert (tmp_path / "stdout").read_bytes() == b""
     finally:
         os.close(fd)
+
+
+# The verdicts of thm2.4 and thm2.6 at levels 1..3 up to n = 10, as the
+# per-image drivers gave them: (lhs, rhs) for n = 2..10, every check passing.
+THM24_CHECKS = {
+    1: [7, 9, 13, 17, 23, 29, 37, 47, 59],
+    2: [14, 38, 78, 134, 222, 334, 506, 726, 1050],
+    3: [3, 27, 105, 285, 633, 1239, 2253, 3843, 6357],
+}
+THM26_CHECKS = {
+    1: [2, 4, 6, 8, 12, 16, 24, 32, 46],
+    2: [4, 6, 12, 18, 32, 46, 72, 104, 152],
+    3: [2, 6, 14, 26, 50, 82, 140, 218, 344],
+}
+
+
+def counted(monkeypatch, name):
+    """Replace cli.<name> by a wrapper that records its first argument."""
+    calls = []
+    original = getattr(cli, name)
+
+    def wrapper(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_thm24_and_thm26_verdicts_are_unchanged(k):
+    for driver, identity, checks in (
+        (cli.verify_thm24, "thm2.4", THM24_CHECKS),
+        (cli.verify_thm26, "thm2.6", THM26_CHECKS),
+    ):
+        assert [(v.identity, v.k, v.n, v.lhs, v.rhs) for v in driver(k, 10)] == [
+            (identity, k, n, c, c) for n, c in enumerate(checks[k], start=2)
+        ]
+
+
+def test_thm24_validates_and_weighs_each_enumerated_symbol_once(monkeypatch):
+    # The mirror checks used to validate and weigh every image again.
+    validated = counted(monkeypatch, "validate_marked")
+    weighed = counted(monkeypatch, "weight")
+    assert all(v.passed for v in cli.verify_thm24(3, 10))
+    symbols = [eta for n in range(2, 11) for eta in enumerate_marked(3, n)]
+    assert validated == weighed == symbols
+    assert len(symbols) == 3752
+
+
+def test_thm26_runs_phi_and_phi_inverse_once_per_round_trip(monkeypatch):
+    # Each round trip used to run both maps.
+    merged = counted(monkeypatch, "phi")
+    peeled = counted(monkeypatch, "phi_inverse")
+    verdicts = cli.verify_thm26(3, 10)
+    assert all(v.passed for v in verdicts)
+    assert len(merged) == len(peeled) == sum(v.rhs for v in verdicts) // 2 == 441
+    assert len(set(merged)) == len(merged)
+
+
+# Faults planted at one symbol of weight FAULT_N, level 2, for the thm2.4 and
+# thm2.6 drivers to catch: each gives (suite, name in cli, replacement, the
+# number of checks it fails).  At this weight two Dyson symbols share a crank,
+# so a wrong merge can keep both the weight and the crank.
+FAULT_N = 8
+
+
+def mirror_to_a_decoy():
+    # An image with the right crank vector that does not mirror back; the
+    # true image's round trip meets the decoy too.
+    symbols = enumerate_marked(2, FAULT_N)
+    target, decoy = next(
+        (eta, mu) for eta in symbols if crank_vector(eta)[0] != 0
+        for mu in symbols
+        if mu != mirror(eta, 1) and crank_vector(mu) == crank_vector(mirror(eta, 1))
+    )
+
+    def wrong(eta, j):
+        return decoy if (eta, j) == (target, 1) else mirror(eta, j)
+
+    return "thm2.4", "mirror", wrong, 2
+
+
+def nonzero_cranks(eta):
+    # How many mirror checks have eta as their image.
+    return sum(c != 0 for c in crank_vector(eta))
+
+
+def rejecting_one_symbol():
+    target = next(eta for eta in enumerate_marked(2, FAULT_N) if crank_vector(eta)[1] != 0)
+
+    def wrong(eta):
+        return eta != target and validate_marked(eta)
+
+    return "thm2.4", "validate_marked", wrong, nonzero_cranks(target)
+
+
+def weighing_one_symbol_wrong():
+    target = next(eta for eta in enumerate_marked(2, FAULT_N) if crank_vector(eta)[0] != 0)
+    return "thm2.4", "weight", lambda eta: weight(eta) + (eta == target), nonzero_cranks(target)
+
+
+def strict_symbols(k, n):
+    symbols = enumerate_marked(k, n)
+    return [eta for eta in symbols if is_strict(eta) and min(crank_vector(eta)) >= 0]
+
+
+def merging_one_symbol_wrong():
+    # A Dyson symbol of the right weight and crank, but not the merge: eta
+    # does not peel back from it, and its true merge does not merge back.
+    target, decoy = next(
+        (eta, sym)
+        for eta in strict_symbols(2, FAULT_N)
+        for sym in enumerate_dyson_symbols(FAULT_N)
+        if sym != phi(eta) and dyson_crank(sym) == dyson_crank(phi(eta))
+    )
+    return "thm2.6", "phi", lambda eta: decoy if eta == target else phi(eta), 2
+
+
+def peeling_one_symbol_wrong():
+    # Another strict symbol: it has the wrong cranks, and target's merge
+    # does not peel back to target.
+    target, decoy = strict_symbols(2, FAULT_N)[:2]
+    pair = (phi(target), crank_vector(target))
+
+    def wrong(sym, m):
+        return decoy if (sym, m) == pair else phi_inverse(sym, m)
+
+    return "thm2.6", "phi_inverse", wrong, 2
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        mirror_to_a_decoy,
+        rejecting_one_symbol,
+        weighing_one_symbol_wrong,
+        merging_one_symbol_wrong,
+        peeling_one_symbol_wrong,
+    ],
+)
+def test_thm24_and_thm26_catch_a_fault_at_one_symbol(capsys, monkeypatch, fault):
+    suite, name, replacement, misses = fault()
+    monkeypatch.setattr(cli, name, replacement)
+    argv = ("verify", suite, "--k", "2", "--max-n", str(FAULT_N + 1), "--format", "json")
+    code, out, err = run_cli(capsys, *argv)
+    verdicts = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and "Traceback" not in err
+    assert [v["n"] for v in verdicts] == list(range(2, FAULT_N + 2))
+    assert [(v["n"], v["rhs"] - v["lhs"]) for v in verdicts if not v["pass"]] == [(FAULT_N, misses)]

@@ -1,3 +1,4 @@
+import gc
 import json
 from collections import Counter
 from itertools import product
@@ -40,6 +41,7 @@ from dysonsym.marked import (
     _level_groups,
     _level_states,
     _pair_stats,
+    _partitions_in_range,
     _profile_label,
     _top_groups,
     _top_histogram,
@@ -650,6 +652,27 @@ def test_verify_thm21_runs_one_fold(monkeypatch):
     assert count_fk((1, 0), 15) == theorem21_rhs((1, 0), 15)
     assert runs == [(2, 14), (2, 15)]
     assert _counts.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: enumerate_marked.__wrapped__(3, 12), lambda: _fold_range(3, 12, _profile_label)],
+    ids=["enumerate_marked", "fold_range"],
+)
+def test_enumeration_and_fold_leave_no_reference_cycles(build):
+    # A closure that calls itself is a reference cycle: the walk's top groups
+    # and path, or the fold's memo and DP states, would stay alive until the
+    # cyclic collector runs.  Cold caches run every enumeration helper.
+    enumerate_marked.cache_clear()
+    _level_groups.cache_clear()
+    _partitions_in_range.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        build()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_one_marked_counts_match_the_crank_generating_function():
