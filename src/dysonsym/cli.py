@@ -9,6 +9,8 @@ data only; progress and summaries go to the error stream.
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import os
 import sys
 from collections import Counter
@@ -376,7 +378,14 @@ def _emit_table(table, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    ``main`` may run many times in one process and parses each argv with
+    this one parser; ``parse_args`` keeps no state between calls.  Callers
+    must not change the parser they get back.
+    """
     parser = argparse.ArgumentParser(
         prog="dysonsym",
         description="Dyson symbols, crank statistics, and partition congruences.",
@@ -463,9 +472,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.verb == "partitions":
         parts = list(partitions_of(args.n))
         if fmt == "json":
-            import json as _json
-
-            print(_json.dumps([list(p) for p in parts]))
+            print(json.dumps([list(p) for p in parts]))
         elif fmt == "csv":
             print("partition")
             for p in parts:
@@ -487,9 +494,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.verb == "moments":
         mu, eta = crank_moment(args.k, args.n), rank_moment(args.k, args.n)
         if fmt == "json":
-            import json as _json
-
-            print(_json.dumps({"k": args.k, "n": args.n, "mu": mu, "eta": eta}))
+            print(json.dumps({"k": args.k, "n": args.n, "mu": mu, "eta": eta}))
         elif fmt == "csv":
             print("k,n,mu,eta")
             print(f"{args.k},{args.n},{mu},{eta}")

@@ -171,6 +171,10 @@ def scan_progressions(
     ``min_points`` data points are reported.  Deterministic for fixed
     inputs.  Each progression stops at its first failing value, so crank
     tables are built only for the n some progression has to look at.
+
+    For ``min_points >= 2`` no A above (n_max - 2) // (min_points - 1) can
+    have that many values in [2, n_max], so A stops there even when
+    ``a_max`` is larger.
     """
     if not is_prime(p) or p < 5:
         raise ValueError("p must be a prime >= 5")
@@ -189,6 +193,8 @@ def scan_progressions(
             memo[n] = (residues_ok, moment_ok)
         return memo[n]
 
+    if min_points >= 2:
+        a_max = min(a_max, (n_max - 2) // (min_points - 1))
     witnesses = []
     for A in range(1, a_max + 1):
         for B in range(A):

@@ -528,3 +528,30 @@ def test_thm24_and_thm26_catch_a_fault_at_one_symbol(capsys, monkeypatch, fault)
     assert code == 1 and "Traceback" not in err
     assert [v["n"] for v in verdicts] == list(range(2, FAULT_N + 2))
     assert [(v["n"], v["rhs"] - v["lhs"]) for v in verdicts if not v["pass"]] == [(FAULT_N, misses)]
+
+
+def test_build_parser_returns_one_shared_parser():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_keeps_no_state_between_main_calls(capsys):
+    # A usage error, then two --m runs, then a scan, all in one process: each
+    # argv parses as a fresh parser parses it, and the second --m run sees
+    # its own entry only (a profile of length 1 is level k = 1).
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-verb"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    runs = [
+        (["verify", "thm2.1", "--m", "1", "--m", "0", "--format", "json"], [1, 0]),
+        (["verify", "thm2.1", "--m", "1", "--format", "json"], [1]),
+        (["scan", "--p", "5", "--k", "1", "--format", "json"], None),
+    ]
+    for argv, m in runs:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        args = cli.build_parser().parse_args(argv)
+        assert vars(args) == vars(cli.build_parser.__wrapped__().parse_args(argv))
+        assert getattr(args, "m", None) == m
+        if m is not None:
+            assert {json.loads(line)["k"] for line in out.splitlines()} == {len(m)}

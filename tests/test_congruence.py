@@ -170,3 +170,11 @@ def test_witness_json():
         "k": 1, "n_max": 79, "holds": True, "points": 16,
     }
 
+
+def test_scanner_stops_at_the_largest_a_that_can_report():
+    # At n_max = 79 and 3 points, A = 38 is the last step with 3 values in
+    # [2, 79] (2, 40, 78); a_max = 3000 must add no witness and no
+    # O(a_max^2) loop over progressions that cannot report.
+    capped = scan_progressions(5, 1, k=1, a_max=38, n_max=79)
+    assert len(capped) == 61
+    assert scan_progressions(5, 1, k=1, a_max=3000, n_max=79) == capped
