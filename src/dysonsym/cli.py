@@ -141,13 +141,17 @@ def verify_thm24(k: int, max_n: int) -> List[Verdict]:
     """Sign-flip invariance of the fibers, and the mirror round trip.
 
     Per n, the counting checks compare count_fk at m and at m with one
-    crank negated.  The object checks read one table, ``valid``: the
-    enumerated symbols that pass ``validate_marked`` and weigh n, each
-    checked once.  For each symbol eta and level j with c_j != 0, the image
-    mu = mirror(eta, j) must be in ``valid`` (so it is a valid symbol of
-    weight n, and one that the enumeration holds), have the crank vector of
-    eta with c_j negated, and mirror back to eta.  Images are built by int
-    arithmetic on validated int parts, so equal by value is the same symbol.
+    crank negated.  The object checks take each enumerated symbol's crank
+    vector once and read one table, ``valid``, which maps the enumerated
+    symbols that pass ``validate_marked`` and weigh n, each checked once,
+    to their crank vectors.  For each symbol eta and level j with c_j != 0,
+    the image mu = mirror(eta, j) must be in ``valid`` (so it is a valid
+    symbol of weight n, and one that the enumeration holds), have the crank
+    vector of eta with c_j negated, and mirror back to eta.  The vector
+    stored under the key equal to mu is mu's own, since equal symbols have
+    equal lengths, and a missing image reads None, which equals no vector.
+    Images are built by int arithmetic on validated int parts, so equal by
+    value is the same symbol.
     """
 
     def checks(n: int) -> Iterator[bool]:
@@ -156,15 +160,19 @@ def verify_thm24(k: int, max_n: int) -> List[Verdict]:
             for j in range(k):
                 yield count == count_fk(m[:j] + (-m[j],) + m[j + 1 :], n)
         symbols = enumerate_marked(k, n)
-        valid = {eta for eta in symbols if validate_marked(eta) and weight(eta) == n}
-        for eta in symbols:
-            cranks = crank_vector(eta)
+        crank_vectors = [crank_vector(eta) for eta in symbols]
+        valid = {
+            eta: cranks
+            for eta, cranks in zip(symbols, crank_vectors)
+            if validate_marked(eta) and weight(eta) == n
+        }
+        for eta, cranks in zip(symbols, crank_vectors):
             for j in range(1, k + 1):
                 if cranks[j - 1] == 0:
                     continue
                 mu = mirror(eta, j)
                 want = cranks[: j - 1] + (-cranks[j - 1],) + cranks[j:]
-                yield mu in valid and crank_vector(mu) == want and mirror(mu, j) == eta
+                yield valid.get(mu) == want and mirror(mu, j) == eta
 
     _fold_up_to(_counts, k, max_n)
     return [_tally("thm2.4", k, n, checks(n)) for n in range(2, max_n + 1)]
@@ -197,20 +205,23 @@ def verify_thm26(k: int, max_n: int) -> List[Verdict]:
     """Both round trips of the merge/peel bijection.
 
     Per n, two tables: ``merged`` maps each enumerated strict eta with
-    nonnegative cranks to phi(eta), and ``peeled`` maps each Dyson symbol
-    sym of n and nonnegative profile m with sum(m) + k - 1 = crank(sym) to
-    phi_inverse(sym, m).  Each map runs once per object, and each round trip
-    reads the other table: phi(eta) must weigh n, have crank
-    sum(cranks) + k - 1 and peel back to eta in ``peeled``; phi_inverse(sym,
-    m) must have crank vector m and merge back to sym in ``merged``.  An
-    entry missing from the other table fails its check.
+    nonnegative cranks to (phi(eta), its crank vector), and ``peeled`` maps
+    each Dyson symbol sym of n and nonnegative profile m with
+    sum(m) + k - 1 = crank(sym) to phi_inverse(sym, m).  Strictness is
+    tested only on symbols whose cranks are all nonnegative.  Each map runs
+    once per object, and each round trip reads the other table: phi(eta)
+    must weigh n, have crank sum(cranks) + k - 1 and peel back to eta in
+    ``peeled``; phi_inverse(sym, m) must merge back to sym in ``merged``
+    with crank vector m.  An entry missing from the other table fails its
+    check.
     """
 
     def checks(n: int) -> Iterator[bool]:
         merged = {}
         for eta in enumerate_marked(k, n):
-            if is_strict(eta) and min(crank_vector(eta)) >= 0:
-                merged[eta] = phi(eta)
+            cranks = crank_vector(eta)
+            if min(cranks) >= 0 and is_strict(eta):
+                merged[eta] = phi(eta), cranks
         peeled = {}
         for sym in enumerate_dyson_symbols(n):
             c = dyson_crank(sym)
@@ -219,15 +230,14 @@ def verify_thm26(k: int, max_n: int) -> List[Verdict]:
             for m in _nonneg_profiles(k, c - k + 1):
                 if sum(m) == c - k + 1:
                     peeled[sym, m] = phi_inverse(sym, m)
-        for eta, sym in merged.items():
-            cranks = crank_vector(eta)
+        for eta, (sym, cranks) in merged.items():
             yield (
                 sym.weight() == n
                 and dyson_crank(sym) == sum(cranks) + k - 1
                 and peeled.get((sym, cranks)) == eta
             )
         for (sym, m), eta in peeled.items():
-            yield crank_vector(eta) == m and merged.get(eta) == sym
+            yield merged.get(eta) == (sym, m)
 
     return [_tally("thm2.6", k, n, checks(n)) for n in range(2, max_n + 1)]
 

@@ -291,7 +291,10 @@ def is_strict_pair(a: Partition, b: Partition) -> bool:
     """alpha_i > beta_i for every index of beta (so alpha is the longer)."""
     if len(a) < len(b):
         return False
-    return all(a[i] > b[i] for i in range(len(b)))
+    for x, y in zip(a, b):
+        if x <= y:
+            return False
+    return True
 
 
 def is_strict(eta: MarkedDysonSymbol) -> bool:
@@ -302,7 +305,10 @@ def is_strict(eta: MarkedDysonSymbol) -> bool:
     unbalanced iff at least i parts of alpha exceed each beta_i, i <= j.
     The counting tables read strictness off (crank, balance).
     """
-    return all(is_strict_pair(a, b) for a, b in eta.vectors[: eta.k - 1])
+    for a, b in eta.vectors[:-1]:
+        if not is_strict_pair(a, b):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -896,7 +902,9 @@ def mirror(eta: MarkedDysonSymbol, j: int) -> MarkedDysonSymbol:
         new_a = (b[0] - t,) + b[1:] if b else ()
         new_b = (a[0] + t,) + a[1:] if a else ()
         new_pair = (new_a, new_b)
-    return _new_marked((vectors[: j - 1] + (new_pair,) + vectors[j:], markers))
+    levels = list(vectors)
+    levels[j - 1] = new_pair
+    return _new_marked((tuple(levels), markers))
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,11 @@ independent route the tests compare against.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb
+from operator import neg
 from typing import Callable, Dict, Iterator, List, Tuple
 
 Partition = Tuple[int, ...]
@@ -153,15 +155,9 @@ def rank(lam: Partition) -> int:
 
 
 def _count_greater(desc: Partition, bound: int) -> int:
-    # Number of entries > bound in a weakly decreasing sequence.
-    lo, hi = 0, len(desc)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if desc[mid] > bound:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    # Number of entries > bound in a weakly decreasing sequence: negated, the
+    # entries ascend, and those > bound are the ones before -bound.
+    return bisect_left(desc, -bound, key=neg)
 
 
 def crank(lam: Partition) -> int:
@@ -270,14 +266,18 @@ def rank_counts(n: int) -> CountTable:
 def gen_binomial(a: int, b: int) -> int:
     """Falling-factorial binomial C(a, b) = a(a-1)...(a-b+1)/b!.
 
-    Defined for any integer a (including negatives) and b >= 0.
+    Defined for any integer a (including negatives) and b >= 0.  For
+    a >= 0 this is ``math.comb(a, b)`` (0 when b > a); for a < 0 it is
+    (-1)^b C(b - a - 1, b), since negating each of the b factors turns
+    a(a-1)...(a-b+1) into (-1)^b (b-a-1)(b-a-2)...(-a).  Both cases run in
+    C, so a huge b costs no loop of b steps.
     """
     if b < 0:
         raise ValueError("b must be nonnegative")
-    num = 1
-    for i in range(b):
-        num *= a - i
-    return num // factorial(b)
+    if a >= 0:
+        return comb(a, b)
+    value = comb(b - a - 1, b)
+    return -value if b % 2 else value
 
 
 def _moment(k: int, table: CountTable) -> int:

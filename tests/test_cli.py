@@ -22,6 +22,9 @@ from dysonsym import (
     weight,
 )
 from dysonsym.cli import BROKEN_PIPE_STATUS, main
+from dysonsym.fullcrank import Verdict
+
+from golden_data import VERIFY_ALL
 
 
 def run_cli(capsys, *argv):
@@ -428,6 +431,29 @@ def test_thm24_validates_and_weighs_each_enumerated_symbol_once(monkeypatch):
     assert len(symbols) == 3752
 
 
+def default_row_symbols():
+    """The symbols that thm2.4 and thm2.6 enumerate at their default rows,
+    levels 1..3 up to n = 12, in the order the drivers visit them."""
+    return [eta for k in (1, 2, 3) for n in range(2, 13) for eta in enumerate_marked(k, n)]
+
+
+def test_thm24_takes_each_crank_vector_once_at_its_default_rows(capsys, monkeypatch):
+    # The mirror checks used to take every image's crank vector again.
+    cranked = counted(monkeypatch, "crank_vector")
+    code, _, _ = run_cli(capsys, "verify", "thm2.4")
+    assert code == 0
+    assert cranked == default_row_symbols()
+    assert len(cranked) == 14444
+
+
+def test_thm26_tests_strictness_under_nonnegative_cranks_only(capsys, monkeypatch):
+    tested = counted(monkeypatch, "is_strict")
+    code, _, _ = run_cli(capsys, "verify", "thm2.6")
+    assert code == 0
+    assert tested == [eta for eta in default_row_symbols() if min(crank_vector(eta)) >= 0]
+    assert len(tested) == 3859
+
+
 def test_thm26_runs_phi_and_phi_inverse_once_per_round_trip(monkeypatch):
     # Each round trip used to run both maps.
     merged = counted(monkeypatch, "phi")
@@ -528,6 +554,22 @@ def test_thm24_and_thm26_catch_a_fault_at_one_symbol(capsys, monkeypatch, fault)
     assert code == 1 and "Traceback" not in err
     assert [v["n"] for v in verdicts] == list(range(2, FAULT_N + 2))
     assert [(v["n"], v["rhs"] - v["lhs"]) for v in verdicts if not v["pass"]] == [(FAULT_N, misses)]
+
+
+def test_verify_all_verdicts_are_the_golden_rows(capsys):
+    code, out, _ = run_cli(capsys, "verify", "all", "--format", "json")
+    lines = out.splitlines()
+    for i, (line, row) in enumerate(zip(lines, VERIFY_ALL)):
+        assert line == Verdict(*row).to_json(), f"verdict {i} differs from the golden row {row}"
+    assert len(lines) == len(VERIFY_ALL) == 387
+    assert code == 0
+
+
+def test_moments_of_a_huge_order_return_at_once(capsys):
+    # gen_binomial used to loop k times per term and divide by k!.
+    code, out, _ = run_cli(capsys, "moments", "--k", "1000001", "--n", "40", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"k": 1000001, "n": 40, "mu": 0, "eta": 0}
 
 
 def test_build_parser_returns_one_shared_parser():

@@ -470,6 +470,27 @@ def test_strict_symbols_have_lower_cranks_at_least_zero_and_balance_zero(k, n):
     assert seen == {False, True}
 
 
+def indexwise_is_strict(eta):
+    """The nested all() that is_strict and is_strict_pair replaced, kept as
+    their oracle."""
+    return all(
+        len(a) >= len(b) and all(a[i] > b[i] for i in range(len(b)))
+        for a, b in eta.vectors[: eta.k - 1]
+    )
+
+
+@pytest.mark.parametrize("k,n", [(2, 10), (3, 9), (4, 8)])
+def test_is_strict_matches_the_indexwise_oracle(k, n):
+    symbols = enumerate_marked(k, n)
+    images = [mirror(eta, j) for eta in symbols for j in range(1, k + 1)]
+    seen = set()
+    for eta in [*symbols, *images]:
+        strict = is_strict(eta)
+        assert strict == indexwise_is_strict(eta), eta
+        seen.add(strict)
+    assert seen == {False, True}
+
+
 def profile(symbols):
     """The symbols counted by the documented fold key, (top crank,
     l - s + 2D, c_1, bal_1, ..., c_{k-1}, bal_{k-1}), read off ``statistics``."""

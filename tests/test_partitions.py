@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +18,12 @@ from dysonsym import (
     rank_counts,
     rank_moment,
 )
-from dysonsym.partitions import CRANK_TABLE_ONE, check_partition, is_partition
+from dysonsym.partitions import (
+    CRANK_TABLE_ONE,
+    _count_greater,
+    check_partition,
+    is_partition,
+)
 
 
 def test_partitions_of_small():
@@ -228,6 +234,34 @@ def test_gen_binomial_negative_and_positive():
 def test_gen_binomial_pascal_recurrence(a, b):
     if b >= 1:
         assert gen_binomial(a, b) == gen_binomial(a - 1, b) + gen_binomial(a - 1, b - 1)
+
+
+def falling_factorial_binomial(a, b):
+    """The product loop gen_binomial replaced, kept as its oracle."""
+    num = 1
+    for i in range(b):
+        num *= a - i
+    return num // factorial(b)
+
+
+def test_gen_binomial_matches_the_falling_factorial_oracle():
+    for a in range(-40, 41):
+        for b in range(16):
+            assert gen_binomial(a, b) == falling_factorial_binomial(a, b), (a, b)
+
+
+def test_count_greater_matches_a_linear_count():
+    for n in range(21):
+        for lam in partitions_of(n):
+            for bound in range(n + 2):
+                assert _count_greater(lam, bound) == sum(part > bound for part in lam), (lam, bound)
+
+
+def test_moments_of_a_huge_order_vanish_at_once():
+    # Every term is C(m + 500000, 1000001) with |m| <= 40, so 0; the product
+    # loop took a million steps per term and then divided by 1000001!.
+    assert crank_moment(10**6 + 1, 40) == 0
+    assert rank_moment(10**6 + 1, 40) == 0
 
 
 def test_moment_known_values():
