@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -85,14 +86,22 @@ def _fold_up_to(table: Callable[[int, int], object], k: int, max_n: int) -> None
         table(k, max_n)
 
 
-def _signed_profiles(k: int, bound: int) -> Iterator[Tuple[int, ...]]:
-    # All integer k-tuples with sum of absolute values <= bound.
+def _nonneg_profiles(k: int, bound: int) -> Iterator[Tuple[int, ...]]:
+    # All nonnegative integer k-tuples with sum <= bound: none when bound < 0.
+    if bound < 0:
+        return
     if k == 0:
         yield ()
         return
-    for m in range(-bound, bound + 1):
-        for rest in _signed_profiles(k - 1, bound - abs(m)):
+    for m in range(bound + 1):
+        for rest in _nonneg_profiles(k - 1, bound - m):
             yield (m,) + rest
+
+
+def _signed_profiles(k: int, bound: int) -> Iterator[Tuple[int, ...]]:
+    # Integer k-tuples with sum of absolute values <= bound: signs on nonnegative ones.
+    for m in _nonneg_profiles(k, bound):
+        yield from itertools.product(*[(x, -x) if x else (0,) for x in m])
 
 
 def verify_cor23(k: int, max_n: int) -> List[Verdict]:
@@ -176,15 +185,6 @@ def verify_thm24(k: int, max_n: int) -> List[Verdict]:
 
     _fold_up_to(_counts, k, max_n)
     return [_tally("thm2.4", k, n, checks(n)) for n in range(2, max_n + 1)]
-
-
-def _nonneg_profiles(k: int, bound: int) -> Iterator[Tuple[int, ...]]:
-    if k == 0:
-        yield ()
-        return
-    for m in range(bound + 1):
-        for rest in _nonneg_profiles(k - 1, bound - m):
-            yield (m,) + rest
 
 
 def verify_thm25(k: int, max_n: int) -> List[Verdict]:

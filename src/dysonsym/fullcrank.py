@@ -106,10 +106,18 @@ def _convolve(a: List[int], b: List[int], order: int) -> List[int]:
     return out
 
 
+def _power(poly: List[int], e: int, order: int) -> List[int]:
+    """poly^e up to q^order, by repeated squaring: O(log e) convolutions."""
+    if e == 0:
+        return [1] + [0] * order
+    rest = _power(_convolve(poly, poly, order), e // 2, order)
+    return _convolve(rest, poly, order) if e % 2 else rest
+
+
 def _solutions(target: int, signed: int, positive: int, even: int) -> int:
     """Solutions of |m_1| + ... + p_1 + ... + 2t_1 + ... = target in
     ``signed`` integers m_i, ``positive`` integers p_i >= 1 and ``even``
-    terms with t_i >= 0, by exact integer convolution over the variables."""
+    terms with t_i >= 0, by exact integer convolution of powers of series."""
     if target < 0:
         return 0
     variables = (
@@ -119,8 +127,7 @@ def _solutions(target: int, signed: int, positive: int, even: int) -> int:
     )
     ways = [1] + [0] * target
     for variable, count in variables:
-        for _ in range(count):
-            ways = _convolve(ways, variable, target)
+        ways = _convolve(ways, _power(variable, count, target), target)
     return ways[target]
 
 
@@ -162,15 +169,13 @@ def barck_closed_form(k: int, m: int) -> int:
 def series_coefficients(k: int, order: int) -> List[int]:
     """Coefficients of (1+q) / (1-q)^(2k+1) up to the given order.
 
-    Expanded by exact integer polynomial arithmetic: build (1-q)^(2k+1),
+    Expanded by exact integer polynomial arithmetic: raise (1-q) to 2k+1,
     invert the series term by term, then multiply by (1+q).  Independent
     of the binomial closed form.
     """
     if k < 1 or order < 0:
         raise ValueError("need k >= 1 and order >= 0")
-    den = [1]
-    for _ in range(2 * k + 1):
-        den = _convolve(den, [1, -1], order)
+    den = _power([1, -1], 2 * k + 1, order)
     inv = [0] * (order + 1)
     inv[0] = 1
     for idx in range(1, order + 1):

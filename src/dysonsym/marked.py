@@ -23,15 +23,22 @@ from itertools import chain, product
 from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 from .dyson import DysonSymbol, dyson_crank, has_dyson_shape, validate_dyson
-from .partitions import Partition, check_partition, crank_counts, gen_binomial, is_partition
+from .partitions import (
+    Partition,
+    check_partition,
+    crank_counts,
+    gen_binomial,
+    is_partition,
+    partitions_of,
+)
 
 Pair = Tuple[Partition, Partition]
 Group = Tuple[Tuple[int, int, int, bool], Tuple[Pair, ...]]  # ((mass, A, B, flag), pairs)
 
 # Cache bounds.  `verify all` at its default bounds fills the symbol-list cache
-# (`enumerate_marked`) with 33 lists, and enumeration's caches with 173 level
-# groupings and 239 partition lists (the benchmark's objects workload: 141 and
-# 177); these bounds keep all of them.  Counting keeps one range of tables per
+# (`enumerate_marked`) with 33 lists, and enumeration's cache of level
+# groupings (`_level_groups`) with 173 (the benchmark's objects workload: 141);
+# these bounds keep all of them.  Counting keeps one range of tables per
 # k for each label (`_widest_range`): the tables of every weight up to the
 # largest asked for, 3 profile and 3 full-crank ranges in `verify all`.  A
 # range replaces the narrower one before it, so a store holds at most one
@@ -43,7 +50,6 @@ Group = Tuple[Tuple[int, int, int, bool], Tuple[Pair, ...]]  # ((mass, A, B, fla
 # some shared).
 _TABLE_CACHE = 64
 _GROUP_CACHE = 512
-_PARTITION_CACHE = 512
 _LEVEL_CACHE = 2048
 
 
@@ -316,28 +322,14 @@ def is_strict(eta: MarkedDysonSymbol) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=_PARTITION_CACHE)
 def _partitions_in_range(lo: int, hi: int, cap: int) -> Tuple[Partition, ...]:
     """Partitions with parts in [lo, hi] and sum <= cap, sorted by sum."""
     if lo < 1 or hi < lo:
         return ((),)
-    out: List[Partition] = [()]
-    _extend_partitions(out, [], lo, hi, cap)
-    out.sort(key=lambda p: (sum(p), p))
-    return tuple(out)
-
-
-def _extend_partitions(out: List[Partition], prefix: List[int], lo: int,
-                       max_part: int, remaining: int) -> None:
-    # Appends every extension of `prefix` by parts in [lo, max_part] that
-    # sum to at most `remaining`.  A module function, not a closure: a
-    # closure that calls itself is a reference cycle, and keeps what it
-    # captured alive until the cyclic collector runs.
-    for part in range(min(max_part, remaining), lo - 1, -1):
-        prefix.append(part)
-        out.append(tuple(prefix))
-        _extend_partitions(out, prefix, lo, part, remaining - part)
-        prefix.pop()
+    found = [
+        p for s in range(max(cap, 0) + 1) for p in partitions_of(s, hi) if not p or p[-1] >= lo
+    ]
+    return tuple(sorted(found, key=lambda p: (sum(p), p)))
 
 
 @lru_cache(maxsize=_GROUP_CACHE)
@@ -443,7 +435,9 @@ def _descend(out: List[MarkedDysonSymbol], path: List[Tuple[Pair, ...]],
              b_acc: int, need_exposed: bool) -> None:
     # One level of ``_walk``: `path` holds the pair lists chosen above it,
     # `need_exposed` is set only on level k-1 under a both-empty top.  A
-    # module function for the reason ``_extend_partitions`` gives.
+    # module function, not a closure: a closure that calls itself is a
+    # reference cycle, and keeps what it captured alive until the cyclic
+    # collector runs.
     k = len(bounds)
     if level == k:
         groups = top_groups

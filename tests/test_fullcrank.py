@@ -160,6 +160,24 @@ def test_series_coefficients_match():
         assert coeffs == [ck_closed_form(k, j) for j in range(26)]
 
 
+def test_power_matches_repeated_convolution():
+    # The loop series_coefficients and _solutions ran before, kept as oracle.
+    for poly in ([1, -1], [1, 2, 2, 2, 2], [0, 1, 1, 1], [1, 0, 1, 0, 1]):
+        for order in range(0, 9):
+            for e in range(0, 10):
+                power = [1]
+                for _ in range(e):
+                    power = fullcrank._convolve(power, poly, order)
+                assert fullcrank._power(poly, e, order) == power + [0] * (order + 1 - len(power))
+
+
+def test_gfck_at_a_huge_level_returns_at_once():
+    # (1 - q)^(2k+1) and ck_brute's k + 1 variables used to take one
+    # convolution per factor, so k = 1,000,001 did not return.
+    (verdict,) = cli.verify_gfck(1000001, 25)
+    assert verdict.passed and verdict.lhs == verdict.rhs == 26
+
+
 def test_series_coefficients_errors():
     with pytest.raises(ValueError):
         series_coefficients(0, 5)

@@ -155,6 +155,14 @@ def signed_profiles(k, bound):
     return [m for m in product(range(-bound, bound + 1), repeat=k) if sum(map(abs, m)) <= bound]
 
 
+def test_signed_profiles_are_the_sign_flips_of_the_nonnegative_ones():
+    for k in range(0, 5):
+        for bound in range(-1, 9):
+            profiles = list(cli._signed_profiles(k, bound))
+            assert len(profiles) == len(set(profiles)), (k, bound)
+            assert set(profiles) == set(signed_profiles(k, bound)), (k, bound)
+
+
 def test_theorem21_rhs_matches_the_shift_vector_sum():
     for k in range(1, 5):
         for n in range(2, 15):
@@ -579,6 +587,31 @@ def nested_counts(items):
     return out
 
 
+def recursive_partitions_in_range(lo, hi, cap):
+    """The recursive builder ``_partitions_in_range`` replaced, kept as its
+    oracle: parts in [lo, hi], sum <= cap, sorted by (sum, parts)."""
+    if lo < 1 or hi < lo:
+        return ((),)
+    out = [()]
+
+    def extend(prefix, max_part, remaining):
+        for part in range(min(max_part, remaining), lo - 1, -1):
+            out.append(prefix + (part,))
+            extend(prefix + (part,), part, remaining - part)
+
+    extend((), hi, cap)
+    return tuple(sorted(out, key=lambda p: (sum(p), p)))
+
+
+def test_partitions_in_range_matches_the_recursive_oracle():
+    for lo in range(0, 14):
+        for hi in range(lo - 1, 14):
+            for cap in range(-1, 15):
+                assert _partitions_in_range(lo, hi, cap) == recursive_partitions_in_range(
+                    lo, hi, cap
+                ), (lo, hi, cap)
+
+
 def level_pair_entries(lo, hi, cap, k, need):
     """``_level_entries``' layout, read off the pairs ``_level_groups`` lists.
 
@@ -686,7 +719,6 @@ def test_enumeration_and_fold_leave_no_reference_cycles(build):
     # cyclic collector runs.  Cold caches run every enumeration helper.
     enumerate_marked.cache_clear()
     _level_groups.cache_clear()
-    _partitions_in_range.cache_clear()
     gc.collect()
     gc.disable()
     try:
