@@ -329,6 +329,8 @@ def _plan(identifier: str, args: argparse.Namespace) -> Tuple[Callable, List[tup
             raise ValueError(f"--k {k} disagrees with the {len(args.m)} --m entries")
         k, options["profile"] = len(args.m), tuple(args.m)
     if args.n is not None:
+        if args.n < 2:
+            raise ValueError("--n must be at least 2")
         options["n"] = args.n
     if k is not None:
         smallest = min(row[1] for row in rows)

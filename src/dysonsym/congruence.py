@@ -9,8 +9,7 @@ not attempt any subsumption ("non-nested") analysis of the reported pairs.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fullcrank import Verdict, full_crank_table, theorem43_rhs
 from .partitions import _moment, _residues, crank_counts, gen_binomial
@@ -136,8 +135,7 @@ def verify_modular_identity(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CongruenceWitness:
+class CongruenceWitness(NamedTuple):
     """Finite-range evidence that a statistic vanishes mod p^r along An + B."""
 
     p: int
@@ -151,7 +149,7 @@ class CongruenceWitness:
     points: int
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        return json.dumps(self._asdict())
 
 
 def scan_progressions(

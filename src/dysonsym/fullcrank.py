@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 from .marked import MarkedDysonSymbol, _fold_range, _widest_range, statistics
 from .partitions import crank_counts, crank_moment, gen_binomial
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one identity check: both sides plus a pass flag."""
 
     identity: str
@@ -31,7 +29,7 @@ class Verdict:
         return self.lhs == self.rhs
 
     def to_json(self) -> str:
-        return json.dumps({**asdict(self), "pass": self.passed})
+        return json.dumps({**self._asdict(), "pass": self.passed})
 
 
 def full_crank(eta: MarkedDysonSymbol) -> int:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, partial, update_wrapper
 from itertools import chain, product
 from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
@@ -153,8 +152,7 @@ def _level(pair: Pair) -> Pair:
     return pair
 
 
-@dataclass(frozen=True)
-class SymbolStats:
+class SymbolStats(NamedTuple):
     cranks: Tuple[int, ...]
     balances: Tuple[int, ...]  # last entry is 0 by convention
     large: Tuple[int, ...]

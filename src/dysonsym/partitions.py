@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import neg
@@ -174,15 +173,28 @@ def crank(lam: Partition) -> int:
     return _count_greater(lam, ones) - ones
 
 
-@dataclass(frozen=True)
 class CountTable:
     """Exact map from a statistic value to its count, at fixed weight n.
 
-    Treated as immutable after construction.
+    Treated as immutable after construction.  Not iterable: ``[]`` reads a
+    count and a missing value reads 0, so the sequence protocol behind
+    ``iter`` and ``in`` would never stop.
     """
 
-    n: int
-    counts: Dict[int, int]
+    __slots__ = ("n", "counts")
+    __iter__ = None
+
+    def __init__(self, n: int, counts: Dict[int, int]) -> None:
+        self.n = n
+        self.counts = counts
+
+    def __repr__(self) -> str:
+        return f"CountTable(n={self.n!r}, counts={self.counts!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.counts) == (other.n, other.counts)
 
     def __getitem__(self, m: int) -> int:
         return self.counts.get(m, 0)

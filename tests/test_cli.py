@@ -1,7 +1,9 @@
+import ast
 import csv
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -291,6 +293,29 @@ def test_verify_mod_identity_rejects_bad_p_before_running(capsys, argv, message)
     assert_one_line_error(err)
     assert message in err
     assert "verifying" not in err
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_verify_thm31_rejects_small_n_before_running(capsys, n):
+    # These used to print "verifying thm3.1 ..." and only then fail inside
+    # verify_theorem31.
+    err = usage_error(capsys, "verify", "thm3.1", "--n", n)
+    assert_one_line_error(err)
+    assert "--n must be at least 2" in err
+    assert "verifying" not in err
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # Every check is a fresh process, so the import is paid each time:
+    # dataclasses alone pulled in inspect, ast, dis and tokenize.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, dysonsym.cli; print(sorted(sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = set(ast.literal_eval(out))
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
 
 
 @pytest.mark.parametrize("r", ["9", "30"])

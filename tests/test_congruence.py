@@ -169,6 +169,10 @@ def test_witness_json():
         "p": 5, "r": 1, "A": 5, "B": 4, "kind": "moment",
         "k": 1, "n_max": 79, "holds": True, "points": 16,
     }
+    assert w.to_json() == (
+        '{"p": 5, "r": 1, "A": 5, "B": 4, "kind": "moment", '
+        '"k": 1, "n_max": 79, "holds": true, "points": 16}'
+    )
 
 
 def test_scanner_stops_at_the_largest_a_that_can_report():

@@ -192,6 +192,7 @@ def test_verdict_serialization():
     data = json.loads(v.to_json())
     assert data["pass"] is True
     assert data["identity"] == "thm3.1"
+    assert v.to_json() == '{"identity": "thm3.1", "k": 1, "n": 5, "lhs": 35, "rhs": 35, "pass": true}'
     assert not Verdict("x", 1, 2, 0, 1).passed
 
 

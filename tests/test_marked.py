@@ -72,6 +72,8 @@ def test_big_example_statistics():
     stats = statistics(BIG_THREE_MARKED)
     assert stats.cranks == (-1, 0, 2)
     assert stats.balances == (1, 1, 0)
+    assert stats.large == (3, 3, 3)
+    assert stats.small == (2, 3, 1)
     assert stats.l == 9
     assert stats.s == 6
     assert stats.D == 2

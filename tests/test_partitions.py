@@ -193,6 +193,26 @@ def test_count_table_serialization_round_trip():
     assert len(lines) == len(table.support()) + 1
 
 
+def test_count_table_repr_and_equality():
+    table = crank_counts(5)
+    assert repr(table) == "CountTable(n=5, counts={-5: 1, -3: 1, -1: 1, 0: 1, 1: 1, 3: 1, 5: 1})"
+    parsed = CountTable.from_json(table.to_json())
+    assert parsed == table and parsed is not table
+    assert CountTable(n=5, counts=dict(table.counts)) == table
+    assert CountTable(4, table.counts) != table
+    assert table != (5, table.counts)
+
+
+def test_count_table_is_not_iterable():
+    # [] reads 0 for a missing value and never raises IndexError, so the
+    # sequence protocol behind `in` and `list` used to loop forever.
+    table = crank_counts(5)
+    with pytest.raises(TypeError):
+        4 in table
+    with pytest.raises(TypeError):
+        list(table)
+
+
 def test_count_tables_round_trip_through_json():
     for n in range(1, 31):
         for table in (crank_counts(n), rank_counts(n)):
