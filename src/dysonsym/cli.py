@@ -9,6 +9,7 @@ data only; progress and summaries go to the error stream.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import itertools
 import json
@@ -316,7 +317,8 @@ def _plan(identifier: str, args: argparse.Namespace) -> Tuple[Callable, List[tup
     driver keywords the flags give.
 
     --k K runs level K only, at its default bound or, for a level without
-    one, at the suite's smallest; --max-n replaces every row's bound.
+    one, at the suite's smallest; --max-n replaces every row's bound, and
+    --n checks that one n in its place.
     """
     driver, rows, reads, rule = _suites()[identifier]
     for flag in ("n", "m", "p", "r"):
@@ -329,6 +331,8 @@ def _plan(identifier: str, args: argparse.Namespace) -> Tuple[Callable, List[tup
             raise ValueError(f"--k {k} disagrees with the {len(args.m)} --m entries")
         k, options["profile"] = len(args.m), tuple(args.m)
     if args.n is not None:
+        if args.max_n is not None:
+            raise ValueError("--n and --max-n cannot be used together")
         if args.n < 2:
             raise ValueError("--n must be at least 2")
         options["n"] = args.n
@@ -359,30 +363,24 @@ def _plan(identifier: str, args: argparse.Namespace) -> Tuple[Callable, List[tup
 # ---------------------------------------------------------------------------
 
 
-def _emit_verdicts(verdicts: List[Verdict], fmt: str) -> None:
-    if fmt == "json":
-        for v in verdicts:
-            print(v.to_json())
-    elif fmt == "csv":
-        print("identity,k,n,lhs,rhs,pass")
-        for v in verdicts:
-            print(f"{v.identity},{v.k},{v.n},{v.lhs},{v.rhs},{v.passed}")
-    else:
-        for v in verdicts:
-            flag = "pass" if v.passed else "FAIL"
-            print(f"{v.identity}  k={v.k} n={v.n}  lhs={v.lhs} rhs={v.rhs}  {flag}")
-    passed = sum(1 for v in verdicts if v.passed)
-    print(f"{passed}/{len(verdicts)} checks passed", file=sys.stderr)
+def _parts(parts: Iterable[int]) -> str:
+    return " ".join(map(str, parts))
 
 
-def _emit_table(table, fmt: str) -> None:
-    if fmt == "json":
-        print(table.to_json())
-    elif fmt == "csv":
-        print(table.to_csv(), end="")
+def _emit(fmt: str, items: Iterable, header: Sequence[str], row: Callable, line: Callable,
+          document: Optional[Callable[[], str]] = None) -> None:
+    """Write ``items`` to standard output.  json: ``document()`` if given,
+    else each ``item.to_json()``; csv: ``header``, then each ``row(item)``,
+    quoted where a field holds a comma; text: each ``line(item)``."""
+    if fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(map(row, items))
+    elif fmt == "json" and document is not None:
+        print(document())
     else:
-        for m in table.support():
-            print(f"{m}\t{table[m]}")
+        for item in items:
+            print(item.to_json() if fmt == "json" else line(item))
 
 
 # ---------------------------------------------------------------------------
@@ -478,126 +476,86 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return BROKEN_PIPE_STATUS
 
 
+def _verify(args: argparse.Namespace) -> List[Verdict]:
+    """Plan every suite that ``args`` names, then run them in order."""
+    if args.k is not None and args.k < 1:
+        raise ValueError("--k must be positive")
+    if args.max_n is not None and args.max_n < 1:
+        raise ValueError("--max-n must be positive")
+    ids = VERIFY_IDS if args.identifier == "all" else (args.identifier,)
+    plans = []
+    for ident in ids:
+        try:
+            plans.append((ident,) + _plan(ident, args))
+        except LevelError as exc:
+            # `verify all --k K` runs the suites that have level K.
+            if args.identifier != "all":
+                raise
+            print(f"skipping: {exc}", file=sys.stderr)
+    verdicts: List[Verdict] = []
+    for ident, driver, rows, options in plans:
+        print(f"verifying {ident} ...", file=sys.stderr)
+        found = [v for row in rows for v in driver(*row, **options)]
+        if not found:
+            raise ValueError(f"verify {ident} has no checks within the given bounds")
+        verdicts.extend(found)
+    return verdicts
+
+
 def _run(args: argparse.Namespace) -> int:
     fmt = args.format
 
     if args.verb == "partitions":
         parts = list(partitions_of(args.n))
-        if fmt == "json":
-            print(json.dumps([list(p) for p in parts]))
-        elif fmt == "csv":
-            print("partition")
-            for p in parts:
-                print(" ".join(map(str, p)))
-        else:
-            for p in parts:
-                print(" ".join(map(str, p)) if p else "(empty)")
+        _emit(fmt, parts, ("partition",), lambda p: (_parts(p),), lambda p: _parts(p) or "(empty)",
+              lambda: json.dumps([list(p) for p in parts]))
         print(f"{len(parts)} partitions of {args.n}", file=sys.stderr)
         return 0
 
-    if args.verb == "crank-table":
-        _emit_table(crank_counts(args.n), fmt)
-        return 0
-
-    if args.verb == "rank-table":
-        _emit_table(rank_counts(args.n), fmt)
+    if args.verb in ("crank-table", "rank-table"):
+        table = (crank_counts if args.verb == "crank-table" else rank_counts)(args.n)
+        _emit(fmt, table.support(), ("m", "count"), lambda m: (m, table[m]),
+              lambda m: f"{m}\t{table[m]}", table.to_json)
         return 0
 
     if args.verb == "moments":
-        mu, eta = crank_moment(args.k, args.n), rank_moment(args.k, args.n)
-        if fmt == "json":
-            print(json.dumps({"k": args.k, "n": args.n, "mu": mu, "eta": eta}))
-        elif fmt == "csv":
-            print("k,n,mu,eta")
-            print(f"{args.k},{args.n},{mu},{eta}")
-        else:
-            print(f"mu_{args.k}({args.n}) = {mu}")
-            print(f"eta_{args.k}({args.n}) = {eta}")
+        k, n = args.k, args.n
+        mu, eta = crank_moment(k, n), rank_moment(k, n)
+        _emit(fmt, [(k, n, mu, eta)], ("k", "n", "mu", "eta"), tuple,
+              lambda _: f"mu_{k}({n}) = {mu}\neta_{k}({n}) = {eta}",
+              lambda: json.dumps({"k": k, "n": n, "mu": mu, "eta": eta}))
         return 0
 
     if args.verb == "dyson":
-        method = "structural" if args.oracle else "bijection"
-        syms = enumerate_dyson_symbols(args.n, method=method)
-        if fmt == "json":
-            for s in syms:
-                print(s.to_json())
-        elif fmt == "csv":
-            print("alpha,beta,crank")
-            for s in syms:
-                print(
-                    f"{' '.join(map(str, s.alpha))},{' '.join(map(str, s.beta))},{s.crank()}"
-                )
-        else:
-            for s in syms:
-                print(f"alpha={s.alpha} beta={s.beta} crank={s.crank()}")
+        syms = enumerate_dyson_symbols(args.n, method="structural" if args.oracle else "bijection")
+        _emit(fmt, syms, ("alpha", "beta", "crank"),
+              lambda s: (_parts(s.alpha), _parts(s.beta), s.crank()),
+              lambda s: f"alpha={s.alpha} beta={s.beta} crank={s.crank()}")
         print(f"{len(syms)} Dyson symbols of {args.n}", file=sys.stderr)
         return 0
 
     if args.verb == "enumerate-marked":
         syms = enumerate_marked(args.k, args.n)
-        if fmt == "json":
-            for s in syms:
-                print(s.to_json())
-        elif fmt == "csv":
-            print("levels,markers,cranks")
-            for s in syms:
-                levels = ";".join(f"{a}|{b}" for a, b in s.vectors)
-                print(f"{levels},{' '.join(map(str, s.markers))},{crank_vector(s)}")
-        else:
-            for s in syms:
-                print(f"levels={s.vectors} markers={s.markers} cranks={crank_vector(s)}")
+        _emit(fmt, syms, ("levels", "markers", "cranks"),
+              lambda s: (";".join(f"{_parts(a)}|{_parts(b)}" for a, b in s.vectors),
+                         _parts(s.markers), _parts(crank_vector(s))),
+              lambda s: f"levels={s.vectors} markers={s.markers} cranks={crank_vector(s)}")
         print(f"{len(syms)} {args.k}-marked symbols of {args.n}", file=sys.stderr)
         return 0
 
     if args.verb == "verify":
-        if args.k is not None and args.k < 1:
-            raise ValueError("--k must be positive")
-        if args.max_n is not None and args.max_n < 1:
-            raise ValueError("--max-n must be positive")
-        ids = VERIFY_IDS if args.identifier == "all" else (args.identifier,)
-        plans = []
-        for ident in ids:
-            try:
-                plans.append((ident,) + _plan(ident, args))
-            except LevelError as exc:
-                # `verify all --k K` runs the suites that have level K.
-                if args.identifier != "all":
-                    raise
-                print(f"skipping: {exc}", file=sys.stderr)
-        verdicts: List[Verdict] = []
-        for ident, driver, rows, options in plans:
-            print(f"verifying {ident} ...", file=sys.stderr)
-            found = [v for row in rows for v in driver(*row, **options)]
-            if not found:
-                raise ValueError(f"verify {ident} has no checks within the given bounds")
-            verdicts.extend(found)
-        _emit_verdicts(verdicts, fmt)
-        return 0 if all(v.passed for v in verdicts) else 1
+        verdicts = _verify(args)
+        _emit(fmt, verdicts, ("identity", "k", "n", "lhs", "rhs", "pass"), lambda v: (*v, v.passed),
+              lambda v: f"{v.identity}  k={v.k} n={v.n}  lhs={v.lhs} rhs={v.rhs}  "
+              + ("pass" if v.passed else "FAIL"))
+        passed = sum(1 for v in verdicts if v.passed)
+        print(f"{passed}/{len(verdicts)} checks passed", file=sys.stderr)
+        return 0 if passed == len(verdicts) else 1
 
     if args.verb == "scan":
-        witnesses = scan_progressions(
-            args.p,
-            args.r,
-            k=args.k,
-            a_max=args.max_a,
-            n_max=args.max_n,
-        )
-        if fmt == "csv":
-            print("p,r,A,B,kind,k,n_max,holds,points")
-            for w in witnesses:
-                print(
-                    f"{w.p},{w.r},{w.A},{w.B},{w.kind},"
-                    f"{'' if w.k is None else w.k},{w.n_max},{w.holds},{w.points}"
-                )
-        elif fmt == "text":
-            for w in witnesses:
-                print(
-                    f"{w.kind} p={w.p} r={w.r} A={w.A} B={w.B} "
-                    f"k={w.k} points={w.points}"
-                )
-        else:
-            for w in witnesses:
-                print(w.to_json())
+        witnesses = scan_progressions(args.p, args.r, k=args.k, a_max=args.max_a, n_max=args.max_n)
+        _emit(fmt, witnesses, ("p", "r", "A", "B", "kind", "k", "n_max", "holds", "points"), tuple,
+              lambda w: f"{w.kind} p={w.p} r={w.r} A={w.A} B={w.B} k={w.k} points={w.points}")
         print(f"{len(witnesses)} witnesses", file=sys.stderr)
         return 0
 

@@ -227,11 +227,6 @@ class CountTable:
             raise ValueError("a value repeats in the count table")
         return cls(n=n, counts=counts)
 
-    def to_csv(self) -> str:
-        lines = ["m,count"]
-        lines.extend(f"{m},{self.counts[m]}" for m in sorted(self.counts))
-        return "\n".join(lines) + "\n"
-
 
 def _gf_table(n: int, base_exponent: Callable[[int], int]) -> CountTable:
     # q^n coefficient of (1/(q)_inf) sum_{j>=1} (-1)^(j-1) q^e (1 - q^j), with

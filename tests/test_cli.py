@@ -1,6 +1,7 @@
 import ast
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +10,9 @@ import sys
 import pytest
 
 from dysonsym import (
+    MarkedDysonSymbol,
     cli,
+    crank_counts,
     crank_vector,
     dyson_crank,
     enumerate_dyson_symbols,
@@ -26,6 +29,7 @@ from dysonsym import (
 from dysonsym.cli import BROKEN_PIPE_STATUS, main
 from dysonsym.fullcrank import Verdict
 
+from golden_cli import CLI_OUTPUTS
 from golden_data import VERIFY_ALL
 
 
@@ -51,7 +55,9 @@ def test_crank_table_n1_convention(capsys):
 def test_crank_table_csv_round_trips(capsys):
     code, out, _ = run_cli(capsys, "crank-table", "--n", "6", "--format", "csv")
     assert code == 0
+    assert out.splitlines()[0] == "m,count"
     rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(r["m"]) for r in rows] == crank_counts(6).support()
     assert sum(int(r["count"]) for r in rows) == 11  # p(6)
 
 
@@ -110,12 +116,57 @@ def test_verify_json_format(capsys):
 
 
 def test_verify_csv_format(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "cor2.3", "--max-n", "6", "--format", "csv"
-    )
+    # The mod-identity identities hold commas, which csv must quote.
+    code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "6", "--format", "csv")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert rows and all(r["pass"] == "True" for r in rows)
+    assert rows and all(None not in r and r["pass"] == "True" for r in rows)
+    code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "6", "--format", "json")
+    assert code == 0
+    identities = [json.loads(line)["identity"] for line in out.splitlines()]
+    assert [r["identity"] for r in rows] == identities
+    assert any("," in identity for identity in identities)
+
+
+def test_enumerate_marked_csv_decodes_to_the_enumeration(capsys):
+    code, out, _ = run_cli(
+        capsys, "enumerate-marked", "--k", "3", "--n", "8", "--format", "csv"
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["levels", "markers", "cranks"]
+    assert all(len(row) == 3 for row in rows)
+
+    def parts(text):
+        return tuple(int(x) for x in text.split())
+
+    decoded = set()
+    for levels, markers, cranks in rows[1:]:
+        vectors = tuple(
+            tuple(parts(side) for side in level.split("|")) for level in levels.split(";")
+        )
+        eta = MarkedDysonSymbol(vectors, parts(markers))
+        assert crank_vector(eta) == parts(cranks)
+        decoded.add(eta)
+    assert len(decoded) == len(rows) - 1
+    assert decoded == set(enumerate_marked(3, 8))
+
+
+def _first_difference(got, want):
+    pairs = itertools.zip_longest(got.splitlines(), want.splitlines())
+    for number, (got_line, want_line) in enumerate(pairs, 1):
+        if got_line != want_line:
+            return f"line {number}: got {got_line!r}, want {want_line!r}"
+    return "the same lines with other line ends"
+
+
+@pytest.mark.parametrize("command", list(CLI_OUTPUTS))
+def test_cli_output_matches_the_golden_capture(capsys, command):
+    status, want_out, want_err = CLI_OUTPUTS[command]
+    code, out, err = run_cli(capsys, *command.split())
+    assert out == want_out, f"{command}: stdout {_first_difference(out, want_out)}"
+    assert err == want_err, f"{command}: stderr {_first_difference(err, want_err)}"
+    assert code == status, command
 
 
 def test_verify_unknown_identifier_exits_two(capsys):
@@ -302,6 +353,14 @@ def test_verify_thm31_rejects_small_n_before_running(capsys, n):
     err = usage_error(capsys, "verify", "thm3.1", "--n", n)
     assert_one_line_error(err)
     assert "--n must be at least 2" in err
+    assert "verifying" not in err
+
+
+def test_verify_thm31_rejects_n_with_max_n_before_running(capsys):
+    # --max-n used to be ignored: this checked n = 3 at both levels.
+    err = usage_error(capsys, "verify", "thm3.1", "--n", "3", "--max-n", "2")
+    assert_one_line_error(err)
+    assert "--n and --max-n cannot be used together" in err
     assert "verifying" not in err
 
 
