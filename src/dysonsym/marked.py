@@ -16,10 +16,11 @@ down to p_1 (the order in which symbols are conventionally displayed).
 from __future__ import annotations
 
 import json
+import re  # loaded with json
 from collections import Counter
 from functools import lru_cache, partial, update_wrapper
 from itertools import chain, product
-from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .dyson import DysonSymbol, dyson_crank, has_dyson_shape, validate_dyson
 from .partitions import (
@@ -42,11 +43,12 @@ Group = Tuple[Tuple[int, int, int, bool], Tuple[Pair, ...]]  # ((mass, A, B, fla
 # largest asked for, 3 profile and 3 full-crank ranges in `verify all`.  A
 # range replaces the narrower one before it, so a store holds at most one
 # range per k.  The fold's DP states, level entries and memo live for one
-# range.  The wire format keeps two caches of levels, the JSON text of each
-# (`_level_json`) and one shared object per decoded level (`_level`); `verify
-# all` fills neither, and the objects workload fills each with 817 levels (its
-# sizes (2, 14), (3, 13) and (4, 12) have 683, 462 and 214 distinct levels,
-# some shared).
+# range.  The wire format keeps three caches of levels, each bounded by
+# `_LEVEL_CACHE`: the JSON text of each (`_level_json`), the level read from
+# each canonical fragment of that text (`_fragment_level`), and one shared
+# object per decoded level (`_level`).  `verify all` fills none of them, and
+# the objects workload fills each with 817 levels (its sizes (2, 14), (3, 13)
+# and (4, 12) have 683, 462 and 214 distinct levels, some shared).
 _TABLE_CACHE = 64
 _GROUP_CACHE = 512
 _LEVEL_CACHE = 2048
@@ -77,39 +79,15 @@ class MarkedDysonSymbol(NamedTuple):
     def from_json(cls, text: str) -> "MarkedDysonSymbol":
         """Parse and validate the wire form; the inverse of ``to_json``.
 
-        Every part is checked once, by ``validate_marked``; ``k``, parts
-        and markers must be of type ``int`` (``true`` and ``1.0`` are
-        rejected).  A rejected symbol is checked again part by part and
-        marker by marker, so that the error names the first bad one.  Every
-        fault raises ``ValueError``.  Equal levels of decoded symbols are one
-        object (``_level``).
+        Text exactly as ``to_json`` writes it is read level fragment by
+        level fragment (``_read_canonical``); any other text, and canonical
+        text that holds no valid symbol, goes through ``json.loads``
+        (``_read_json``).  Both routes give the same symbol, or the same
+        ``ValueError``, for every text.  Equal levels of decoded symbols
+        are one object (``_level``).
         """
-        data = json.loads(text)
-        try:
-            vectors = tuple(
-                [(tuple(v["alpha"]), tuple(v["beta"])) for v in reversed(data["vectors"])]
-            )
-            markers = tuple(data["p"])[::-1]
-            k = data["k"]
-        except (KeyError, TypeError) as exc:  # a key missing, or a value of the wrong kind
-            raise ValueError(f"not a marked Dyson symbol: {exc!r}") from exc
-        if type(k) is not int or len(vectors) != k or len(markers) != k - 1:
-            raise ValueError("inconsistent level/marker counts")
-        eta = cls(vectors, markers)
-        if not validate_marked(eta):
-            for a, b in vectors:
-                check_partition(a)
-                check_partition(b)
-            for p in markers:
-                if type(p) is not int:
-                    message = f"markers must be integers, got {p!r}"
-                    try:
-                        int(p)  # "x" and NaN fail with int()'s own message
-                    except (TypeError, OverflowError) as exc:  # null, a list, infinity
-                        raise ValueError(message) from exc
-                    raise ValueError(message)
-            raise ValueError(f"not a valid marked Dyson symbol: {eta}")
-        return cls(tuple([_level(pair) for pair in vectors]), markers)
+        eta = _read_canonical(text)
+        return _read_json(text) if eta is None else eta
 
 
 # The class's own constructor less its keyword-argument wrapper, for the
@@ -150,6 +128,98 @@ def _level(pair: Pair) -> Pair:
     Only validated pairs, whose parts are ``int``, come here.
     """
     return pair
+
+
+@lru_cache(maxsize=None)
+def _wire_grammar() -> Tuple[re.Pattern, re.Pattern]:
+    """The canonical wire text and one level fragment of it, compiled on
+    first use.  Integers are ASCII digits without a leading zero (``\\d``
+    would take other scripts' digits), separators are ``", "`` and ``": "``,
+    and keys come in wire order.  The symbol's levels are one group, its
+    fragments joined by ``"}, {"``, which no fragment holds."""
+    ints = "((?:[1-9][0-9]*(?:, [1-9][0-9]*)*)?)"
+    symbol = re.compile(r'\{"k": ([1-9][0-9]*), "vectors": \[\{(.*)\}\], "p": \[%s\]\}' % ints)
+    level = re.compile(r'"alpha": \[%s\], "beta": \[%s\]' % (ints, ints))
+    return symbol, level
+
+
+def _ints(text: str) -> Tuple[int, ...]:
+    # A canonical list's contents, "3, 2, 2" or "".
+    return tuple(map(int, text.split(", "))) if text else ()
+
+
+@lru_cache(maxsize=_LEVEL_CACHE)
+def _fragment_level(fragment: str) -> Pair:
+    """The shared level (``_level``) of one canonical fragment, ``"alpha":
+    [...], "beta": [...]`` without its braces.
+
+    Raises ``ValueError`` for any other text, for an int too long for
+    ``int``, and for a side that is not a partition, so only valid levels
+    are kept.
+    """
+    match = _wire_grammar()[1].fullmatch(fragment)
+    if match is None:
+        raise ValueError(f"not a canonical level: {fragment!r}")
+    a, b = _ints(match[1]), _ints(match[2])
+    if not (is_partition(a) and is_partition(b)):
+        raise ValueError(f"not a level of partitions: {fragment!r}")
+    return _level((a, b))
+
+
+def _read_canonical(text: str) -> Optional[MarkedDysonSymbol]:
+    """The symbol in canonical wire text of a valid symbol, else None (as
+    for bytes, which ``json.loads`` also reads).
+
+    Each level is read and checked once per distinct fragment
+    (``_fragment_level``); each symbol gets only the placement checks.
+    """
+    match = _wire_grammar()[0].fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        return None
+    k, levels, markers = match.groups()
+    try:
+        vectors = tuple([_fragment_level(fragment) for fragment in levels.split("}, {")])
+        if len(vectors) != int(k):
+            return None
+        eta = _new_marked((vectors[::-1], _ints(markers)[::-1]))
+    except ValueError:
+        return None
+    return eta if _placement_holds(eta) else None
+
+
+def _read_json(text: str) -> MarkedDysonSymbol:
+    """``from_json`` through ``json.loads``: every part is checked once, by
+    ``validate_marked``; ``k``, parts and markers must be of type ``int``
+    (``true`` and ``1.0`` are rejected).  A rejected symbol is checked
+    again part by part and marker by marker, so that the error names the
+    first bad one.  Every fault raises ``ValueError``.
+    """
+    data = json.loads(text)
+    try:
+        vectors = tuple(
+            [(tuple(v["alpha"]), tuple(v["beta"])) for v in reversed(data["vectors"])]
+        )
+        markers = tuple(data["p"])[::-1]
+        k = data["k"]
+    except (KeyError, TypeError) as exc:  # a key missing, or a value of the wrong kind
+        raise ValueError(f"not a marked Dyson symbol: {exc!r}") from exc
+    if type(k) is not int or len(vectors) != k or len(markers) != k - 1:
+        raise ValueError("inconsistent level/marker counts")
+    eta = MarkedDysonSymbol(vectors, markers)
+    if not validate_marked(eta):
+        for a, b in vectors:
+            check_partition(a)
+            check_partition(b)
+        for p in markers:
+            if type(p) is not int:
+                message = f"markers must be integers, got {p!r}"
+                try:
+                    int(p)  # "x" and NaN fail with int()'s own message
+                except (TypeError, OverflowError) as exc:  # null, a list, infinity
+                    raise ValueError(message) from exc
+                raise ValueError(message)
+        raise ValueError(f"not a valid marked Dyson symbol: {eta}")
+    return MarkedDysonSymbol(tuple([_level(pair) for pair in vectors]), markers)
 
 
 class SymbolStats(NamedTuple):
@@ -245,16 +315,24 @@ def weight(eta: MarkedDysonSymbol) -> int:
 
 
 def validate_marked(eta: MarkedDysonSymbol) -> bool:
-    """True iff the marker ordering, part ranges, and top-level shape hold."""
-    vectors, markers = eta.vectors, eta.markers
-    k = len(vectors)
-    if k < 1 or len(markers) != k - 1:
-        return False
+    """True iff every side is a partition and the placement holds: the
+    marker ordering, part ranges, and top-level shape (``_placement_holds``)."""
     try:
-        for a, b in vectors:
+        for a, b in eta.vectors:
             if not (is_partition(a) and is_partition(b)):
                 return False
-    except ValueError:  # a level that is not a pair
+    except (TypeError, ValueError):  # a level that is not a pair
+        return False
+    return _placement_holds(eta)
+
+
+def _placement_holds(eta: MarkedDysonSymbol) -> bool:
+    """``validate_marked`` less its part checks: the marker count and order,
+    the part ranges, the top level's shape and the exposure of its marker.
+    Every side must be a partition."""
+    vectors, markers = eta
+    k = len(vectors)
+    if k < 1 or len(markers) != k - 1:
         return False
     if k == 1:
         # A 1-marked symbol is exactly a Dyson symbol; the (empty, single

@@ -56,12 +56,19 @@ def check_partition(parts) -> Partition:
 
 
 def is_partition(parts) -> bool:
-    """True iff ``check_partition`` would accept ``parts``; copies nothing."""
+    """True iff ``check_partition`` would accept ``parts``; copies nothing.
+
+    A value that is not iterable is no partition, so this gives False where
+    ``check_partition`` raises ``TypeError``.
+    """
     prev = None
-    for part in parts:
-        if type(part) is not int or part < 1 or (prev is not None and prev < part):
-            return False
-        prev = part
+    try:
+        for part in parts:
+            if type(part) is not int or part < 1 or (prev is not None and prev < part):
+                return False
+            prev = part
+    except TypeError:  # only iterating can raise it: the comparisons are of ints
+        return False
     return True
 
 

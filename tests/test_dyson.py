@@ -36,6 +36,11 @@ def test_validate_dyson():
     assert not validate_dyson(DysonSymbol((1, 2), ()))  # not weakly decreasing
 
 
+def test_validate_dyson_is_false_on_a_side_that_is_not_iterable():
+    assert not validate_dyson(DysonSymbol(5, ()))
+    assert not validate_dyson(DysonSymbol((1,), None))
+
+
 def test_five_symbols_of_four():
     syms = enumerate_dyson_symbols(4)
     assert len(syms) == 5

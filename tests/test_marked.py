@@ -1,5 +1,8 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import product
 
@@ -35,6 +38,7 @@ from dysonsym.fullcrank import _no_label
 from dysonsym.marked import (
     _counts,
     _fold_range,
+    _fragment_level,
     _level,
     _level_json,
     _level_entries,
@@ -43,8 +47,11 @@ from dysonsym.marked import (
     _pair_stats,
     _partitions_in_range,
     _profile_label,
+    _read_canonical,
+    _read_json,
     _top_groups,
     _top_histogram,
+    _wire_grammar,
     is_strict_pair,
 )
 from dysonsym.partitions import check_partition
@@ -434,6 +441,142 @@ def test_from_json_raises_only_value_error(cls, text, cause):
 def test_wire_caches_are_bounded():
     assert _level_json.cache_parameters()["maxsize"] is not None
     assert _level.cache_parameters()["maxsize"] is not None
+    assert _fragment_level.cache_parameters()["maxsize"] is not None
+
+
+def outcome(read, text):
+    """What ``read(text)`` gives: the symbol, or the error's type, message
+    and cause type."""
+    try:
+        return "value", read(text)
+    except Exception as exc:  # every kind, so that a new one shows up as a difference
+        return "error", type(exc), str(exc), type(exc.__cause__)
+
+
+@pytest.mark.parametrize("k,n", [(1, 10), (2, 12), (3, 10), (4, 9)])
+def test_canonical_reader_matches_the_json_route(k, n):
+    _level.cache_clear()
+    _fragment_level.cache_clear()
+    for eta in enumerate_marked(k, n):
+        for symbol in (eta,) + tuple(mirror(eta, j) for j in range(1, k + 1)):
+            text = symbol.to_json()
+            fast = _read_canonical(text)
+            assert fast is not None, text
+            slow = _read_json(text)
+            assert fast == slow == symbol
+            assert all(p is q for p, q in zip(fast.vectors, slow.vectors))
+
+
+def replace_first(old, new):
+    def edit(text):
+        assert old in text
+        return text.replace(old, new, 1)
+    return edit
+
+
+# A 3-marked symbol: levels ((1,), ()), ((2, 2), (2,)) and ((11, 11), ()).
+THREE_MARKED = (
+    '{"k": 3, "vectors": [{"alpha": [11, 11], "beta": []}, {"alpha": [2, 2], "beta": [2]},'
+    ' {"alpha": [1], "beta": []}], "p": [2, 1]}'
+)
+NEAR_CANONICAL = {
+    "spacing": lambda text: json.dumps(json.loads(text), separators=(",", ":")),
+    "indent": lambda text: json.dumps(json.loads(text), indent=1),
+    "key order": lambda text: json.dumps(json.loads(text), sort_keys=True),
+    "true": replace_first('"alpha": [1]', '"alpha": [true]'),
+    "1.0": replace_first('"alpha": [1]', '"alpha": [1.0]'),
+    "1e0": replace_first('"alpha": [1]', '"alpha": [1e0]'),
+    "+1": replace_first('"alpha": [1]', '"alpha": [+1]'),
+    "01": replace_first('"alpha": [1]', '"alpha": [01]'),
+    # int() reads "1\u0661" as 11, and so would a reader that took any \\d.
+    "arabic-indic digit": replace_first("[11, 11]", "[1\u0661, 1\u0661]"),
+    "marker 1.0": replace_first('"p": [2, 1]', '"p": [2, 1.0]'),
+    "k 3.0": replace_first('"k": 3', '"k": 3.0'),
+    "5000-digit part": replace_first('"alpha": [1]', '"alpha": [1%s]' % ("0" * 4999)),
+    "5000-digit marker": replace_first('"p": [2, 1]', '"p": [2, 1%s]' % ("0" * 4999)),
+    "5000-digit k": replace_first('"k": 3', '"k": 3%s' % ("0" * 4999)),
+    "trailing newline": lambda text: text + "\n",
+    "leading space": lambda text: " " + text,
+    # Canonical texts of no valid symbol: a fragment, then the placement, fails.
+    "increasing parts": replace_first("[2, 2]", "[2, 3]"),
+    "zero part": replace_first('"beta": [2]', '"beta": [0]'),
+    "part above its marker": replace_first('"alpha": [1]', '"alpha": [3]'),
+    "markers descending": replace_first('"p": [2, 1]', '"p": [1, 2]'),
+    "one marker short": replace_first('"p": [2, 1]', '"p": [2]'),
+    "k off by one": replace_first('"k": 3', '"k": 4'),
+}
+
+
+def test_three_marked_text_is_canonical():
+    eta = MarkedDysonSymbol((((1,), ()), ((2, 2), (2,)), ((11, 11), ())), (1, 2))
+    assert validate_marked(eta) and eta.to_json() == THREE_MARKED
+    assert _read_canonical(THREE_MARKED) == eta
+
+
+# The near-canonical texts that hold the symbol; every other row is an error.
+OTHER_LAYOUTS = {"spacing", "indent", "key order", "trailing newline", "leading space"}
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_CANONICAL))
+def test_near_canonical_texts_take_the_json_route(case):
+    text = NEAR_CANONICAL[case](THREE_MARKED)
+    assert text != THREE_MARKED
+    assert _read_canonical(text) is None
+    assert outcome(MarkedDysonSymbol.from_json, text) == outcome(_read_json, text)
+    assert outcome(_read_json, text)[0] == ("value" if case in OTHER_LAYOUTS else "error")
+
+
+def test_only_levels_of_partitions_enter_the_fragment_cache():
+    one_level = '{"k": 1, "vectors": [{"alpha": %s, "beta": []}], "p": []}'
+    _fragment_level.cache_clear()
+    for bad in ("[1, 2]", "[0]", "[1%s]" % ("0" * 4999)):
+        with pytest.raises(ValueError):
+            MarkedDysonSymbol.from_json(one_level % bad)
+    assert _fragment_level.cache_info().currsize == 0
+    # A level of partitions is kept even when its symbol fails the placement.
+    with pytest.raises(ValueError, match="not a valid marked Dyson symbol"):
+        MarkedDysonSymbol.from_json(one_level % "[2]")
+    assert _fragment_level.cache_info().currsize == 1
+
+
+MUTATION_ALPHABET = '0123456789 ,[]{}":.-+e'
+MUTATION_SOURCES = [THREE_MARKED] + [
+    eta.to_json() for k, n in ((1, 6), (2, 6), (3, 5)) for eta in enumerate_marked(k, n)[::5]
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_single_character_edits_give_the_same_outcome_on_both_routes(data):
+    text = data.draw(st.sampled_from(MUTATION_SOURCES))
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        at = data.draw(st.integers(0, len(text) - (kind != "insert")))
+        char = data.draw(st.sampled_from(MUTATION_ALPHABET))
+        if kind == "insert":
+            text = text[:at] + char + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + char + text[at + 1:]
+    assert outcome(MarkedDysonSymbol.from_json, text) == outcome(_read_json, text)
+
+
+def test_the_wire_grammar_is_compiled_on_first_use():
+    code = (
+        "import dysonsym.marked as m; "
+        "assert m._wire_grammar.cache_info().currsize == 0; "
+        "m.MarkedDysonSymbol.from_json(m.enumerate_marked(2, 3)[0].to_json()); "
+        "assert m._wire_grammar.cache_info().currsize == 1"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(marked.__file__)))
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), check=True)
+
+
+def test_validate_marked_is_false_on_levels_that_are_not_pairs_of_partitions():
+    assert not validate_marked(MarkedDysonSymbol((5,), ()))
+    assert not validate_marked(MarkedDysonSymbol((((1,), 5),), ()))
+    assert not validate_marked(MarkedDysonSymbol(((None, ()),), ()))
 
 
 def quadratic_balanced_count(longer, shorter):

@@ -58,6 +58,13 @@ def test_check_partition_rejects_bad_input():
     assert check_partition([3, 1]) == (3, 1)
 
 
+def test_a_value_that_is_not_iterable_is_no_partition():
+    for value in (5, None, 1.5):
+        assert not is_partition(value)
+        with pytest.raises(TypeError):
+            check_partition(value)
+
+
 def test_booleans_are_not_parts():
     for parts in ([True], [True, True], [2, True], [False]):
         assert not is_partition(parts)
