@@ -315,8 +315,11 @@ def weight(eta: MarkedDysonSymbol) -> int:
 
 
 def validate_marked(eta: MarkedDysonSymbol) -> bool:
-    """True iff every side is a partition and the placement holds: the
-    marker ordering, part ranges, and top-level shape (``_placement_holds``)."""
+    """True iff the markers are a tuple, every side is a partition and the
+    placement holds: the marker ordering, part ranges, and top-level shape
+    (``_placement_holds``)."""
+    if not isinstance(eta.markers, tuple):  # _placement_holds takes len() and (1,) + markers
+        return False
     try:
         for a, b in eta.vectors:
             if not (is_partition(a) and is_partition(b)):

@@ -5,10 +5,10 @@ integers; the empty partition is ``()``.  Everything here is exact integer
 arithmetic.
 
 The count tables are read off generating functions rather than counted by
-enumeration.  p(n) comes from Euler's pentagonal number recurrence.  The
-crank table M(m, n) is the q^n coefficient of the Andrews-Garvan series
-(G. E. Andrews and F. G. Garvan, "Dyson's crank of a partition", Bull. AMS
-18, 1988)
+enumeration.  p(n) comes from Euler's pentagonal number recurrence, into
+one table per process that every count table reads.  The crank table
+M(m, n) is the q^n coefficient of the Andrews-Garvan series (G. E. Andrews
+and F. G. Garvan, "Dyson's crank of a partition", Bull. AMS 18, 1988)
 
     sum_n M(m, n) q^n = (1/(q)_inf) sum_{j>=1} (-1)^(j-1) q^(j(j-1)/2 + j|m|) (1 - q^j),
 
@@ -38,6 +38,12 @@ CRANK_TABLE_ONE = {-1: 1, 0: -1, 1: 1}
 # n up to 40).  The crank tables stay unbounded, which bench/test_bench.py
 # asserts.
 _RANK_CACHE = 128
+
+# [p(0), ..., p(N)] for the largest N asked so far in this process, read by
+# partition_count and by every crank and rank table (see _partition_numbers).
+# Its size is set by that N alone, as one call at N would build the same list
+# anyway: about 0.09 MiB at N = 2,000, 1.5 MiB at 20,000, 6.4 MiB at 60,000.
+_P_TABLE = [1]
 
 
 def check_partition(parts) -> Partition:
@@ -115,17 +121,37 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
 
 
 def _partition_numbers(n: int) -> List[int]:
-    # [p(0), ..., p(n)] by Euler's pentagonal number recurrence.
-    p = [1] + [0] * n
-    for total in range(1, n + 1):
-        value, j = 0, 1
-        while j * (3 * j - 1) // 2 <= total:
-            sign = 1 if j % 2 else -1
-            value += sign * p[total - j * (3 * j - 1) // 2]
-            if j * (3 * j + 1) // 2 <= total:
-                value += sign * p[total - j * (3 * j + 1) // 2]
-            j += 1
-        p[total] = value
+    # The shared table, extended to hold at least [p(0), ..., p(n)]; callers
+    # read indices <= n and never write to it.  Only the entries past its end
+    # are computed, by Euler's pentagonal number theorem: p(t) is the sum of
+    # sign(g) p(t - g) over the generalized pentagonal numbers g <= t, that is
+    # g = j(3j - 1)/2 and j(3j + 1)/2 with sign (-1)^(j-1).  They go into a
+    # new list, which then replaces the table, so a caller holding the old one
+    # still holds a correct prefix and no caller sees a half-written entry.
+    global _P_TABLE
+    table = _P_TABLE
+    if n < len(table):
+        return table
+    # (g, sign) in increasing order, 1, 2, 5, 7, 12, 15, ... with signs
+    # + + - - + + ..., up to n (the last pair's g may pass it).
+    offsets = []
+    j = 1
+    while (g := j * (3 * j - 1) // 2) <= n:
+        sign = 1 if j % 2 else -1
+        offsets += [(g, sign), (g + j, sign)]
+        j += 1
+    p = table + [0] * (n + 1 - len(table))
+    for t in range(len(table), n + 1):
+        value = 0
+        for g, sign in offsets:
+            if g > t:
+                break
+            if sign > 0:
+                value += p[t - g]
+            else:
+                value -= p[t - g]
+        p[t] = value
+    _P_TABLE = p
     return p
 
 

@@ -4,7 +4,8 @@ Each row patches one kernel where the verify drivers read it, runs
 ``verify all`` at its default bounds, and compares the verdicts that fail
 with the row's.  A route that no suite can make fail would show up here as
 a row whose fault changes nothing.  Every count and object cache is
-cleared before and after each row, so that no faulted table outlives it.
+cleared, and the shared table of partition numbers restored, before and
+after each row, so that no faulted table outlives it.
 """
 
 import json
@@ -15,7 +16,8 @@ from dysonsym import cli, congruence, fullcrank, marked, partitions
 from dysonsym.cli import main
 from dysonsym.dyson import DysonSymbol, to_dyson_symbol
 from dysonsym.marked import MarkedDysonSymbol, mirror, phi_inverse
-from dysonsym.partitions import CountTable, crank_counts
+from dysonsym.congruence import crank_residue_table
+from dysonsym.partitions import CountTable, _partition_numbers, crank_counts, gen_binomial
 
 CACHES = (
     partitions.crank_counts,
@@ -29,11 +31,13 @@ CACHES = (
 
 @pytest.fixture
 def clean_caches():
+    table = partitions._P_TABLE
     for cache in CACHES:
         cache.cache_clear()
     yield
     for cache in CACHES:
         cache.cache_clear()
+    partitions._P_TABLE = table
 
 
 def crank_counts_off_at_ten(n):
@@ -44,6 +48,28 @@ def crank_counts_off_at_ten(n):
     counts = dict(table.counts)
     counts[0] += 5
     return CountTable(n, counts)
+
+
+def binomial_off_at_five_two(a, b):
+    # C(5, 2) + 1.
+    return gen_binomial(a, b) + ((a, b) == (5, 2))
+
+
+def residues_off_at_ten(t, n):
+    # Entry 3 of every residue table of n = 10, plus 1.
+    table = crank_residue_table(t, n)
+    if n != 10:
+        return table
+    return table[:3] + (table[3] + 1,) + table[4:]
+
+
+def partition_numbers_off_at_ten():
+    # p(10) + 1 in the shared table, which every crank and rank table reads.
+    # `verify all` reads p(n) for n <= 40 only, so this table of p(0..100)
+    # is never extended, and p(10) stays its one fault.
+    table = _partition_numbers(100)[:101]
+    table[10] += 1
+    return table
 
 
 def encoding_swapped_at_431(lam):
@@ -70,11 +96,55 @@ def peel_shifting_markers_at_nine(sym, cranks):
     return eta
 
 
+def verdicts(identity, k, ns):
+    return {(identity, k, n) for n in ns}
+
+
+def both_primes(route, k, ns):
+    return {(f"mod-identity[p={p},r=1,{route}]", k, n) for p in (5, 7) for n in ns}
+
+
+# C(5, 2) + 1 fails thm3.1 and thm4.3 at every n from 5 to their bound 14
+# but 6, where M(5, 6) = 0; every n of both mod-identity routes at k = 2;
+# and gf-ck's series.
+BINOMIAL_FAILS = (
+    verdicts("thm3.1", 1, (5, *range(7, 15)))
+    | verdicts("thm4.3", 2, (5, *range(7, 15)))
+    | verdicts("gf-ck", 1, (25,))
+    | both_primes("closed", 2, range(2, 41))
+    | both_primes("enumerate", 2, range(2, 15))
+)
+
+# Every mod-identity row, (k, p) = (2, 5), (3, 5) and (2, 7), on both
+# routes, at n = 10 only.
+RESIDUE_FAILS = {
+    (f"mod-identity[p={p},r=1,{route}]", k, 10)
+    for k, p in ((2, 5), (3, 5), (2, 7))
+    for route in ("closed", "enumerate")
+}
+
+# p(10) reaches M(m, n) for every n >= 10.  mod-identity's closed route
+# does not see it: both of its sides sum the same M (ROADMAP item 2, gap b).
+PARTITION_NUMBER_FAILS = (
+    verdicts("cor2.3", 1, range(10, 31))
+    | verdicts("thm2.1", 2, range(11, 15))
+    | verdicts("thm2.1", 3, (12,))
+    | verdicts("thm3.1", 1, range(11, 15))
+    | verdicts("thm4.3", 1, range(10, 15))
+    | verdicts("thm4.3", 2, range(11, 15))
+    | verdicts("thm4.3", 3, range(12, 15))
+    | both_primes("enumerate", 2, range(11, 14))
+    | verdicts("mod-identity[p=5,r=1,enumerate]", 2, (14,))
+    | verdicts("mod-identity[p=5,r=1,enumerate]", 3, (12, 14))
+)
+
 # (name, modules whose binding of it is patched, fault factory, failing
-# verdicts as (identity, k, n)).  crank_counts is patched in every module
-# that reads it; the others only in the cli, whose drivers are their one
-# reader among the suites (thm2.6 also encodes, and a swapped symbol there
-# is rejected as a usage error rather than counted).
+# verdicts as (identity, k, n)).  crank_counts and gen_binomial are patched
+# in every module that reads them, crank_residue_table in congruence, its
+# one reader, and the table of partition numbers in partitions, which owns
+# it; the others only in the cli, whose drivers are their one reader among
+# the suites (thm2.6 also encodes, and a swapped symbol there is rejected as
+# a usage error rather than counted).
 FAULTS = {
     "crank_counts": (
         "crank_counts", (cli, congruence, fullcrank, marked, partitions),
@@ -87,6 +157,16 @@ FAULTS = {
     "mirror": ("mirror", (cli,), mirror_fixing_once_at_two, {("thm2.4", 2, 2)}),
     "phi_inverse": (
         "phi_inverse", (cli,), lambda: peel_shifting_markers_at_nine, {("thm2.6", 2, 9)},
+    ),
+    "gen_binomial": (
+        "gen_binomial", (congruence, fullcrank, marked, partitions),
+        lambda: binomial_off_at_five_two, BINOMIAL_FAILS,
+    ),
+    "crank_residue_table": (
+        "crank_residue_table", (congruence,), lambda: residues_off_at_ten, RESIDUE_FAILS,
+    ),
+    "partition_numbers": (
+        "_P_TABLE", (partitions,), partition_numbers_off_at_ten, PARTITION_NUMBER_FAILS,
     ),
 }
 
@@ -110,3 +190,5 @@ def test_each_fault_fails_exactly_its_identities(row, capsys, monkeypatch, clean
     for module in modules:
         monkeypatch.setattr(module, name, fault)
     assert failing_verdicts(capsys) == expected
+    # Nothing replaced the fault while the suites ran.
+    assert all(getattr(module, name) is fault for module in modules)

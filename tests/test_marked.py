@@ -579,6 +579,13 @@ def test_validate_marked_is_false_on_levels_that_are_not_pairs_of_partitions():
     assert not validate_marked(MarkedDysonSymbol(((None, ()),), ()))
 
 
+def test_validate_marked_is_false_on_markers_that_are_not_a_tuple():
+    assert not validate_marked(MarkedDysonSymbol((((1,), ()),), 5))
+    assert not validate_marked(MarkedDysonSymbol((((1,), ()),), None))
+    assert not validate_marked(MarkedDysonSymbol((((2,), ()), ((), ())), [2]))
+    assert validate_marked(MarkedDysonSymbol((((2,), ()), ((), ())), (2,)))
+
+
 def quadratic_balanced_count(longer, shorter):
     # The definition read literally: rescan `longer` for every part.
     unbalanced = balanced = 0

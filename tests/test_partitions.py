@@ -1,4 +1,8 @@
 import json
+import os
+import random
+import subprocess
+import sys
 from collections import Counter
 from math import factorial
 
@@ -18,9 +22,11 @@ from dysonsym import (
     rank_counts,
     rank_moment,
 )
+from dysonsym import partitions
 from dysonsym.partitions import (
     CRANK_TABLE_ONE,
     _count_greater,
+    _partition_numbers,
     check_partition,
     is_partition,
 )
@@ -48,6 +54,37 @@ def test_partition_count_known_values():
 def test_partition_count_has_no_recursion_limit():
     # A recursive count overflowed the stack near n = 330 on a cold cache.
     assert partition_count(1000) == 24061467864032622473692149727991
+
+
+def test_partition_count_grows_one_table_in_a_fresh_process():
+    # Out of order: each request either extends the table or reads a prefix.
+    code = (
+        "import dysonsym.partitions as P; "
+        "assert P._P_TABLE == [1]; "
+        "values = [P.partition_count(n) for n in (400, 7, 250, 1, 1000)]; "
+        "assert values == [6727090051741041926, 15, 230793554364681, 1, "
+        "24061467864032622473692149727991], values; "
+        "assert len(P._P_TABLE) == 1001"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(partitions.__file__)))
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), check=True)
+
+
+def test_count_tables_and_partition_count_read_the_same_numbers():
+    weights = list(range(2, 301))
+    random.Random(22).shuffle(weights)
+    for n in weights:
+        assert crank_counts(n).total() == rank_counts(n).total() == partition_count(n), n
+
+
+def test_a_larger_request_keeps_the_table_it_extends():
+    held = _partition_numbers(120)
+    before = list(held)
+    larger = _partition_numbers(len(held) + 50)
+    assert len(larger) == len(held) + 51
+    assert larger[: len(held)] == before
+    # The held list is replaced, not written to, so it reads as it did.
+    assert held == before and partitions._P_TABLE is larger
 
 
 def test_check_partition_rejects_bad_input():
