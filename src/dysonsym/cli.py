@@ -137,14 +137,22 @@ def verify_cor23(k: int, max_n: int) -> List[Verdict]:
 def verify_thm21(
     k: int, max_n: int, profile: Optional[Tuple[int, ...]] = None
 ) -> List[Verdict]:
-    """count_fk equals the shifted one-level sum, for all (or one) profile."""
+    """count_fk equals the shifted one-level sum, for all (or one) profile.
+
+    theorem21_rhs(m, n) depends on m only through sum |m_i|, so each n
+    computes it once per sum.
+    """
+
+    def checks(n: int) -> Iterator[bool]:
+        rhs: Dict[int, int] = {}
+        for m in _signed_profiles(k, n - k + 1) if profile is None else [profile]:
+            count, size = count_fk(m, n), sum(map(abs, m))
+            if size not in rhs:
+                rhs[size] = theorem21_rhs(m, n)
+            yield count == rhs[size]
+
     _fold_up_to(_counts, k, max_n)
-    verdicts = []
-    for n in range(2, max_n + 1):
-        candidates = _signed_profiles(k, n - k + 1) if profile is None else [profile]
-        checks = (count_fk(m, n) == theorem21_rhs(m, n) for m in candidates)
-        verdicts.append(_tally("thm2.1", k, n, checks))
-    return verdicts
+    return [_tally("thm2.1", k, n, checks(n)) for n in range(2, max_n + 1)]
 
 
 def verify_thm24(k: int, max_n: int) -> List[Verdict]:
@@ -154,12 +162,18 @@ def verify_thm24(k: int, max_n: int) -> List[Verdict]:
     crank negated.  The object checks take each enumerated symbol's crank
     vector once and read one table, ``valid``, which maps the enumerated
     symbols that pass ``validate_marked`` and weigh n, each checked once,
-    to their crank vectors.  For each symbol eta and level j with c_j != 0,
-    the image mu = mirror(eta, j) must be in ``valid`` (so it is a valid
-    symbol of weight n, and one that the enumeration holds), have the crank
-    vector of eta with c_j negated, and mirror back to eta.  The vector
-    stored under the key equal to mu is mu's own, since equal symbols have
-    equal lengths, and a missing image reads None, which equals no vector.
+    to their indices in ``symbols``.  For each symbol eta and level j with
+    c_j != 0, the image mu = mirror(eta, j) must be in ``valid`` (so it is
+    a valid symbol of weight n, and one that the enumeration holds), have
+    the crank vector of eta with c_j negated, and mirror back to eta.
+
+    Each (symbol, level) is mirrored once: per level j, ``partner[i]`` is
+    the index that ``valid`` gives the image of symbols[i] (None when the
+    image is missing, or c_j = 0), so mu is symbols[partner[i]], and mu's
+    image is symbols[partner[partner[i]]].  mirror depends only on a
+    symbol's value, so this is the image a second call would build.  When
+    mu's own image is missing from ``valid`` (eta itself failed
+    validation, say), mirror(mu, j) is built and compared directly.
     Images are built by int arithmetic on validated int parts, so equal by
     value is the same symbol.
     """
@@ -172,17 +186,25 @@ def verify_thm24(k: int, max_n: int) -> List[Verdict]:
         symbols = enumerate_marked(k, n)
         crank_vectors = [crank_vector(eta) for eta in symbols]
         valid = {
-            eta: cranks
-            for eta, cranks in zip(symbols, crank_vectors)
+            eta: i
+            for i, eta in enumerate(symbols)
             if validate_marked(eta) and weight(eta) == n
         }
-        for eta, cranks in zip(symbols, crank_vectors):
-            for j in range(1, k + 1):
+        for j in range(1, k + 1):
+            partner = [
+                valid.get(mirror(eta, j)) if cranks[j - 1] else None
+                for eta, cranks in zip(symbols, crank_vectors)
+            ]
+            for eta, cranks, i in zip(symbols, crank_vectors, partner):
                 if cranks[j - 1] == 0:
                     continue
-                mu = mirror(eta, j)
                 want = cranks[: j - 1] + (-cranks[j - 1],) + cranks[j:]
-                yield valid.get(mu) == want and mirror(mu, j) == eta
+                if i is None or crank_vectors[i] != want:
+                    yield False
+                elif partner[i] is None:
+                    yield mirror(symbols[i], j) == eta
+                else:
+                    yield symbols[partner[i]] == eta
 
     _fold_up_to(_counts, k, max_n)
     return [_tally("thm2.4", k, n, checks(n)) for n in range(2, max_n + 1)]
@@ -214,7 +236,8 @@ def verify_thm26(k: int, max_n: int) -> List[Verdict]:
     must weigh n, have crank sum(cranks) + k - 1 and peel back to eta in
     ``peeled``; phi_inverse(sym, m) must merge back to sym in ``merged``
     with crank vector m.  An entry missing from the other table fails its
-    check.
+    check, and so does a peel that phi_inverse rejects with ValueError (a
+    symbol that the enumeration should not have given): it is kept as None.
     """
 
     def checks(n: int) -> Iterator[bool]:
@@ -230,7 +253,10 @@ def verify_thm26(k: int, max_n: int) -> List[Verdict]:
                 continue
             for m in _nonneg_profiles(k, c - k + 1):
                 if sum(m) == c - k + 1:
-                    peeled[sym, m] = phi_inverse(sym, m)
+                    try:
+                        peeled[sym, m] = phi_inverse(sym, m)
+                    except ValueError:  # a faulty enumeration's symbol: a missing peel
+                        peeled[sym, m] = None
         for eta, (sym, cranks) in merged.items():
             yield (
                 sym.weight() == n

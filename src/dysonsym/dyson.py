@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, NamedTuple, Tuple
 
 from .partitions import (
@@ -59,6 +59,11 @@ class DysonSymbol(NamedTuple):
         return sym
 
 
+# The class's own constructor less its keyword-argument wrapper, for the
+# encoding, which builds one symbol per partition from an (alpha, beta) tuple.
+_new_dyson = partial(tuple.__new__, DysonSymbol)
+
+
 def validate_dyson(sym: DysonSymbol) -> bool:
     """True iff both sides are partitions and the pair has Dyson's shape."""
     alpha, beta = sym
@@ -92,15 +97,15 @@ def to_dyson_symbol(lam: Partition) -> DysonSymbol:
         raise ValueError(f"not a partition: {lam}")
     ones = lam.count(1)
     if ones == 0:
-        return DysonSymbol((), conjugate(lam))
+        return _new_dyson(((), conjugate(lam)))
     # lam decreases: the parts > ones come first, then the parts in
     # (1, ones], then the ones.
     big = _count_greater(lam, ones)
-    beta = tuple(part - ones for part in lam[:big])
+    beta = tuple([part - ones for part in lam[:big]])
     # nu = (ones, mid...) is a partition whose largest part is `ones`, so
     # alpha has exactly `ones` parts.
     alpha = conjugate((ones, *lam[big : len(lam) - ones]))
-    return DysonSymbol(alpha, beta)
+    return _new_dyson((alpha, beta))
 
 
 def from_dyson_symbol(sym: DysonSymbol) -> Partition:
@@ -123,7 +128,7 @@ def from_dyson_symbol(sym: DysonSymbol) -> Partition:
     mid = nu[1:]
     # Every part of big exceeds `ones` and no part of mid does, so the
     # concatenation is already weakly decreasing.
-    big = tuple(part + ones for part in beta)
+    big = tuple([part + ones for part in beta])
     return big + mid + (1,) * ones
 
 

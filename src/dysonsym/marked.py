@@ -19,7 +19,8 @@ import json
 import re  # loaded with json
 from collections import Counter
 from functools import lru_cache, partial, update_wrapper
-from itertools import chain, product
+from itertools import chain, product, repeat
+from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .dyson import DysonSymbol, dyson_crank, has_dyson_shape, validate_dyson
@@ -93,6 +94,7 @@ class MarkedDysonSymbol(NamedTuple):
 # The class's own constructor less its keyword-argument wrapper, for the
 # kernels that build many symbols from a (vectors, markers) tuple.
 _new_marked = partial(tuple.__new__, MarkedDysonSymbol)
+_reversed = itemgetter(slice(None, None, -1))
 
 
 def _exact_ints(parts) -> bool:
@@ -301,17 +303,18 @@ def weight(eta: MarkedDysonSymbol) -> int:
     and shorter lengths, D the balance numbers of the levels below the top.
     """
     vectors = eta.vectors
+    top = len(vectors) - 1
     base = sum(eta.markers)
     l = s = d = 0  # noqa: E741 - established notation
-    for a, b in vectors:
+    for i, (a, b) in enumerate(vectors):
         base += sum(a) + sum(b)
-        if len(a) >= len(b):
-            l, s = l + len(a), s + len(b)
-        else:
-            l, s = l + len(b), s + len(a)
-    for a, b in vectors[:-1]:
-        d += balanced_count(a, b) if len(a) >= len(b) else balanced_count(b, a)
-    return base + (l + d + len(vectors) - 1) * (s - d)
+        if len(a) < len(b):
+            a, b = b, a
+        l += len(a)
+        s += len(b)
+        if i < top:
+            d += balanced_count(a, b)
+    return base + (l + d + top) * (s - d)
 
 
 def validate_marked(eta: MarkedDysonSymbol) -> bool:
@@ -537,8 +540,8 @@ def _descend(out: List[MarkedDysonSymbol], path: List[Tuple[Pair, ...]],
             _descend(out, path, markers, bounds, budget0, top_groups,
                      level - 1, left, a_new, b_new, level == k and flag)
         elif rectangle == left:
-            for chosen in product(*path):
-                out.append(_new_marked((chosen[::-1], markers)))
+            # Each leaf's levels, top first in `path`, stored level 1 first.
+            out.extend(map(_new_marked, zip(map(_reversed, product(*path)), repeat(markers))))
         path.pop()
 
 

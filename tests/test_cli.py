@@ -530,6 +530,30 @@ def test_thm24_takes_each_crank_vector_once_at_its_default_rows(capsys, monkeypa
     assert len(cranked) == 14444
 
 
+def test_thm24_mirrors_each_symbol_once_per_nonzero_crank(capsys, monkeypatch):
+    # The round trip used to mirror every image back: twice the calls.
+    mirrored = counted(monkeypatch, "mirror")
+    code, _, _ = run_cli(capsys, "verify", "thm2.4")
+    assert code == 0
+    assert sorted(mirrored) == sorted(
+        eta for eta in default_row_symbols() for c in crank_vector(eta) if c != 0
+    )
+    assert len(mirrored) == 30398
+
+
+def test_thm21_computes_each_rhs_once_per_profile_size(capsys, monkeypatch):
+    # theorem21_rhs reads m only through sum |m_i|: 170 sizes, not 6,794 profiles.
+    profiles = counted(monkeypatch, "theorem21_rhs")
+    code, _, _ = run_cli(capsys, "verify", "thm2.1")
+    assert code == 0
+    # Once per (n, size) at the default rows (k, max_n) = (2, 14), (3, 12).
+    assert sorted((len(m), sum(map(abs, m))) for m in profiles) == sorted(
+        (k, size) for k, max_n in ((2, 14), (3, 12))
+        for n in range(2, max_n + 1) for size in range(n - k + 2)
+    )
+    assert len(profiles) == 170
+
+
 def test_thm26_tests_strictness_under_nonnegative_cranks_only(capsys, monkeypatch):
     tested = counted(monkeypatch, "is_strict")
     code, _, _ = run_cli(capsys, "verify", "thm2.6")

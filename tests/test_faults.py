@@ -12,10 +12,11 @@ import json
 
 import pytest
 
-from dysonsym import cli, congruence, fullcrank, marked, partitions
+from dysonsym import cli, congruence, dyson, fullcrank, marked, partitions
 from dysonsym.cli import main
 from dysonsym.dyson import DysonSymbol, to_dyson_symbol
-from dysonsym.marked import MarkedDysonSymbol, mirror, phi_inverse
+from dysonsym.fullcrank import series_coefficients
+from dysonsym.marked import MarkedDysonSymbol, _fold_range, mirror, phi_inverse
 from dysonsym.congruence import crank_residue_table
 from dysonsym.partitions import CountTable, _partition_numbers, crank_counts, gen_binomial
 
@@ -70,6 +71,23 @@ def partition_numbers_off_at_ten():
     table = _partition_numbers(100)[:101]
     table[10] += 1
     return table
+
+
+def fold_off_at_ten(k, max_n, label):
+    # The first entry of the n = 10 table, plus 1, in every range the fold
+    # builds: profile counts (thm2.1, thm2.4, thm2.5) and full cranks alike.
+    tables = _fold_range(k, max_n, label)
+    if max_n >= 10:
+        table = dict(tables[10])
+        table[next(iter(table))] += 1
+        tables[10] = table
+    return tables
+
+
+def series_off_at_seven(k, order):
+    # Coefficient 7 of every series, plus 1.
+    coeffs = series_coefficients(k, order)
+    return coeffs[:7] + [coeffs[7] + 1] + coeffs[8:]
 
 
 def encoding_swapped_at_431(lam):
@@ -138,13 +156,25 @@ PARTITION_NUMBER_FAILS = (
     | verdicts("mod-identity[p=5,r=1,enumerate]", 3, (12, 14))
 )
 
+# The fold's n = 10 tables feed every counting suite of marked symbols at
+# n = 10, and the enumerate route of mod-identity; cor2.3 reads crank_counts
+# and gf-ck its series, so neither sees it.
+FOLD_FAILS = (
+    {(identity, k, 10) for identity in ("thm2.1", "thm2.5") for k in (2, 3)}
+    | {(identity, k, 10) for identity in ("thm2.4", "thm4.3") for k in (1, 2, 3)}
+    | {("thm3.1", k, 10) for k in (1, 2)}
+    | both_primes("enumerate", 2, (10,))
+    | {("mod-identity[p=5,r=1,enumerate]", 3, 10)}
+)
+
 # (name, modules whose binding of it is patched, fault factory, failing
-# verdicts as (identity, k, n)).  crank_counts and gen_binomial are patched
-# in every module that reads them, crank_residue_table in congruence, its
-# one reader, and the table of partition numbers in partitions, which owns
-# it; the others only in the cli, whose drivers are their one reader among
-# the suites (thm2.6 also encodes, and a swapped symbol there is rejected as
-# a usage error rather than counted).
+# verdicts as (identity, k, n)).  crank_counts, gen_binomial and the fold
+# are patched in every module that reads them, crank_residue_table in
+# congruence, its one reader, and the table of partition numbers in
+# partitions, which owns it; the others only in the cli, whose drivers are
+# their one reader among the suites.  The encoding has a second row,
+# patched in dyson too: thm2.6 then peels the swapped symbol, which
+# phi_inverse rejects, and counts it as a missing peel.
 FAULTS = {
     "crank_counts": (
         "crank_counts", (cli, congruence, fullcrank, marked, partitions),
@@ -153,6 +183,16 @@ FAULTS = {
     "to_dyson_symbol": (
         "to_dyson_symbol", (cli,),
         lambda: encoding_swapped_at_431, {("cor2.3", 1, 8), ("cor2.3-object", 1, 8)},
+    ),
+    "to_dyson_symbol_everywhere": (
+        "to_dyson_symbol", (cli, dyson),
+        lambda: encoding_swapped_at_431,
+        {("cor2.3", 1, 8), ("cor2.3-object", 1, 8), ("thm2.6", 1, 8), ("thm2.6", 2, 8)},
+    ),
+    "fold": ("_fold_range", (fullcrank, marked), lambda: fold_off_at_ten, FOLD_FAILS),
+    "series_coefficients": (
+        "series_coefficients", (cli,), lambda: series_off_at_seven,
+        {("gf-ck", k, 25) for k in (1, 2, 3, 4)},
     ),
     "mirror": ("mirror", (cli,), mirror_fixing_once_at_two, {("thm2.4", 2, 2)}),
     "phi_inverse": (
@@ -175,6 +215,9 @@ def failing_verdicts(capsys):
     code = main(["verify", "all", "--format", "json"])
     verdicts = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     failing = {(v["identity"], v["k"], v["n"]) for v in verdicts if not v["pass"]}
+    # A fault reads as failing verdicts, never as a usage error: every
+    # verdict is printed.
+    assert len(verdicts) == 387
     assert code == (1 if failing else 0)
     return failing
 
