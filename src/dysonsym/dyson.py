@@ -8,22 +8,18 @@ that the pair encodes an ordinary partition of weight
 from __future__ import annotations
 
 import json
-from collections import Counter
-from functools import lru_cache, partial
-from typing import Dict, NamedTuple, Tuple
+from functools import partial
+from typing import NamedTuple, Tuple
 
 from .partitions import (
     Partition,
     _count_greater,
+    _wire_tuple,
     check_partition,
     conjugate,
     is_partition,
     partitions_of,
 )
-
-# Crank histograms kept for count_f1.  `verify all` fills none: cor2.3 builds
-# its own histograms in its single encoding pass and thm2.1 reads crank_counts.
-_CRANK_TABLE_CACHE = 64
 
 
 class DysonSymbol(NamedTuple):
@@ -45,12 +41,13 @@ class DysonSymbol(NamedTuple):
         """Parse and validate; every part is checked once, by ``validate_dyson``.
 
         ``check_partition`` runs only on a rejected symbol, to name a bad part.
-        Every fault raises ``ValueError``.
+        Every fault raises ``ValueError``: ``alpha`` and ``beta`` must be
+        arrays, and text nested too deeply for ``json.loads`` is malformed.
         """
-        data = json.loads(text)
         try:
-            sym = cls(tuple(data["alpha"]), tuple(data["beta"]))
-        except (KeyError, TypeError) as exc:  # a key missing, or a value of the wrong kind
+            data = json.loads(text)
+            sym = cls(_wire_tuple(data["alpha"]), _wire_tuple(data["beta"]))
+        except (KeyError, TypeError, RecursionError) as exc:  # key missing, wrong kind, too deep
             raise ValueError(f"not a Dyson symbol: {exc!r}") from exc
         if not validate_dyson(sym):
             check_partition(sym.alpha)
@@ -165,17 +162,10 @@ def _structural_search(n: int) -> Tuple[DysonSymbol, ...]:
     return tuple(found)
 
 
-@lru_cache(maxsize=_CRANK_TABLE_CACHE)
-def _crank_table(n: int) -> Dict[int, int]:
-    return Counter(sym.crank() for sym in enumerate_dyson_symbols(n))
-
-
 def count_f1(m: int, n: int) -> int:
     """Number of Dyson symbols of weight n with crank m, by enumeration.
 
-    Encodes every partition of n once per n (the histograms are cached)
-    and reads F_1(m; n) off the crank histogram.
+    An oracle for ``crank_counts``: it encodes every partition of n on
+    each call and keeps nothing.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    return _crank_table(n).get(m, 0)
+    return sum(1 for sym in enumerate_dyson_symbols(n) if sym.crank() == m)

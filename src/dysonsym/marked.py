@@ -11,6 +11,8 @@ Index conventions: ``vectors[0]`` is level 1 and ``vectors[k-1]`` is level
 k; ``markers`` stores (p_1, ..., p_{k-1}) in ascending index order.  The
 JSON wire format lists levels from k down to 1 and markers from p_{k-1}
 down to p_1 (the order in which symbols are conventionally displayed).
+Symbols decoded from canonical text share one object per distinct level;
+symbols read through ``json.loads`` do not.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 from .dyson import DysonSymbol, dyson_crank, has_dyson_shape, validate_dyson
 from .partitions import (
     Partition,
+    _wire_tuple,
     check_partition,
     crank_counts,
     gen_binomial,
@@ -44,12 +47,12 @@ Group = Tuple[Tuple[int, int, int, bool], Tuple[Pair, ...]]  # ((mass, A, B, fla
 # largest asked for, 3 profile and 3 full-crank ranges in `verify all`.  A
 # range replaces the narrower one before it, so a store holds at most one
 # range per k.  The fold's DP states, level entries and memo live for one
-# range.  The wire format keeps three caches of levels, each bounded by
-# `_LEVEL_CACHE`: the JSON text of each (`_level_json`), the level read from
-# each canonical fragment of that text (`_fragment_level`), and one shared
-# object per decoded level (`_level`).  `verify all` fills none of them, and
-# the objects workload fills each with 817 levels (its sizes (2, 14), (3, 13)
-# and (4, 12) have 683, 462 and 214 distinct levels, some shared).
+# range.  The wire format keeps two caches of levels, each bounded by
+# `_LEVEL_CACHE`: the JSON text of each (`_level_json`), and the level read
+# from each canonical fragment of that text (`_fragment_level`), one object
+# per distinct fragment.  `verify all` fills neither, and the objects
+# workload fills each with 817 levels (its sizes (2, 14), (3, 13) and
+# (4, 12) have 683, 462 and 214 distinct levels, some shared).
 _TABLE_CACHE = 64
 _GROUP_CACHE = 512
 _LEVEL_CACHE = 2048
@@ -84,8 +87,8 @@ class MarkedDysonSymbol(NamedTuple):
         level fragment (``_read_canonical``); any other text, and canonical
         text that holds no valid symbol, goes through ``json.loads``
         (``_read_json``).  Both routes give the same symbol, or the same
-        ``ValueError``, for every text.  Equal levels of decoded symbols
-        are one object (``_level``).
+        ``ValueError``, for every text.  Equal levels of symbols decoded
+        from canonical text are one object (``_fragment_level``).
         """
         eta = _read_canonical(text)
         return _read_json(text) if eta is None else eta
@@ -123,15 +126,6 @@ def _level_json(a: Partition, b: Partition) -> str:
     return json.dumps({"alpha": list(a), "beta": list(b)})
 
 
-@lru_cache(maxsize=_LEVEL_CACHE)
-def _level(pair: Pair) -> Pair:
-    """The first-seen pair equal to ``pair``: decoded symbols share levels.
-
-    Only validated pairs, whose parts are ``int``, come here.
-    """
-    return pair
-
-
 @lru_cache(maxsize=None)
 def _wire_grammar() -> Tuple[re.Pattern, re.Pattern]:
     """The canonical wire text and one level fragment of it, compiled on
@@ -152,8 +146,9 @@ def _ints(text: str) -> Tuple[int, ...]:
 
 @lru_cache(maxsize=_LEVEL_CACHE)
 def _fragment_level(fragment: str) -> Pair:
-    """The shared level (``_level``) of one canonical fragment, ``"alpha":
-    [...], "beta": [...]`` without its braces.
+    """The level of one canonical fragment, ``"alpha": [...], "beta":
+    [...]`` without its braces; one object per distinct fragment, which
+    every symbol that holds the fragment shares.
 
     Raises ``ValueError`` for any other text, for an int too long for
     ``int``, and for a side that is not a partition, so only valid levels
@@ -165,7 +160,7 @@ def _fragment_level(fragment: str) -> Pair:
     a, b = _ints(match[1]), _ints(match[2])
     if not (is_partition(a) and is_partition(b)):
         raise ValueError(f"not a level of partitions: {fragment!r}")
-    return _level((a, b))
+    return a, b
 
 
 def _read_canonical(text: str) -> Optional[MarkedDysonSymbol]:
@@ -191,19 +186,20 @@ def _read_canonical(text: str) -> Optional[MarkedDysonSymbol]:
 
 def _read_json(text: str) -> MarkedDysonSymbol:
     """``from_json`` through ``json.loads``: every part is checked once, by
-    ``validate_marked``; ``k``, parts and markers must be of type ``int``
-    (``true`` and ``1.0`` are rejected).  A rejected symbol is checked
-    again part by part and marker by marker, so that the error names the
-    first bad one.  Every fault raises ``ValueError``.
+    ``validate_marked``; ``vectors``, ``alpha``, ``beta`` and ``p`` must be
+    arrays, and ``k``, parts and markers of type ``int`` (``true`` and
+    ``1.0`` are rejected).  A rejected symbol is checked again part by part
+    and marker by marker, so that the error names the first bad one.  Every
+    fault raises ``ValueError``.  The symbol's levels are its own objects,
+    shared with no other symbol.
     """
-    data = json.loads(text)
     try:
-        vectors = tuple(
-            [(tuple(v["alpha"]), tuple(v["beta"])) for v in reversed(data["vectors"])]
-        )
-        markers = tuple(data["p"])[::-1]
+        data = json.loads(text)
+        levels = _wire_tuple(data["vectors"])[::-1]
+        vectors = tuple([(_wire_tuple(v["alpha"]), _wire_tuple(v["beta"])) for v in levels])
+        markers = _wire_tuple(data["p"])[::-1]
         k = data["k"]
-    except (KeyError, TypeError) as exc:  # a key missing, or a value of the wrong kind
+    except (KeyError, TypeError, RecursionError) as exc:  # key missing, wrong kind, too deep
         raise ValueError(f"not a marked Dyson symbol: {exc!r}") from exc
     if type(k) is not int or len(vectors) != k or len(markers) != k - 1:
         raise ValueError("inconsistent level/marker counts")
@@ -221,7 +217,7 @@ def _read_json(text: str) -> MarkedDysonSymbol:
                     raise ValueError(message) from exc
                 raise ValueError(message)
         raise ValueError(f"not a valid marked Dyson symbol: {eta}")
-    return MarkedDysonSymbol(tuple([_level(pair) for pair in vectors]), markers)
+    return eta
 
 
 class SymbolStats(NamedTuple):
@@ -616,6 +612,8 @@ def _level_entries(states: Dict[tuple, int], label: Callable[[int, int], tuple])
     A state (mass, la, lb, u) with la >= lb has balance lb - u, so A_i =
     la + lb - u and B_i = u, and the label ``label(la - lb, lb - u)``; with
     la > lb it also stands for its swap, ``label(lb - la, lb - u)``.
+    The states do not come in mass order, so the masses are sorted: in
+    ``_level_states(2, 12, 1)[0]``, shape (2, 0), mass 4 comes before 3.
     """
     entries: Entries = {}
     for (mass, la, lb, u), count in states.items():

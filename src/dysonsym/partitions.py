@@ -206,6 +206,14 @@ def crank(lam: Partition) -> int:
     return _count_greater(lam, ones) - ones
 
 
+def _wire_tuple(value) -> tuple:
+    """The items of a JSON array.  Any other value raises ``TypeError``:
+    ``tuple()`` would read a string as its characters, an object as its keys."""
+    if type(value) is not list:
+        raise TypeError(f"expected an array, got {type(value).__name__}")
+    return tuple(value)
+
+
 class CountTable:
     """Exact map from a statistic value to its count, at fixed weight n.
 
@@ -245,12 +253,13 @@ class CountTable:
 
     @classmethod
     def from_json(cls, text: str) -> "CountTable":
-        """Parse the wire form; ``n``, values and counts must be of type
-        ``int``, and no value may repeat.  Every fault raises ``ValueError``."""
-        data = json.loads(text)
+        """Parse the wire form; ``counts`` must be an array, ``n``, values and
+        counts of type ``int``, and no value may repeat.  Every fault, nesting
+        too deep for ``json.loads`` included, raises ``ValueError``."""
         try:
-            n, rows = data["n"], [(m, c) for m, c in data["counts"]]
-        except (KeyError, TypeError) as exc:  # a key missing, or a value of the wrong kind
+            data = json.loads(text)
+            n, rows = data["n"], [(m, c) for m, c in _wire_tuple(data["counts"])]
+        except (KeyError, TypeError, RecursionError) as exc:  # key missing, wrong kind, too deep
             raise ValueError(f"not a count table: {exc!r}") from exc
         for entry in [n] + [x for row in rows for x in row]:
             if type(entry) is not int:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -13,6 +14,7 @@ from dysonsym import (
     DysonSymbol,
     MarkedDysonSymbol,
     balanced_count,
+    count_f1,
     count_fk,
     count_fk_strict,
     count_fk_with_balance,
@@ -39,7 +41,6 @@ from dysonsym.marked import (
     _counts,
     _fold_range,
     _fragment_level,
-    _level,
     _level_json,
     _level_entries,
     _level_groups,
@@ -149,15 +150,17 @@ def test_count_fk_against_formula():
                 assert count_fk((m1, m2), n) == theorem21_rhs((m1, m2), n)
 
 
+# F_1(m; n) by enumeration, each (m, n) counted once per test run.
+memo_count_f1 = lru_cache(maxsize=None)(count_f1)
+
+
 def product_theorem21_rhs(cranks, n):
     """Theorem 2.1's right-hand side read literally: one F_1 term, counted
     by enumeration, per shift vector (t_1, ..., t_{k-1})."""
-    from dysonsym import count_f1
-
     k = len(cranks)
     base = sum(abs(m) for m in cranks) + k - 1
     shifts = product(range((n - base) // 2 + 1), repeat=k - 1)
-    return sum(count_f1(base + 2 * sum(t), n) for t in shifts)
+    return sum(memo_count_f1(base + 2 * sum(t), n) for t in shifts)
 
 
 def signed_profiles(k, bound):
@@ -249,8 +252,6 @@ def test_counting_front_ends_reject_bad_input(front_end, args, message, warm):
 
 
 def test_strict_counts_collapse_to_one_level():
-    from dysonsym import count_f1
-
     for n in range(2, 11):
         for m1 in range(0, 4):
             for m2 in range(0, 4):
@@ -339,17 +340,19 @@ def test_to_json_matches_one_dumps_of_the_symbol(k, n):
 
 
 def test_decoded_symbols_share_their_levels():
-    symbols = enumerate_marked(3, 10)
-    texts = [eta.to_json() for eta in symbols]
-    first = [MarkedDysonSymbol.from_json(text) for text in texts]
-    second = [MarkedDysonSymbol.from_json(text) for text in texts]
-    assert first == second == list(symbols)
-    for one, two in zip(first, second):
-        assert all(p is q for p, q in zip(one.vectors, two.vectors))
-    # Equal levels of different symbols are one object as well.
-    tops = {}
-    for eta in first:
-        assert tops.setdefault(eta.vectors[-1], eta.vectors[-1]) is eta.vectors[-1]
+    # Canonical text: levels equal by value are one object, within a symbol,
+    # across symbols and across two decodes of the same text.
+    for k, n in ((2, 12), (3, 10)):
+        _fragment_level.cache_clear()
+        symbols = enumerate_marked(k, n)
+        texts = [eta.to_json() for eta in symbols]
+        first = [MarkedDysonSymbol.from_json(text) for text in texts]
+        second = [MarkedDysonSymbol.from_json(text) for text in texts]
+        assert first == second == list(symbols)
+        seen = {}
+        for eta in first + second:
+            for level in eta.vectors:
+                assert seen.setdefault(level, level) is level, (k, n, level)
 
 
 @pytest.mark.parametrize("twin", [True, 1.0])
@@ -424,10 +427,20 @@ MALFORMED = [
     (MarkedDysonSymbol, '{"k": 2, "vectors": [5, {"alpha": [1], "beta": []}], "p": [1]}', TypeError),
     (MarkedDysonSymbol, "[" + ONE_MARKED_AT_ONE % "[1]" + "]", TypeError),
     (MarkedDysonSymbol, ONE_MARKED_AT_ONE % "[1e400]", OverflowError),
+    # A string or an object where an array belongs.
+    (MarkedDysonSymbol, '{"k": 1, "vectors": [{"alpha": [1], "beta": []}], "p": ""}', TypeError),
+    (MarkedDysonSymbol, '{"k": 1, "vectors": [{"alpha": [1], "beta": []}], "p": {}}', TypeError),
+    (MarkedDysonSymbol, '{"k": 1, "vectors": [{"alpha": "", "beta": [2, 2]}], "p": []}', TypeError),
+    (MarkedDysonSymbol, '{"k": 1, "vectors": [{"alpha": [1], "beta": ""}], "p": []}', TypeError),
+    (MarkedDysonSymbol, '{"k": 0, "vectors": "", "p": ""}', TypeError),
+    pytest.param(MarkedDysonSymbol, "[" * 100000, RecursionError, id="marked-deep-nesting"),
     (DysonSymbol, '{"alpha": [1]}', KeyError),
     (DysonSymbol, '{"beta": [1]}', KeyError),
     (DysonSymbol, '{"alpha": 5, "beta": []}', TypeError),
     (DysonSymbol, '[{"alpha": [1], "beta": []}]', TypeError),
+    (DysonSymbol, '{"alpha": "", "beta": [2, 2]}', TypeError),
+    (DysonSymbol, '{"alpha": {}, "beta": {"2": 1, "3": 1}}', TypeError),
+    pytest.param(DysonSymbol, "[" * 100000, RecursionError, id="dyson-deep-nesting"),
 ]
 
 
@@ -440,7 +453,6 @@ def test_from_json_raises_only_value_error(cls, text, cause):
 
 def test_wire_caches_are_bounded():
     assert _level_json.cache_parameters()["maxsize"] is not None
-    assert _level.cache_parameters()["maxsize"] is not None
     assert _fragment_level.cache_parameters()["maxsize"] is not None
 
 
@@ -455,7 +467,6 @@ def outcome(read, text):
 
 @pytest.mark.parametrize("k,n", [(1, 10), (2, 12), (3, 10), (4, 9)])
 def test_canonical_reader_matches_the_json_route(k, n):
-    _level.cache_clear()
     _fragment_level.cache_clear()
     for eta in enumerate_marked(k, n):
         for symbol in (eta,) + tuple(mirror(eta, j) for j in range(1, k + 1)):
@@ -464,7 +475,6 @@ def test_canonical_reader_matches_the_json_route(k, n):
             assert fast is not None, text
             slow = _read_json(text)
             assert fast == slow == symbol
-            assert all(p is q for p, q in zip(fast.vectors, slow.vectors))
 
 
 def replace_first(old, new):
@@ -817,6 +827,13 @@ def test_level_states_match_the_pair_lists(k):
                 assert entries == level_pair_entries(lo, hi, cap, k, need), (lo, hi, need)
                 for by_mass in entries.values():  # the fold stops at the first mass too large
                     assert list(by_mass) == sorted(by_mass)
+
+
+def test_level_states_leave_masses_unordered():
+    # Why `_level_entries` sorts the masses: its input is not in mass order.
+    states = _level_states(2, 12, 1)[0]
+    masses = [m for m, la, lb, u in states if la >= lb and (la + lb - u, u) == (2, 0)]
+    assert masses != sorted(masses)
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -274,6 +274,9 @@ def test_count_tables_round_trip_through_json():
         ('{"n": 5, "counts": [[1, 2], [1, 2]]}', "repeats"),
         ('{"n": 5}', "not a count table"),
         ('{"n": 5, "counts": 3}', "not a count table"),
+        ('{"n": 3, "counts": ""}', "not a count table"),
+        ('{"n": 3, "counts": {}}', "not a count table"),
+        pytest.param("[" * 100000, "RecursionError", id="deep-nesting"),
     ],
 )
 def test_count_table_from_json_rejects_what_it_would_coerce(text, message):
