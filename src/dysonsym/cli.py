@@ -19,7 +19,7 @@ from collections import Counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .congruence import is_prime, prime_power, scan_progressions, verify_modular_identity
-from .dyson import dyson_crank, enumerate_dyson_symbols, to_dyson_symbol
+from .dyson import _encode, dyson_crank, enumerate_dyson_symbols
 from .fullcrank import (
     Verdict,
     ck_brute,
@@ -32,9 +32,7 @@ from .fullcrank import (
 )
 from .marked import (
     _counts,
-    count_fk,
-    count_fk_strict,
-    count_fk_with_balance,
+    _fold_key,
     crank_vector,
     enumerate_marked,
     is_strict,
@@ -99,6 +97,14 @@ def _nonneg_profiles(k: int, bound: int) -> Iterator[Tuple[int, ...]]:
             yield (m,) + rest
 
 
+def _profiles_of_sum(k: int, total: int) -> Iterator[Tuple[int, ...]]:
+    # The nonnegative integer k-tuples (k >= 1) with sum exactly total, in
+    # the order that _nonneg_profiles(k, total) gives them: each of its
+    # first k - 1 entries completed by the one last entry that fits.
+    for head in _nonneg_profiles(k - 1, total):
+        yield head + (total - sum(head),)
+
+
 def _signed_profiles(k: int, bound: int) -> Iterator[Tuple[int, ...]]:
     # Integer k-tuples with sum of absolute values <= bound: signs on nonnegative ones.
     for m in _nonneg_profiles(k, bound):
@@ -108,7 +114,9 @@ def _signed_profiles(k: int, bound: int) -> Iterator[Tuple[int, ...]]:
 def verify_cor23(k: int, max_n: int) -> List[Verdict]:
     """M(-m, n) = F_1(m; n) for all m, plus crank negation under the encoding.
 
-    One pass over the partitions of each n encodes each partition once.
+    One pass over the partitions of each n, streamed from ``partitions_of``
+    and never kept, encodes each partition once with ``_encode``: what
+    ``partitions_of`` makes is a partition, so it is not checked again.
     The symbol's crank goes into the F_1 histogram that is compared with
     crank_counts(n) (the cor2.3 verdicts, n >= 2) and, for n up to
     OBJECT_MAX_N, is checked against -crank(lam) (the cor2.3-object
@@ -119,7 +127,7 @@ def verify_cor23(k: int, max_n: int) -> List[Verdict]:
         f1: Counter = Counter()
         negated = 0
         for lam in partitions_of(n):
-            m = dyson_crank(to_dyson_symbol(lam))
+            m = dyson_crank(_encode(lam))
             f1[m] += 1
             if n <= OBJECT_MAX_N and m == -crank(lam):
                 negated += 1
@@ -139,14 +147,16 @@ def verify_thm21(
 ) -> List[Verdict]:
     """count_fk equals the shifted one-level sum, for all (or one) profile.
 
+    count_fk(m, n) is read as the entry of ``_counts(k, n).every`` that
+    count_fk itself reads, with the table fetched once per n.
     theorem21_rhs(m, n) depends on m only through sum |m_i|, so each n
     computes it once per sum.
     """
 
     def checks(n: int) -> Iterator[bool]:
-        rhs: Dict[int, int] = {}
+        every, rhs = _counts(k, n).every, {}
         for m in _signed_profiles(k, n - k + 1) if profile is None else [profile]:
-            count, size = count_fk(m, n), sum(map(abs, m))
+            count, size = every.get(m, 0), sum(map(abs, m))
             if size not in rhs:
                 rhs[size] = theorem21_rhs(m, n)
             yield count == rhs[size]
@@ -159,13 +169,15 @@ def verify_thm24(k: int, max_n: int) -> List[Verdict]:
     """Sign-flip invariance of the fibers, and the mirror round trip.
 
     Per n, the counting checks compare count_fk at m and at m with one
-    crank negated.  The object checks take each enumerated symbol's crank
-    vector once and read one table, ``valid``, which maps the enumerated
-    symbols that pass ``validate_marked`` and weigh n, each checked once,
-    to their indices in ``symbols``.  For each symbol eta and level j with
-    c_j != 0, the image mu = mirror(eta, j) must be in ``valid`` (so it is
-    a valid symbol of weight n, and one that the enumeration holds), have
-    the crank vector of eta with c_j negated, and mirror back to eta.
+    crank negated, both read as entries of ``_counts(k, n).every``, the
+    table count_fk reads, fetched once per n.  The object checks take each
+    enumerated symbol's crank vector once and read one table, ``valid``,
+    which maps the enumerated symbols that pass ``validate_marked`` and
+    weigh n, each checked once, to their indices in ``symbols``.  For each
+    symbol eta and level j with c_j != 0, the image mu = mirror(eta, j)
+    must be in ``valid`` (so it is a valid symbol of weight n, and one that
+    the enumeration holds), have the crank vector of eta with c_j negated,
+    and mirror back to eta.
 
     Each (symbol, level) is mirrored once: per level j, ``partner[i]`` is
     the index that ``valid`` gives the image of symbols[i] (None when the
@@ -179,10 +191,11 @@ def verify_thm24(k: int, max_n: int) -> List[Verdict]:
     """
 
     def checks(n: int) -> Iterator[bool]:
+        every = _counts(k, n).every
         for m in _signed_profiles(k, n - k + 1):
-            count = count_fk(m, n)
+            count = every.get(m, 0)
             for j in range(k):
-                yield count == count_fk(m[:j] + (-m[j],) + m[j + 1 :], n)
+                yield count == every.get(m[:j] + (-m[j],) + m[j + 1 :], 0)
         symbols = enumerate_marked(k, n)
         crank_vectors = [crank_vector(eta) for eta in symbols]
         valid = {
@@ -211,14 +224,24 @@ def verify_thm24(k: int, max_n: int) -> List[Verdict]:
 
 
 def verify_thm25(k: int, max_n: int) -> List[Verdict]:
-    """Balance-refined counts equal strict counts under m_i -> m_i + 2t_i."""
+    """Balance-refined counts equal strict counts under m_i -> m_i + 2t_i.
+
+    Both sides are entries of the fold table ``_counts(k, n).folded``,
+    fetched once per n: count_fk_with_balance(m, t, n) is the entry at
+    ``_fold_key(m, t)``, and count_fk_strict(shifted, n) the entry at
+    ``_fold_key(shifted, (0,) * (k - 1))``, as every lower crank of
+    shifted is nonnegative.
+    """
+    strict = (0,) * (k - 1)
 
     def checks(n: int) -> Iterator[bool]:
-        bound = n - k + 1
+        folded, bound = _counts(k, n).folded, n - k + 1
         for m in _nonneg_profiles(k, bound):
             for t in _nonneg_profiles(k - 1, (bound - sum(m)) // 2):
                 shifted = tuple(m[i] + 2 * t[i] for i in range(k - 1)) + (m[-1],)
-                yield count_fk_with_balance(m, t, n) == count_fk_strict(shifted, n)
+                yield folded.get(_fold_key(m, t), 0) == folded.get(
+                    _fold_key(shifted, strict), 0
+                )
 
     _fold_up_to(_counts, k, max_n)
     return [_tally("thm2.5", k, n, checks(n)) for n in range(2, max_n + 1)]
@@ -230,14 +253,15 @@ def verify_thm26(k: int, max_n: int) -> List[Verdict]:
     Per n, two tables: ``merged`` maps each enumerated strict eta with
     nonnegative cranks to (phi(eta), its crank vector), and ``peeled`` maps
     each Dyson symbol sym of n and nonnegative profile m with
-    sum(m) + k - 1 = crank(sym) to phi_inverse(sym, m).  Strictness is
-    tested only on symbols whose cranks are all nonnegative.  Each map runs
-    once per object, and each round trip reads the other table: phi(eta)
-    must weigh n, have crank sum(cranks) + k - 1 and peel back to eta in
-    ``peeled``; phi_inverse(sym, m) must merge back to sym in ``merged``
-    with crank vector m.  An entry missing from the other table fails its
-    check, and so does a peel that phi_inverse rejects with ValueError (a
-    symbol that the enumeration should not have given): it is kept as None.
+    sum(m) + k - 1 = crank(sym) (``_profiles_of_sum`` makes just these) to
+    phi_inverse(sym, m).  Strictness is tested only on symbols whose cranks
+    are all nonnegative.  Each map runs once per object, and each round
+    trip reads the other table: phi(eta) must weigh n, have crank
+    sum(cranks) + k - 1 and peel back to eta in ``peeled``;
+    phi_inverse(sym, m) must merge back to sym in ``merged`` with crank
+    vector m.  An entry missing from the other table fails its check, and
+    so does a peel that phi_inverse rejects with ValueError (a symbol that
+    the enumeration should not have given): it is kept as None.
     """
 
     def checks(n: int) -> Iterator[bool]:
@@ -251,12 +275,11 @@ def verify_thm26(k: int, max_n: int) -> List[Verdict]:
             c = dyson_crank(sym)
             if c < k - 1:
                 continue
-            for m in _nonneg_profiles(k, c - k + 1):
-                if sum(m) == c - k + 1:
-                    try:
-                        peeled[sym, m] = phi_inverse(sym, m)
-                    except ValueError:  # a faulty enumeration's symbol: a missing peel
-                        peeled[sym, m] = None
+            for m in _profiles_of_sum(k, c - k + 1):
+                try:
+                    peeled[sym, m] = phi_inverse(sym, m)
+                except ValueError:  # a faulty enumeration's symbol: a missing peel
+                    peeled[sym, m] = None
         for eta, (sym, cranks) in merged.items():
             yield (
                 sym.weight() == n

@@ -9,6 +9,8 @@ not attempt any subsumption ("non-nested") analysis of the reported pairs.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from operator import eq
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fullcrank import Verdict, full_crank_table, theorem43_rhs
@@ -17,6 +19,8 @@ from .partitions import _moment, _residues, crank_counts, gen_binomial
 
 # The largest modulus p^r checked: a residue table has p^r entries.
 MAX_MODULUS = 10**6
+# Binomial lemmas kept, one per (k, p, r, t_bound); `verify all` checks 24.
+_LEMMA_CACHE = 64
 
 
 def prime_power(p: int, r: int) -> int:
@@ -70,6 +74,19 @@ def modular_identity_cases(
     building any symbol; ``method="closed"`` substitutes the verified
     closed form, which needs no marked counting and so reaches much larger n.
     """
+    lhs, rhs = _residue_sides(k, p, r, n, method)
+    identity = f"mod-identity[p={p},r={r},i={{}},{method}]"
+    return [
+        Verdict(identity=identity.format(i), k=k, n=n, lhs=left, rhs=right)
+        for i, (left, right) in enumerate(zip(lhs, rhs))
+    ]
+
+
+def _residue_sides(
+    k: int, p: int, r: int, n: int, method: str
+) -> Tuple[List[int], List[int]]:
+    # Both sides of every residue's check, reduced mod p^r, as two lists
+    # indexed by the residue i.
     if not is_prime(p) or p < 5:
         raise ValueError("p must be a prime >= 5")
     if r < 1 or n < 2:
@@ -83,17 +100,13 @@ def modular_identity_cases(
         full = {m: theorem43_rhs(k, m, n) for m in range(-n, n + 1)}
     else:
         raise ValueError(f"unknown method: {method}")
-    lhs, residues = _residues(full, modulus), crank_residue_table(modulus, n)
-    return [
-        Verdict(
-            identity=f"mod-identity[p={p},r={r},i={i},{method}]",
-            k=k,
-            n=n,
-            lhs=lhs[i] % modulus,
-            rhs=gen_binomial(i + k - 2, 2 * k - 2) * residues[i] % modulus,
-        )
-        for i in range(modulus)
+    residues = crank_residue_table(modulus, n)
+    lhs = [count % modulus for count in _residues(full, modulus)]
+    rhs = [
+        gen_binomial(i + k - 2, 2 * k - 2) * count % modulus
+        for i, count in enumerate(residues)
     ]
+    return lhs, rhs
 
 
 def binomial_congruence_holds(k: int, p: int, r: int, i: int, t_range: Sequence[int]) -> bool:
@@ -106,6 +119,14 @@ def binomial_congruence_holds(k: int, p: int, r: int, i: int, t_range: Sequence[
     )
 
 
+@lru_cache(maxsize=_LEMMA_CACHE)
+def _binomial_lemma_holds(k: int, p: int, r: int, t_bound: int) -> bool:
+    """``binomial_congruence_holds`` for every residue i mod p^r, over the
+    shifts t with |t| <= t_bound."""
+    shifts = range(-t_bound, t_bound + 1)
+    return all(binomial_congruence_holds(k, p, r, i, shifts) for i in range(p**r))
+
+
 def verify_modular_identity(
     k: int, p: int, r: int, n: int, method: str = "enumerate"
 ) -> Verdict:
@@ -113,20 +134,19 @@ def verify_modular_identity(
 
     lhs counts the passing residue checks, rhs the total; the binomial
     congruence is checked independently for every shift that can occur at
-    weight n and folded into the pass flag (a failure zeroes lhs).
+    weight n and folded into the pass flag (a failure zeroes lhs).  It
+    depends on n only through the shift bound t_bound = n // p^r + 1, so
+    it is checked once per (k, p, r, t_bound) and kept by
+    ``_binomial_lemma_holds``, for every n and both routes.  The residue
+    checks are those of ``modular_identity_cases``, compared side by side
+    without a Verdict per residue.
     """
-    cases = modular_identity_cases(k, p, r, n, method=method)
-    modulus = p**r
-    t_bound = n // modulus + 1
-    binom_ok = all(
-        binomial_congruence_holds(k, p, r, i, range(-t_bound, t_bound + 1))
-        for i in range(modulus)
-    )
-    passed = sum(1 for c in cases if c.passed)
-    if not binom_ok:
+    lhs, rhs = _residue_sides(k, p, r, n, method)
+    passed = sum(map(eq, lhs, rhs))
+    if not _binomial_lemma_holds(k, p, r, n // p**r + 1):
         passed = 0
     return Verdict(
-        identity=f"mod-identity[p={p},r={r},{method}]", k=k, n=n, lhs=passed, rhs=len(cases)
+        identity=f"mod-identity[p={p},r={r},{method}]", k=k, n=n, lhs=passed, rhs=len(lhs)
     )
 
 

@@ -87,11 +87,24 @@ def dyson_crank(sym: DysonSymbol) -> int:
 
 
 def to_dyson_symbol(lam: Partition) -> DysonSymbol:
-    """Encode a nonempty partition as a Dyson symbol of the same weight."""
+    """Encode a nonempty partition as a Dyson symbol of the same weight.
+
+    Checks that ``lam`` is a nonempty partition (``ValueError`` if not),
+    then encodes it with ``_encode``.
+    """
     if not lam:
         raise ValueError("cannot encode the empty partition")
     if not is_partition(lam):
         raise ValueError(f"not a partition: {lam}")
+    return _encode(lam)
+
+
+def _encode(lam: Partition) -> DysonSymbol:
+    """The encoding itself, for a nonempty partition that is known to be one.
+
+    Nothing is checked: callers pass what ``partitions_of`` yields, or what
+    ``to_dyson_symbol`` has checked.
+    """
     ones = lam.count(1)
     if ones == 0:
         return _new_dyson(((), conjugate(lam)))
@@ -132,14 +145,16 @@ def from_dyson_symbol(sym: DysonSymbol) -> Partition:
 def enumerate_dyson_symbols(n: int, method: str = "bijection") -> Tuple[DysonSymbol, ...]:
     """All Dyson symbols of weight ``n``, each exactly once.
 
-    ``method="bijection"`` maps the partitions of n through the encoding
-    (the default, linear in p(n)); ``method="structural"`` searches over
-    all shape-valid pairs directly and is kept as an independent oracle.
+    ``method="bijection"`` maps the partitions of n through ``_encode``
+    (the default, linear in p(n)): ``partitions_of`` makes only nonempty
+    partitions for n >= 1, so none is checked again.  ``method="structural"``
+    searches over all shape-valid pairs directly and is kept as an
+    independent oracle.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if method == "bijection":
-        return tuple(to_dyson_symbol(lam) for lam in partitions_of(n))
+        return tuple(map(_encode, partitions_of(n)))
     if method == "structural":
         return _structural_search(n)
     raise ValueError(f"unknown method: {method}")

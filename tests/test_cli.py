@@ -22,7 +22,6 @@ from dysonsym import (
     partition_count,
     phi,
     phi_inverse,
-    to_dyson_symbol,
     validate_marked,
     weight,
 )
@@ -421,12 +420,13 @@ def test_cor23_encodes_each_partition_once(monkeypatch):
     # The suite used to encode every partition with n <= 25 twice: once for
     # its F_1 tables and again for its object check.
     calls = []
+    encode = cli._encode
 
     def counting(lam):
         calls.append(lam)
-        return to_dyson_symbol(lam)
+        return encode(lam)
 
-    monkeypatch.setattr(cli, "to_dyson_symbol", counting)
+    monkeypatch.setattr(cli, "_encode", counting)
     verdicts = cli.verify_cor23(1, 30)
     assert len(calls) == sum(partition_count(n) for n in range(1, 31)) == 28628
     assert [(v.identity, v.k, v.n, v.lhs, v.rhs) for v in verdicts] == (

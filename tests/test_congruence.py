@@ -13,6 +13,7 @@ from dysonsym import (
 )
 from dysonsym.congruence import (
     MAX_MODULUS,
+    _binomial_lemma_holds,
     binomial_congruence_holds,
     modular_identity_cases,
     prime_power,
@@ -66,6 +67,20 @@ def test_modular_identity_enumerate_small():
     cases = modular_identity_cases(2, 5, 1, 6)
     assert len(cases) == 5
     assert all(c.passed for c in cases)
+
+
+def test_binomial_lemma_is_checked_once_per_shift_bound():
+    # The lemma depends on n only through t_bound = n // p^r + 1, which
+    # takes the values 1, 2, 3 for n = 2..14 and p^r = 5; both routes share it.
+    _binomial_lemma_holds.cache_clear()
+    for method in ("enumerate", "closed"):
+        for n in range(2, 15):
+            verdict = verify_modular_identity(2, 5, 1, n, method=method)
+            cases = modular_identity_cases(2, 5, 1, n, method=method)
+            assert (verdict.lhs, verdict.rhs) == (sum(c.passed for c in cases), len(cases))
+    info = _binomial_lemma_holds.cache_info()
+    assert (info.misses, info.hits) == (3, 23)
+    _binomial_lemma_holds.cache_clear()
 
 
 def test_modular_identity_boundary_k():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from dysonsym import (
     validate_dyson,
 )
 
+from dysonsym.dyson import _encode
 from golden_data import DYSON_OF_FOUR
 
 
@@ -125,6 +128,33 @@ def test_errors():
         enumerate_dyson_symbols(0)
     with pytest.raises(ValueError):
         enumerate_dyson_symbols(3, method="nope")
+
+
+def test_to_dyson_symbol_still_checks_its_input():
+    for bad in ((), (1, 2), (0,), (True,), (2.0,)):
+        with pytest.raises(ValueError):
+            to_dyson_symbol(bad)
+
+
+def random_partition(rng, n):
+    # Parts drawn below a cap that is the rest, a tenth of it, or 2, so that
+    # large parts, small parts and runs of ones all come up.
+    parts, left = [], n
+    while left:
+        part = rng.randint(1, min(left, rng.choice((left, max(1, left // 10), 2))))
+        parts.append(part)
+        left -= part
+    return tuple(sorted(parts, reverse=True))
+
+
+def test_unchecked_encoding_agrees_with_the_checked_one():
+    for n in range(1, 21):
+        for lam in partitions_of(n):
+            assert _encode(lam) == to_dyson_symbol(lam), lam
+    rng = random.Random(2024)
+    for _ in range(200):
+        lam = random_partition(rng, rng.randint(200, 400))
+        assert _encode(lam) == to_dyson_symbol(lam), lam
 
 
 @st.composite

@@ -175,6 +175,13 @@ def test_signed_profiles_are_the_sign_flips_of_the_nonnegative_ones():
             assert set(profiles) == set(signed_profiles(k, bound)), (k, bound)
 
 
+def test_profiles_of_sum_are_the_nonnegative_profiles_of_that_sum_in_order():
+    for k in range(1, 5):
+        for total in range(0, 11):
+            want = [m for m in cli._nonneg_profiles(k, total) if sum(m) == total]
+            assert list(cli._profiles_of_sum(k, total)) == want, (k, total)
+
+
 def test_theorem21_rhs_matches_the_shift_vector_sum():
     for k in range(1, 5):
         for n in range(2, 15):
