@@ -30,9 +30,8 @@ from .fullcrank import (
     theorem43_rhs,
     verify_theorem31,
 )
+from .fold import _counts, _fold_key
 from .marked import (
-    _counts,
-    _fold_key,
     crank_vector,
     enumerate_marked,
     is_strict,
@@ -166,18 +165,21 @@ def verify_thm21(
 
 
 def verify_thm24(k: int, max_n: int) -> List[Verdict]:
-    """Sign-flip invariance of the fibers, and the mirror round trip.
+    """Sign-flip invariance of the fibers, the mirror round trip, and the
+    walk against the fold.
 
     Per n, the counting checks compare count_fk at m and at m with one
     crank negated, both read as entries of ``_counts(k, n).every``, the
     table count_fk reads, fetched once per n.  The object checks take each
-    enumerated symbol's crank vector once and read one table, ``valid``,
-    which maps the enumerated symbols that pass ``validate_marked`` and
-    weigh n, each checked once, to their indices in ``symbols``.  For each
-    symbol eta and level j with c_j != 0, the image mu = mirror(eta, j)
-    must be in ``valid`` (so it is a valid symbol of weight n, and one that
-    the enumeration holds), have the crank vector of eta with c_j negated,
-    and mirror back to eta.
+    enumerated symbol's crank vector once.  Their histogram, ``walked``,
+    must equal ``every`` at each m the counting checks visit, and the
+    walk's total the fold's: the walk and the fold share no counting code.
+    The mirror checks read one table, ``valid``, which maps the enumerated
+    symbols that pass ``validate_marked`` and weigh n, each checked once,
+    to their indices in ``symbols``.  For each symbol eta and level j with
+    c_j != 0, the image mu = mirror(eta, j) must be in ``valid`` (so it is
+    a valid symbol of weight n, and one that the enumeration holds), have
+    the crank vector of eta with c_j negated, and mirror back to eta.
 
     Each (symbol, level) is mirrored once: per level j, ``partner[i]`` is
     the index that ``valid`` gives the image of symbols[i] (None when the
@@ -192,12 +194,16 @@ def verify_thm24(k: int, max_n: int) -> List[Verdict]:
 
     def checks(n: int) -> Iterator[bool]:
         every = _counts(k, n).every
-        for m in _signed_profiles(k, n - k + 1):
-            count = every.get(m, 0)
-            for j in range(k):
-                yield count == every.get(m[:j] + (-m[j],) + m[j + 1 :], 0)
         symbols = enumerate_marked(k, n)
         crank_vectors = [crank_vector(eta) for eta in symbols]
+        walked = Counter(crank_vectors)
+        yield len(symbols) == sum(every.values())
+        for m in _signed_profiles(k, n - k + 1):
+            count = every.get(m, 0)
+            yield walked[m] == count
+            for j in range(k):
+                yield count == every.get(m[:j] + (-m[j],) + m[j + 1 :], 0)
+        del walked  # freed before the mirror tables, where verify all peaks
         valid = {
             eta: i
             for i, eta in enumerate(symbols)

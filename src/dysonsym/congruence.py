@@ -21,6 +21,8 @@ from .partitions import _moment, _residues, crank_counts, gen_binomial
 MAX_MODULUS = 10**6
 # Binomial lemmas kept, one per (k, p, r, t_bound); `verify all` checks 24.
 _LEMMA_CACHE = 64
+# The fewest values in [2, n_max] that a reported progression holds at.
+MIN_POINTS = 3
 
 
 def prime_power(p: int, r: int) -> int:
@@ -178,7 +180,6 @@ def scan_progressions(
     k: Optional[int] = None,
     a_max: int = 10,
     n_max: int = 79,
-    min_points: int = 3,
 ) -> List[CongruenceWitness]:
     """Search progressions An + B (A <= a_max) for empirical congruences.
 
@@ -186,13 +187,13 @@ def scan_progressions(
     residue i at every progression value in [2, n_max]; a moment witness
     (emitted only when k is given) requires mu_{2k}(An+B) = 0 mod p^r over
     the same range.  Only progressions that hold with at least
-    ``min_points`` data points are reported.  Deterministic for fixed
-    inputs.  Each progression stops at its first failing value, so crank
-    tables are built only for the n some progression has to look at.
+    ``MIN_POINTS`` data points are reported.  Deterministic for fixed
+    inputs.  Each progression's values are a ``range``, never a list, and
+    it stops at its first failing value, so crank tables are built only
+    for the n some progression has to look at, whatever n_max.
 
-    For ``min_points >= 2`` no A above (n_max - 2) // (min_points - 1) can
-    have that many values in [2, n_max], so A stops there even when
-    ``a_max`` is larger.
+    No A above (n_max - 2) // (MIN_POINTS - 1) can have that many values in
+    [2, n_max], so A stops there even when ``a_max`` is larger.
     """
     if not is_prime(p) or p < 5:
         raise ValueError("p must be a prime >= 5")
@@ -211,13 +212,12 @@ def scan_progressions(
             memo[n] = (residues_ok, moment_ok)
         return memo[n]
 
-    if min_points >= 2:
-        a_max = min(a_max, (n_max - 2) // (min_points - 1))
+    a_max = min(a_max, (n_max - 2) // (MIN_POINTS - 1))
     witnesses = []
     for A in range(1, a_max + 1):
         for B in range(A):
-            values = [n for n in range(B, n_max + 1, A) if n >= 2]
-            if len(values) < min_points:
+            values = range(B, n_max + 1, A)[len(range(B, 2, A)):]  # those >= 2
+            if len(values) < MIN_POINTS:
                 continue
             if all(vanishes(n)[0] for n in values):
                 witnesses.append(

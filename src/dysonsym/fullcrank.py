@@ -11,7 +11,8 @@ import json
 from collections import Counter
 from typing import Dict, List, NamedTuple
 
-from .marked import MarkedDysonSymbol, _fold_range, _widest_range, statistics
+from .fold import _fold_range, _no_label, _widest_range
+from .marked import MarkedDysonSymbol, statistics
 from .partitions import crank_counts, crank_moment, gen_binomial
 
 
@@ -41,17 +42,13 @@ def full_crank(eta: MarkedDysonSymbol) -> int:
     return -magnitude
 
 
-def _no_label(crank: int, balance: int) -> tuple:
-    return ()
-
-
 @_widest_range
 def full_crank_table(k: int, max_n: int) -> List[Dict[int, int]]:
     """Distribution of the full crank over all k-marked symbols of weight n.
 
     Called as ``full_crank_table(k, n)``; the tables of every weight up to
     n are built at once and the widest such range is kept for each k (see
-    ``marked._widest_range``).  Read off ``marked._fold_range``, which keys
+    ``fold._widest_range``).  Read off ``fold._fold_range``, which keys
     each count by the top crank and l - s + 2D; the lower levels get no
     label, so their cranks and balances are never told apart and no
     crank-vector table is built.

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,7 @@ from dysonsym import (
 )
 from dysonsym.congruence import (
     MAX_MODULUS,
+    MIN_POINTS,
     _binomial_lemma_holds,
     binomial_congruence_holds,
     modular_identity_cases,
@@ -152,6 +154,20 @@ def test_scanner_builds_only_the_tables_it_reads():
     assert crank_counts.cache_info().misses == 27
 
 
+def test_scanner_keeps_no_list_of_a_progressions_values():
+    # No progression holds past its first few values, but each used to
+    # list its values, about n_max / A ints, before it read any: 58 MiB at
+    # n_max = 10^6.
+    scan_progressions(5, 1, n_max=10**6)  # the crank tables it reads
+    tracemalloc.start()
+    try:
+        assert scan_progressions(5, 1, n_max=10**6) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def test_scanner_input_validation():
     with pytest.raises(ValueError):
         scan_progressions(4, 1)
@@ -173,8 +189,14 @@ def test_prime_power_stops_at_the_largest_modulus():
 
 
 def test_scanner_min_points():
-    # With a huge threshold nothing qualifies.
-    assert scan_progressions(5, 1, k=1, a_max=5, n_max=49, min_points=99) == []
+    # mu_2(25n + 4) vanishes mod 5 (Ramanujan's 5n + 4), but 25n + 4 has
+    # only 2 values in [2, 53], 4 and 29, and a progression needs
+    # MIN_POINTS = 3; n = 54 is its third.
+    assert MIN_POINTS == 3
+    witnesses = scan_progressions(5, 1, k=1, a_max=25, n_max=53)
+    assert [w for w in witnesses if (w.A, w.B) == (25, 4)] == []
+    witnesses = scan_progressions(5, 1, k=1, a_max=25, n_max=54)
+    assert [(w.kind, w.points) for w in witnesses if (w.A, w.B) == (25, 4)] == [("moment", 3)]
 
 
 def test_witness_json():

@@ -12,18 +12,26 @@ import json
 
 import pytest
 
-from dysonsym import cli, congruence, dyson, fullcrank, marked, partitions
+from dysonsym import cli, congruence, dyson, fold, fullcrank, marked, partitions
 from dysonsym.cli import main
 from dysonsym.dyson import DysonSymbol, _encode
 from dysonsym.fullcrank import series_coefficients
-from dysonsym.marked import MarkedDysonSymbol, _fold_range, mirror, phi_inverse
+from dysonsym.fold import _fold_range
+from dysonsym.marked import (
+    MarkedDysonSymbol,
+    crank_vector,
+    enumerate_marked,
+    is_strict,
+    mirror,
+    phi_inverse,
+)
 from dysonsym.congruence import crank_residue_table
 from dysonsym.partitions import CountTable, _partition_numbers, crank_counts, gen_binomial
 
 CACHES = (
     partitions.crank_counts,
     partitions.rank_counts,
-    marked._counts,
+    fold._counts,
     fullcrank.full_crank_table,
     marked.enumerate_marked,
     marked._level_groups,
@@ -110,6 +118,35 @@ def mirror_fixing_once_at_two():
     return faulty
 
 
+def mirror_orbit(eta):
+    # eta and its images under the mirror maps of every level.
+    orbit = {eta}
+    for j in range(1, eta.k + 1):
+        orbit |= {mirror(mu, j) for mu in orbit}
+    return orbit
+
+
+def walk_dropping_an_orbit_at_two_ten():
+    # enumerate_marked(2, 10) less its first mirror orbit of 4 symbols
+    # none of which is strict with nonnegative cranks: thm2.6 reads no
+    # member, and every symbol left keeps its mirror images, so only the
+    # comparison of the walk with the fold can see the loss.
+    symbols = enumerate_marked(2, 10)
+    dropped = next(
+        orbit
+        for orbit in map(mirror_orbit, symbols)
+        if len(orbit) == 4
+        and not any(is_strict(mu) and min(crank_vector(mu)) >= 0 for mu in orbit)
+    )
+    kept = tuple(eta for eta in symbols if eta not in dropped)
+    assert len(kept) == len(symbols) - 4
+
+    def faulty(k, n):
+        return kept if (k, n) == (2, 10) else enumerate_marked(k, n)
+
+    return faulty
+
+
 def peel_shifting_markers_at_nine(sym, cranks):
     eta = phi_inverse(sym, cranks)
     if sym.weight() == 9 and tuple(cranks) == (1, 1):
@@ -192,12 +229,13 @@ FAULTS = {
         lambda: encoding_swapped_at_431,
         {("cor2.3", 1, 8), ("cor2.3-object", 1, 8), ("thm2.6", 1, 8), ("thm2.6", 2, 8)},
     ),
-    "fold": ("_fold_range", (fullcrank, marked), lambda: fold_off_at_ten, FOLD_FAILS),
+    "fold": ("_fold_range", (fullcrank, fold), lambda: fold_off_at_ten, FOLD_FAILS),
     "series_coefficients": (
         "series_coefficients", (cli,), lambda: series_off_at_seven,
         {("gf-ck", k, 25) for k in (1, 2, 3, 4)},
     ),
     "mirror": ("mirror", (cli,), mirror_fixing_once_at_two, {("thm2.4", 2, 2)}),
+    "walk": ("enumerate_marked", (cli,), walk_dropping_an_orbit_at_two_ten, {("thm2.4", 2, 10)}),
     "phi_inverse": (
         "phi_inverse", (cli,), lambda: peel_shifting_markers_at_nine, {("thm2.6", 2, 9)},
     ),

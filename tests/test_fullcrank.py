@@ -26,7 +26,7 @@ from dysonsym import (
 from dysonsym import cli, fullcrank, marked, partitions
 from dysonsym.congruence import MAX_MODULUS
 from dysonsym.fullcrank import full_crank_table
-from dysonsym.marked import _counts
+from dysonsym.fold import _counts
 
 from golden_data import BIG_THREE_MARKED
 

@@ -1,3 +1,4 @@
+import ast
 import gc
 import json
 import os
@@ -35,23 +36,25 @@ from dysonsym import (
     validate_marked,
     weight,
 )
-from dysonsym import cli, marked
-from dysonsym.fullcrank import _no_label
-from dysonsym.marked import (
+from dysonsym import cli, fold, fullcrank, marked
+from dysonsym.fold import (
     _counts,
     _fold_range,
+    _level_entries,
+    _level_states,
+    _no_label,
+    _profile_label,
+    _top_histogram,
+)
+from dysonsym.marked import (
     _fragment_level,
     _level_json,
-    _level_entries,
     _level_groups,
-    _level_states,
     _pair_stats,
     _partitions_in_range,
-    _profile_label,
     _read_canonical,
     _read_json,
     _top_groups,
-    _top_histogram,
     _wire_grammar,
     is_strict_pair,
 )
@@ -869,10 +872,10 @@ def test_verify_thm21_runs_one_fold(monkeypatch):
 
     def counted(k, max_n, label):
         runs.append((k, max_n))
-        return fold(k, max_n, label)
+        return fold_range(k, max_n, label)
 
-    fold = marked._fold_range
-    monkeypatch.setattr(marked, "_fold_range", counted)
+    fold_range = fold._fold_range
+    monkeypatch.setattr(fold, "_fold_range", counted)
     _counts.cache_clear()
     assert all(verdict.passed for verdict in cli.verify_thm21(2, 14))
     assert runs == [(2, 14)]
@@ -882,6 +885,46 @@ def test_verify_thm21_runs_one_fold(monkeypatch):
     assert count_fk((1, 0), 15) == theorem21_rhs((1, 0), 15)
     assert runs == [(2, 14), (2, 15)]
     assert _counts.cache_info().currsize == 1
+
+
+FOLD_NAMES = (
+    "_level_states", "Entries", "_level_entries", "_top_histogram", "_fold_range",
+    "_RangeInfo", "_widest_range", "_profile_label", "_no_label", "_Counts", "_counts",
+    "_fold_key",
+)
+
+
+def defined_names(module):
+    # The names a module's source binds at its top level by def, class or =.
+    tree = ast.parse(open(module.__file__).read())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_the_fold_is_its_own_module_and_imports_only_the_standard_library():
+    tree = ast.parse(open(fold.__file__).read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.unparse(node)  # no relative import
+            imported.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+    assert imported and imported <= set(sys.stdlib_module_names) | {"__future__"}, imported
+    assert set(FOLD_NAMES) <= defined_names(fold)
+    assert not set(FOLD_NAMES) & (defined_names(marked) | defined_names(fullcrank))
+    for name in FOLD_NAMES:
+        if name != "Entries":  # a typing alias, which has no module of its own
+            assert getattr(fold, name).__module__ == "dysonsym.fold", name
+    # The front ends stay where the benchmark names them.
+    assert fullcrank.full_crank_table.__module__ == "dysonsym.fullcrank"
+    assert count_fk.__module__ == "dysonsym.marked"
 
 
 @pytest.mark.parametrize(
