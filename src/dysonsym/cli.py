@@ -188,7 +188,7 @@ def verify_thm24(k: int, max_n: int) -> List[Verdict]:
     symbol's value, so this is the image a second call would build.  When
     mu's own image is missing from ``valid`` (eta itself failed
     validation, say), mirror(mu, j) is built and compared directly.
-    Images are built by int arithmetic on validated int parts, so equal by
+    Images reuse validated int parts or add ints to them, so equal by
     value is the same symbol.
     """
 

@@ -43,12 +43,16 @@ Group = Tuple[Tuple[int, int, int, bool], Tuple[Pair, ...]]  # ((mass, A, B, fla
 # (`enumerate_marked`) with 33 lists, and enumeration's cache of level
 # groupings (`_level_groups`) with 173 (the benchmark's objects workload: 141);
 # these bounds keep all of them.  The fold's caches are bounded in `fold`.
-# The wire format keeps two caches of levels, each bounded by
-# `_LEVEL_CACHE`: the JSON text of each (`_level_json`), and the level read
-# from each canonical fragment of that text (`_fragment_level`), one object
-# per distinct fragment.  `verify all` fills neither, and the objects
-# workload fills each with 817 levels (its sizes (2, 14), (3, 13) and
-# (4, 12) have 683, 462 and 214 distinct levels, some shared).
+# The wire format keeps four caches, each bounded by `_LEVEL_CACHE`.  The
+# writer's memos (`_level_texts`, `_marker_texts`) hold the text of each
+# level and markers object it has written; the symbols of one walk share
+# those objects, so the objects workload's 85,139 level fragments take 2,941
+# writes: one for each of its 2,828 level objects (1,000, 1,157 and 800 at
+# its sizes (2, 14), (3, 13) and (4, 12)), and 113 after the level memo is
+# emptied once.  Its 44 markers tuples are written once each.  The reader
+# keeps the level (`_fragment_level`) and the markers (`_fragment_markers`)
+# of each canonical fragment of that text, one object per distinct
+# fragment.  `verify all` fills none of them.
 _TABLE_CACHE = 64
 _GROUP_CACHE = 512
 _LEVEL_CACHE = 2048
@@ -66,14 +70,12 @@ class MarkedDysonSymbol(NamedTuple):
         """The wire form: ``{"k": k, "vectors": [levels k..1], "p": [p_{k-1}..p_1]}``.
 
         Byte for byte what ``json.dumps`` writes for that dict, joined from
-        one fragment per level (see ``_level_fragment``), so equal levels
-        are written once.
+        one fragment per level and one for the markers, each written once
+        per object (see ``_level_fragment``).
         """
-        levels = ", ".join([_level_fragment(pair) for pair in reversed(self.vectors)])
-        p = list(reversed(self.markers))
-        # A list of ints reads the same in repr and in JSON.
-        markers = repr(p) if _exact_ints(p) else json.dumps(p)
-        return f'{{"k": {self.k}, "vectors": [{levels}], "p": {markers}}}'
+        vectors, markers = self
+        levels = ", ".join([_level_fragment(pair) for pair in reversed(vectors)])
+        return f'{{"k": {len(vectors)}, "vectors": [{levels}], "p": {_markers_text(markers)}}}'
 
     @classmethod
     def from_json(cls, text: str) -> "MarkedDysonSymbol":
@@ -83,8 +85,9 @@ class MarkedDysonSymbol(NamedTuple):
         level fragment (``_read_canonical``); any other text, and canonical
         text that holds no valid symbol, goes through ``json.loads``
         (``_read_json``).  Both routes give the same symbol, or the same
-        ``ValueError``, for every text.  Equal levels of symbols decoded
-        from canonical text are one object (``_fragment_level``).
+        ``ValueError``, for every text.  Equal levels, and equal markers, of
+        symbols decoded from canonical text are one object
+        (``_fragment_level``, ``_fragment_markers``).
         """
         eta = _read_canonical(text)
         return _read_json(text) if eta is None else eta
@@ -103,23 +106,50 @@ def _exact_ints(parts) -> bool:
     return True
 
 
+# The text ``to_json`` wrote for each level and each markers tuple, by
+# object: id -> (object, text), as in ``copy.deepcopy``'s memo.  An entry
+# holds its object, so no other object can take its id while the entry
+# lives.  Only tuples of exact ints are kept (a level as a tuple of two),
+# which nothing can change; any other level or markers, a list or a
+# ``True`` or ``1.0`` part, is written anew on every call.  Levels and
+# markers have a memo each, so that an object passed as both never gets
+# the other's text; each is emptied when it holds ``_LEVEL_CACHE`` entries.
+_level_texts: Dict[int, Tuple[Pair, str]] = {}
+_marker_texts: Dict[int, Tuple[Tuple[int, ...], str]] = {}
+
+
+def _remember(memo: Dict[int, tuple], obj: tuple, text: str) -> None:
+    if len(memo) >= _LEVEL_CACHE:
+        memo.clear()
+    memo[id(obj)] = (obj, text)
+
+
 def _level_fragment(pair: Pair) -> str:
-    """One level's ``{"alpha": [...], "beta": [...]}`` text.
-
-    Levels of ``int`` tuples come from ``_level_json``.  Any other level
-    is written directly: ``(True,) == (1,)`` and ``(1.0,) == (1,)``, so a
-    cache keyed by value would give such a level another level's text, and
-    a list is no cache key.
-    """
+    """One level's ``{"alpha": [...], "beta": [...]}`` text, from
+    ``_level_texts`` when this pair object has been written before."""
+    entry = _level_texts.get(id(pair))
+    if entry is not None:
+        return entry[1]
     a, b = pair
-    if type(a) is tuple and type(b) is tuple and _exact_ints(a) and _exact_ints(b):
-        return _level_json(a, b)
-    return _level_json.__wrapped__(a, b)
+    text = json.dumps({"alpha": list(a), "beta": list(b)})
+    if type(pair) is type(a) is type(b) is tuple and _exact_ints(a) and _exact_ints(b):
+        _remember(_level_texts, pair, text)
+    return text
 
 
-@lru_cache(maxsize=_LEVEL_CACHE)
-def _level_json(a: Partition, b: Partition) -> str:
-    return json.dumps({"alpha": list(a), "beta": list(b)})
+def _markers_text(markers: Tuple[int, ...]) -> str:
+    """The wire list ``[p_{k-1}, ..., p_1]``, from ``_marker_texts`` when
+    this markers object has been written before."""
+    entry = _marker_texts.get(id(markers))
+    if entry is not None:
+        return entry[1]
+    p = list(reversed(markers))
+    if not _exact_ints(p):
+        return json.dumps(p)
+    text = repr(p)  # a list of ints reads the same in repr and in JSON
+    if type(markers) is tuple:
+        _remember(_marker_texts, markers, text)
+    return text
 
 
 @lru_cache(maxsize=None)
@@ -159,22 +189,34 @@ def _fragment_level(fragment: str) -> Pair:
     return a, b
 
 
+@lru_cache(maxsize=_LEVEL_CACHE)
+def _fragment_markers(text: str) -> Tuple[int, ...]:
+    """The markers (p_1, ..., p_{k-1}) of a canonical ``"p"`` list's
+    contents, which list them from p_{k-1} down; one object per distinct
+    text, which every symbol that holds the text shares.  Their order and
+    place are checked per symbol, by ``_placement_holds``."""
+    return _ints(text)[::-1]
+
+
 def _read_canonical(text: str) -> Optional[MarkedDysonSymbol]:
     """The symbol in canonical wire text of a valid symbol, else None (as
     for bytes, which ``json.loads`` also reads).
 
     Each level is read and checked once per distinct fragment
-    (``_fragment_level``); each symbol gets only the placement checks.
+    (``_fragment_level``), and each markers list read once per distinct
+    text (``_fragment_markers``); each symbol gets only the placement
+    checks.
     """
     match = _wire_grammar()[0].fullmatch(text) if isinstance(text, str) else None
     if match is None:
         return None
     k, levels, markers = match.groups()
     try:
-        vectors = tuple([_fragment_level(fragment) for fragment in levels.split("}, {")])
+        # The text lists levels k..1, vectors holds them 1..k.
+        vectors = tuple([_fragment_level(fragment) for fragment in reversed(levels.split("}, {"))])
         if len(vectors) != int(k):
             return None
-        eta = _new_marked((vectors[::-1], _ints(markers)[::-1]))
+        eta = _new_marked((vectors, _fragment_markers(markers)))
     except ValueError:
         return None
     return eta if _placement_holds(eta) else None
@@ -632,7 +674,13 @@ def mirror(eta: MarkedDysonSymbol, j: int) -> MarkedDysonSymbol:
     Levels below the top are mirrored by swapping the pair.  At the top
     level the largest parts are shifted by t so that the repeated-part
     shape conditions survive; the same formula inverts itself, so the map
-    is an involution.  Symbols with zero j-th crank are returned unchanged.
+    is an involution.  When t = 0 the top is swapped too, so the image
+    holds the symbol's own partition objects at level j; only t != 0 builds
+    new parts.  Symbols with zero j-th crank are returned unchanged.
+
+    Raises ``ValueError`` for a level out of range, and for the Dyson
+    symbol ((1,), ()) (k = 1, weight 1), which has no image: no symbol of
+    weight 1 has crank -1.
     """
     vectors, markers = eta
     k = len(vectors)
@@ -651,9 +699,12 @@ def mirror(eta: MarkedDysonSymbol, j: int) -> MarkedDysonSymbol:
             t = b[0] - top_lo
         else:
             t = 0
-        new_a = (b[0] - t,) + b[1:] if b else ()
-        new_b = (a[0] + t,) + a[1:] if a else ()
-        new_pair = (new_a, new_b)
+        if t:
+            new_pair = ((b[0] - t,) + b[1:], (a[0] + t,) + a[1:] if a else ())
+        elif k == 1 and not b and a == (1,):
+            raise ValueError("((1,), ()) has no mirror image: no symbol of weight 1 has crank -1")
+        else:
+            new_pair = (b, a)
     levels = list(vectors)
     levels[j - 1] = new_pair
     return _new_marked((tuple(levels), markers))

@@ -47,9 +47,12 @@ from dysonsym.fold import (
     _top_histogram,
 )
 from dysonsym.marked import (
+    _LEVEL_CACHE,
     _fragment_level,
-    _level_json,
+    _fragment_markers,
     _level_groups,
+    _level_texts,
+    _marker_texts,
     _pair_stats,
     _partitions_in_range,
     _read_canonical,
@@ -205,9 +208,16 @@ def test_fiber_symmetry_under_sign_flip():
 
 
 def test_mirror_is_crank_negating_involution():
+    # The one symbol of weight 1 with a nonzero crank has no image.
+    (dyson_one,) = [eta for eta in enumerate_marked(1, 1) if crank_vector(eta) != (0,)]
+    assert dyson_one.vectors == (((1,), ()),)
+    with pytest.raises(ValueError, match="no symbol of weight 1 has crank -1"):
+        mirror(dyson_one, 1)
     for k in (1, 2, 3):
-        for n in range(2, 9):
+        for n in range(1, 9):
             for eta in enumerate_marked(k, n):
+                if eta == dyson_one:
+                    continue
                 cranks = crank_vector(eta)
                 for j in range(1, k + 1):
                     mu = mirror(eta, j)
@@ -219,6 +229,50 @@ def test_mirror_is_crank_negating_involution():
                     want = cranks[: j - 1] + (-cranks[j - 1],) + cranks[j:]
                     assert crank_vector(mu) == want
                     assert mirror(mu, j) == eta
+
+
+def mirror_formula(eta, j):
+    """``mirror``'s formula with every top image built from new tuples, the
+    reference for ``mirror``, whose t = 0 top image holds eta's parts."""
+    vectors, markers = eta
+    k = len(vectors)
+    a, b = vectors[j - 1]
+    if len(a) == len(b):
+        return eta
+    if j < k:
+        new_pair = (b, a)
+    else:
+        top_lo = markers[-1] if k > 1 else 1
+        if len(b) >= 2:
+            t = b[0] - b[1]
+        elif len(b) == 1:
+            t = b[0] - top_lo
+        else:
+            t = 0
+        new_a = (b[0] - t,) + b[1:] if b else ()
+        new_b = (a[0] + t,) + a[1:] if a else ()
+        new_pair = (new_a, new_b)
+    levels = list(vectors)
+    levels[j - 1] = new_pair
+    return MarkedDysonSymbol(tuple(levels), markers)
+
+
+def test_mirror_matches_the_formula_and_shares_an_unshifted_top():
+    shared = 0
+    for k in range(1, 5):
+        for n in range(1, 13):
+            for eta in enumerate_marked(k, n):
+                if eta.vectors == (((1,), ()),):  # no image (see the involution test)
+                    continue
+                for j in range(1, k + 1):
+                    image = mirror(eta, j)
+                    assert image == mirror_formula(eta, j), (eta, j)
+                    a, b = eta.vectors[j - 1]
+                    if j == k and len(a) != len(b) and image.vectors[-1] == (b, a):
+                        # t = 0: the image's top holds the symbol's own parts.
+                        assert image.vectors[-1][0] is b and image.vectors[-1][1] is a
+                        shared += 1
+    assert shared > 0
 
 
 def test_mirror_rejects_bad_level():
@@ -342,11 +396,61 @@ def test_to_json_matches_one_dumps_of_the_symbol(k, n):
     symbols = enumerate_marked(k, n)
     for eta in symbols:
         assert eta.to_json() == reference_to_json(eta)
+        # Both decoders' symbols: shared levels and markers, and fresh ones.
+        for decoded in (_read_canonical(eta.to_json()), _read_json(eta.to_json())):
+            assert decoded == eta and decoded.to_json() == reference_to_json(eta)
     # A mirror image holds a fresh pair object at its mirrored level.
     for j in range(1, k + 1):
         for eta in symbols:
             image = mirror(eta, j)
             assert image.to_json() == reference_to_json(image)
+
+
+def test_to_json_writes_list_levels_anew_on_every_call():
+    eta = BIG_THREE_MARKED
+    level = list(eta.vectors[0])
+    listed = MarkedDysonSymbol(
+        (level, [list(part) for part in eta.vectors[1]]) + eta.vectors[2:], list(eta.markers)
+    )
+    assert listed.to_json() == reference_to_json(listed) == eta.to_json()
+    level[0] = (3, 3)  # the same list object, another level
+    assert listed.to_json() == reference_to_json(listed) != eta.to_json()
+    assert id(level) not in _level_texts and id(listed.markers) not in _marker_texts
+    # A tuple level that holds a list is no more fixed than the list.
+    part = [2]
+    nested = MarkedDysonSymbol((((1, 1), (part, 1, 1)),) + eta.vectors[1:], eta.markers)
+    before = nested.to_json()
+    assert before == reference_to_json(nested)
+    part[0] = 3
+    assert nested.to_json() == reference_to_json(nested) != before
+    # A written level object passed as the markers is written as markers.
+    eta.to_json()
+    swapped = MarkedDysonSymbol(eta.vectors, eta.vectors[0])
+    assert swapped.to_json() == reference_to_json(swapped)
+
+
+def test_to_json_is_right_after_the_level_memo_has_filled():
+    _level_texts.clear()
+    written = []
+    for k, n in ((2, 14), (3, 12)):
+        for eta in enumerate_marked(k, n):
+            for symbol in (eta, mirror(eta, 1)):
+                assert symbol.to_json() == reference_to_json(symbol)
+                written.extend(symbol.vectors)
+                assert len(_level_texts) <= _LEVEL_CACHE
+    assert len({id(level) for level in written}) > _LEVEL_CACHE
+    # Every entry still holds the object it is keyed by.
+    assert all(key == id(level) for key, (level, _) in _level_texts.items())
+
+
+def test_decoded_symbols_share_their_markers():
+    for k, n in ((2, 12), (3, 10), (4, 9)):
+        _fragment_markers.cache_clear()
+        decoded = [MarkedDysonSymbol.from_json(eta.to_json()) for eta in enumerate_marked(k, n)]
+        seen = {}
+        for eta in decoded:
+            assert seen.setdefault(eta.markers, eta.markers) is eta.markers, (k, n, eta)
+        assert _fragment_markers.cache_info().currsize == len(seen)
 
 
 def test_decoded_symbols_share_their_levels():
@@ -371,9 +475,10 @@ def test_to_json_keeps_non_int_parts_out_of_the_level_cache(twin):
     odd = MarkedDysonSymbol((((1, twin), (2, 1, 1)),) + eta.vectors[1:], eta.markers)
     assert odd == eta  # equal by value, so one value-keyed entry would serve both
     for order in ((eta, odd), (odd, eta)):
-        _level_json.cache_clear()
+        _level_texts.clear()
         for symbol in order:
             assert symbol.to_json() == reference_to_json(symbol)
+        assert id(odd.vectors[0]) not in _level_texts
     # Markers are written by the same rule: a bool stays ``true``.
     odd_marker = MarkedDysonSymbol(eta.vectors, (twin, 4))
     assert odd_marker.to_json() == reference_to_json(odd_marker)
@@ -462,8 +567,8 @@ def test_from_json_raises_only_value_error(cls, text, cause):
 
 
 def test_wire_caches_are_bounded():
-    assert _level_json.cache_parameters()["maxsize"] is not None
-    assert _fragment_level.cache_parameters()["maxsize"] is not None
+    assert _fragment_level.cache_parameters()["maxsize"] == _LEVEL_CACHE
+    assert _fragment_markers.cache_parameters()["maxsize"] == _LEVEL_CACHE
 
 
 def outcome(read, text):
