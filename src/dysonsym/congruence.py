@@ -66,24 +66,6 @@ def crank_residue_table(t: int, n: int) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def modular_identity_cases(
-    k: int, p: int, r: int, n: int, method: str = "enumerate"
-) -> List[Verdict]:
-    """Per-residue checks of NC_k(i, p^r; n) = C(i+k-2, 2k-2) M(i, p^r; n) mod p^r.
-
-    ``method="enumerate"`` counts the k-marked symbols in each full-crank
-    residue class from ``full_crank_table``, which the fold builds without
-    building any symbol; ``method="closed"`` substitutes the verified
-    closed form, which needs no marked counting and so reaches much larger n.
-    """
-    lhs, rhs = _residue_sides(k, p, r, n, method)
-    identity = f"mod-identity[p={p},r={r},i={{}},{method}]"
-    return [
-        Verdict(identity=identity.format(i), k=k, n=n, lhs=left, rhs=right)
-        for i, (left, right) in enumerate(zip(lhs, rhs))
-    ]
-
-
 def _residue_sides(
     k: int, p: int, r: int, n: int, method: str
 ) -> Tuple[List[int], List[int]]:
@@ -139,9 +121,13 @@ def verify_modular_identity(
     weight n and folded into the pass flag (a failure zeroes lhs).  It
     depends on n only through the shift bound t_bound = n // p^r + 1, so
     it is checked once per (k, p, r, t_bound) and kept by
-    ``_binomial_lemma_holds``, for every n and both routes.  The residue
-    checks are those of ``modular_identity_cases``, compared side by side
-    without a Verdict per residue.
+    ``_binomial_lemma_holds``, for every n and both routes.
+
+    Each residue i is checked as NC_k(i, p^r; n) = C(i+k-2, 2k-2) M(i, p^r;
+    n) mod p^r.  ``method="enumerate"`` counts NC_k from
+    ``full_crank_table``, which the fold builds without building any
+    symbol; ``method="closed"`` substitutes the verified closed form, which
+    needs no marked counting and so reaches much larger n.
     """
     lhs, rhs = _residue_sides(k, p, r, n, method)
     passed = sum(map(eq, lhs, rhs))
@@ -199,6 +185,10 @@ def scan_progressions(
         raise ValueError("p must be a prime >= 5")
     if r < 1:
         raise ValueError("r must be positive")
+    if a_max < 1:
+        raise ValueError("a_max must be positive")
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
     if k is not None and k < 0:
         raise ValueError("k must be nonnegative")
     modulus = prime_power(p, r)

@@ -90,7 +90,7 @@ def _level_entries(states: Dict[tuple, int], label: Callable[[int, int], tuple])
     return {shape: dict(sorted(by_mass.items())) for shape, by_mass in entries.items()}
 
 
-def _top_histogram(lo: int, cap: int, k: int, dyson: bool) -> Entries:
+def _top_histogram(lo: int, cap: int, k: int) -> Entries:
     """The fold's top entries, (large, small, both empty) -> mass -> crank
     -> count, for the top pairs with parts >= lo; laid out as the groups of
     ``_top_groups``, with A = large and B = small.
@@ -100,7 +100,7 @@ def _top_histogram(lo: int, cap: int, k: int, dyson: bool) -> Entries:
     repeated) number P(m, L) - P(m - 1, L), since adding one to a largest
     part is a bijection onto the rest; the one alpha of length 1 is (lo,).
     Beta is free (P(m, L)) under a nonempty alpha and of alpha's shape under
-    an empty one, without (lo,) for a Dyson symbol (``dyson``).  Pairs
+    an empty one, without (lo,) for a Dyson symbol (k = 1).  Pairs
     whose rectangle term (large + k - 1) small takes mass past ``cap`` are
     left out.
     """
@@ -126,7 +126,7 @@ def _top_histogram(lo: int, cap: int, k: int, dyson: bool) -> Entries:
             room = cap - (large + k - 1) * small
             if lo * (la + lb) > room:  # the term only grows with lb
                 break
-            if la == 0 and dyson and lb == 1:
+            if la == 0 and k == 1 and lb == 1:
                 continue
             betas = parts[lb] if la else [shaped(lb, m) for m in range(cap + 1)]
             for ma in range(lo * la, room - lo * lb + 1):
@@ -226,8 +226,7 @@ def _fold_range(k: int, max_n: int,
         marker = lo if k > 1 else 0  # p_{k-1} = lo; a Dyson symbol has none
         # The histogram leaves out only the pairs whose term passes the
         # largest room.
-        for (large, small, both_empty), by_mass in _top_histogram(
-                lo, max_n - marker, k, k == 1).items():
+        for (large, small, both_empty), by_mass in _top_histogram(lo, max_n - marker, k).items():
             rectangle = (large + k - 1) * small
             # The levels below fill what the top leaves, `left`, exactly; a
             # 1-marked top is the leaf.  Each `left` is counted once and

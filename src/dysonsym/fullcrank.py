@@ -164,21 +164,13 @@ def barck_closed_form(k: int, m: int) -> int:
 def series_coefficients(k: int, order: int) -> List[int]:
     """Coefficients of (1+q) / (1-q)^(2k+1) up to the given order.
 
-    Expanded by exact integer polynomial arithmetic: raise (1-q) to 2k+1,
-    invert the series term by term, then multiply by (1+q).  Independent
-    of the binomial closed form.
+    Expanded by exact integer polynomial arithmetic: 1/(1-q) is the
+    all-ones series, raised to 2k+1 by repeated squaring, then multiplied
+    by (1+q).  Independent of the binomial closed form.
     """
     if k < 1 or order < 0:
         raise ValueError("need k >= 1 and order >= 0")
-    den = _power([1, -1], 2 * k + 1, order)
-    inv = [0] * (order + 1)
-    inv[0] = 1
-    for idx in range(1, order + 1):
-        acc = 0
-        for i in range(1, min(idx, len(den) - 1) + 1):
-            acc += den[i] * inv[idx - i]
-        inv[idx] = -acc  # den[0] == 1
-    return _convolve(inv, [1, 1], order)
+    return _convolve(_power([1] * (order + 1), 2 * k + 1, order), [1, 1], order)
 
 
 def verify_theorem31(k: int, n: int) -> Verdict:

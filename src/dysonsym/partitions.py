@@ -34,11 +34,6 @@ Partition = Tuple[int, ...]
 # crank generating function, which crank_counts(1) returns.
 CRANK_TABLE_ONE = {-1: 1, 0: -1, 1: 1}
 
-# Rank tables kept; the benchmark's congruence-scan workload reads 40 (every
-# n up to 40).  The crank tables stay unbounded, which bench/test_bench.py
-# asserts.
-_RANK_CACHE = 128
-
 # [p(0), ..., p(N)] for the largest N asked so far in this process, read by
 # partition_count and by every crank and rank table (see _partition_numbers).
 # Its size is set by that N alone, as one call at N would build the same list
@@ -287,6 +282,8 @@ def _gf_table(n: int, base_exponent: Callable[[int], int]) -> CountTable:
     )
 
 
+# Crank tables are kept without a bound, which bench/test_bench.py asserts.
+# Rank tables are recomputed on each call: no caller reads one twice.
 @lru_cache(maxsize=None)
 def crank_counts(n: int) -> CountTable:
     """The crank count table M(., n), from the Andrews-Garvan generating function.
@@ -301,7 +298,6 @@ def crank_counts(n: int) -> CountTable:
     return _gf_table(n, lambda j: j * (j - 1) // 2)
 
 
-@lru_cache(maxsize=_RANK_CACHE)
 def rank_counts(n: int) -> CountTable:
     """The rank count table N(., n) for n >= 1.
 

@@ -231,6 +231,12 @@ def test_negative_k_for_scan_is_usage_error(capsys):
     assert_one_line_error(usage_error(capsys, "scan", "--p", "5", "--k", "-1"))
 
 
+@pytest.mark.parametrize("bound", [["--max-a", "0"], ["--max-a", "-5"], ["--max-n", "1"]])
+def test_scan_bounds_that_leave_nothing_to_scan_are_usage_errors(capsys, bound):
+    # These used to print "0 witnesses" and exit 0.
+    assert_one_line_error(usage_error(capsys, "scan", "--p", "5", *bound))
+
+
 def test_nonpositive_k_for_verify_is_usage_error(capsys):
     # --k 0 used to run the default ks; --k -2 recursed without end.
     assert_one_line_error(usage_error(capsys, "verify", "thm4.3", "--k", "0"))

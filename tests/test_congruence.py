@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from operator import eq
 
 import pytest
 
@@ -16,8 +17,8 @@ from dysonsym.congruence import (
     MAX_MODULUS,
     MIN_POINTS,
     _binomial_lemma_holds,
+    _residue_sides,
     binomial_congruence_holds,
-    modular_identity_cases,
     prime_power,
 )
 
@@ -66,9 +67,9 @@ def test_binomial_congruence():
 def test_modular_identity_enumerate_small():
     v = verify_modular_identity(2, 5, 1, 6)
     assert v.passed
-    cases = modular_identity_cases(2, 5, 1, 6)
-    assert len(cases) == 5
-    assert all(c.passed for c in cases)
+    lhs, rhs = _residue_sides(2, 5, 1, 6, "enumerate")
+    assert len(lhs) == 5
+    assert lhs == rhs
 
 
 def test_binomial_lemma_is_checked_once_per_shift_bound():
@@ -78,8 +79,8 @@ def test_binomial_lemma_is_checked_once_per_shift_bound():
     for method in ("enumerate", "closed"):
         for n in range(2, 15):
             verdict = verify_modular_identity(2, 5, 1, n, method=method)
-            cases = modular_identity_cases(2, 5, 1, n, method=method)
-            assert (verdict.lhs, verdict.rhs) == (sum(c.passed for c in cases), len(cases))
+            lhs, rhs = _residue_sides(2, 5, 1, n, method)
+            assert (verdict.lhs, verdict.rhs) == (sum(map(eq, lhs, rhs)), len(lhs))
     info = _binomial_lemma_holds.cache_info()
     assert (info.misses, info.hits) == (3, 23)
     _binomial_lemma_holds.cache_clear()
@@ -118,9 +119,9 @@ def test_modular_identity_input_validation():
     with pytest.raises(ValueError):
         verify_modular_identity(2, 5, 0, 6)
     with pytest.raises(ValueError):
-        modular_identity_cases(2, 5, 1, 6, method="nope")
+        verify_modular_identity(2, 5, 1, 6, method="nope")
     with pytest.raises(ValueError, match="exceeds the largest modulus"):
-        modular_identity_cases(2, 5, 30, 3, method="closed")
+        verify_modular_identity(2, 5, 30, 3, method="closed")
 
 
 def test_scanner_finds_ramanujan_witness():
@@ -177,6 +178,17 @@ def test_scanner_input_validation():
         scan_progressions(5, 1, k=-1)
     with pytest.raises(ValueError, match="exceeds the largest modulus"):
         scan_progressions(5, 30, n_max=10)
+    # Bounds that leave nothing to scan used to return no witness, as if
+    # every progression had failed.
+    for a_max in (0, -5):
+        with pytest.raises(ValueError, match="a_max must be positive"):
+            scan_progressions(5, 1, a_max=a_max)
+    for n_max in (1, 0, -3):
+        with pytest.raises(ValueError, match="n_max must be at least 2"):
+            scan_progressions(5, 1, n_max=n_max)
+    # n = 2 and 3 are values to scan, though too few for MIN_POINTS.
+    assert scan_progressions(5, 1, k=1, a_max=1, n_max=2) == []
+    assert scan_progressions(5, 1, k=1, n_max=3) == []
 
 
 def test_prime_power_stops_at_the_largest_modulus():

@@ -30,7 +30,6 @@ from dysonsym.partitions import CountTable, _partition_numbers, crank_counts, ge
 
 CACHES = (
     partitions.crank_counts,
-    partitions.rank_counts,
     fold._counts,
     fullcrank.full_crank_table,
     marked.enumerate_marked,
