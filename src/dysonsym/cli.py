@@ -575,6 +575,10 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.verb == "moments":
         k, n = args.k, args.n
+        if k < 1:
+            raise ValueError("--k must be positive")
+        if n < 1:
+            raise ValueError("--n must be positive")
         mu, eta = crank_moment(k, n), rank_moment(k, n)
         _emit(fmt, [(k, n, mu, eta)], ("k", "n", "mu", "eta"), tuple,
               lambda _: f"mu_{k}({n}) = {mu}\neta_{k}({n}) = {eta}",
@@ -608,6 +612,15 @@ def _run(args: argparse.Namespace) -> int:
         return 0 if passed == len(verdicts) else 1
 
     if args.verb == "scan":
+        # The flags' own names, before the scanner's messages name its arguments.
+        if args.r < 1:
+            raise ValueError("--r must be positive")
+        if args.max_a < 1:
+            raise ValueError("--max-a must be positive")
+        if args.max_n < 2:
+            raise ValueError("--max-n must be at least 2")
+        if args.k is not None and args.k < 0:
+            raise ValueError("--k must be nonnegative")
         witnesses = scan_progressions(args.p, args.r, k=args.k, a_max=args.max_a, n_max=args.max_n)
         _emit(fmt, witnesses, ("p", "r", "A", "B", "kind", "k", "n_max", "holds", "points"), tuple,
               lambda w: f"{w.kind} p={w.p} r={w.r} A={w.A} B={w.B} k={w.k} points={w.points}")

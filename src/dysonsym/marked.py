@@ -39,22 +39,25 @@ from .partitions import (
 Pair = Tuple[Partition, Partition]
 Group = Tuple[Tuple[int, int, int, bool], Tuple[Pair, ...]]  # ((mass, A, B, flag), pairs)
 
-# Cache bounds.  `verify all` at its default bounds fills the symbol-list cache
-# (`enumerate_marked`) with 33 lists, and enumeration's cache of level
-# groupings (`_level_groups`) with 173 (the benchmark's objects workload: 141);
-# these bounds keep all of them.  The fold's caches are bounded in `fold`.
+# Cache bounds.  The symbol-list cache (`enumerate_marked`) keeps one list,
+# the last one asked for: `verify all` at its default bounds builds 33 lists,
+# each read by thm2.4 and again by thm2.6 (66 misses, no hit), and the
+# benchmark's objects workload reads each of its 3 lists back to back.  The
+# walk's tables (`_walk_groups`) keep one table per marker pair and one per
+# top marker, each at the widest cap asked for: 37 level and 13 top tables
+# after `verify all`, 44 and 14 after the objects workload.  The fold's
+# caches are bounded in `fold`.
 # The wire format keeps four caches, each bounded by `_LEVEL_CACHE`.  The
 # writer's memos (`_level_texts`, `_marker_texts`) hold the text of each
-# level and markers object it has written; the symbols of one walk share
-# those objects, so the objects workload's 85,139 level fragments take 2,941
-# writes: one for each of its 2,828 level objects (1,000, 1,157 and 800 at
-# its sizes (2, 14), (3, 13) and (4, 12)), and 113 after the level memo is
-# emptied once.  Its 44 markers tuples are written once each.  The reader
-# keeps the level (`_fragment_level`) and the markers (`_fragment_markers`)
-# of each canonical fragment of that text, one object per distinct
-# fragment.  `verify all` fills none of them.
-_TABLE_CACHE = 64
-_GROUP_CACHE = 512
+# level and markers object it has written; the symbols of the walk share
+# the pair objects of its tables, so the objects workload's 85,139 level
+# fragments take 1,441 writes, one for each of its level objects (1,000,
+# 890 and 421 at its sizes (2, 14), (3, 13) and (4, 12), some shared
+# between sizes), and the level memo is never emptied.  Its 44 markers
+# tuples are written once each.  The reader keeps the level
+# (`_fragment_level`) and the markers (`_fragment_markers`) of each
+# canonical fragment of that text, one object per distinct fragment.
+# `verify all` fills none of them.
 _LEVEL_CACHE = 2048
 
 
@@ -448,7 +451,6 @@ def _partitions_in_range(lo: int, hi: int, cap: int) -> Tuple[Partition, ...]:
     return tuple(sorted(found, key=lambda p: (sum(p), p)))
 
 
-@lru_cache(maxsize=_GROUP_CACHE)
 def _level_groups(lo: int, hi: int, cap: int) -> Tuple[Group, ...]:
     """Pairs with parts in [lo, hi] and mass <= cap, grouped by summary.
 
@@ -520,47 +522,70 @@ def _marker_choices(left: int, remaining: int, lo: int = 1,
         yield from _marker_choices(left - 1, remaining - p, p, prefix + (p,))
 
 
+# The walk's tables (``_walk_groups``): (lo, hi, False) -> a level's, and
+# (lo, None, dyson) -> a top's, each as (cap, groups) at the widest cap asked for.
+_walk_tables: Dict[tuple, Tuple[int, Tuple[Group, ...]]] = {}
+
+
+def _walk_groups(lo: int, hi: Optional[int], cap: int, dyson: bool = False) -> Tuple[Group, ...]:
+    """The groups the walk reads for one level: ``_level_groups(lo, hi,
+    cap)``, or for ``hi=None`` the top's ``_top_groups(lo, cap, dyson)``,
+    with every group of mass <= cap and perhaps wider ones after them.
+
+    One table is kept per (lo, hi) and per (lo, dyson), built anew only for
+    a cap beyond the one it has.  A wider table serves the walk as well:
+    groups ascend by mass, ``_descend`` stops at the first one past its
+    budget, and a group of mass <= cap holds the same pairs, in the same
+    order, at any larger cap (the argument of ``fold._widest_range``).
+    ``cache_clear()`` empties the tables.
+    """
+    key = (lo, hi, dyson)
+    kept = _walk_tables.get(key)
+    if kept is None or kept[0] < cap:
+        groups = _top_groups(lo, cap, dyson) if hi is None else _level_groups(lo, hi, cap)
+        kept = _walk_tables[key] = (cap, groups)
+    return kept[1]
+
+
+_walk_groups.cache_clear = _walk_tables.clear
+
+
 def _walk(k: int, n: int) -> List[MarkedDysonSymbol]:
     """Every k-marked symbol of weight n, built level by level, top first.
 
     For each marker tuple the walk descends through one group per level
-    (``_top_groups`` for level k, ``_level_groups`` below it), summing
-    their A and B; each leaf stands for the product of its groups' pairs.
-    A level is pruned once the part sums plus markers exceed n, or the
-    rectangle term (A + k - 1) B exceeds what is left of n: the term never
-    shrinks as levels are added (A_i >= B_i >= 0).  A leaf is a level-1
-    group at which the term equals what is left.  It shares no counting
-    code with ``fold._fold_range``, which the tests and thm2.4 compare it
-    against.
+    (``_top_groups`` for level k, ``_level_groups`` below it, both read
+    through ``_walk_groups``), summing their A and B; each leaf stands for
+    the product of its groups' pairs.  A level is pruned once the part sums
+    plus markers exceed n, or the rectangle term (A + k - 1) B exceeds what
+    is left of n: the term never shrinks as levels are added (A_i >= B_i >=
+    0).  A leaf is a level-1 group at which the term equals what is left.
+    It shares no counting code with ``fold._fold_range``, which the tests
+    and thm2.4 compare it against.
     """
     out: List[MarkedDysonSymbol] = []
-    tops: Dict[int, Tuple[Group, ...]] = {}  # by top marker, for this call
     for markers in _marker_choices(k - 1, n):
         bounds = (1,) + markers
-        budget0 = n - sum(markers)
+        budget = n - sum(markers)
         top = bounds[-1]
-        if top not in tops:
-            # Built once, for the largest budget: the other markers are >= 1.
-            tops[top] = _top_groups(top, n - top - (k - 2) if k > 1 else n, k == 1)
-        _descend(out, [], markers, bounds, budget0, tops[top], k, budget0, 0, 0, False)
+        tables = [_walk_groups(lo, hi, budget) for lo, hi in zip(bounds, markers)]
+        # The top's table is asked for at its largest budget in this walk,
+        # with every other marker 1, so the walk builds it at most once.
+        tables.append(_walk_groups(top, None, n - top - (k - 2) if k > 1 else n, k == 1))
+        _descend(out, [], markers, tables, k, budget, 0, 0, False)
     return out
 
 
 def _descend(out: List[MarkedDysonSymbol], path: List[Tuple[Pair, ...]],
-             markers: Tuple[int, ...], bounds: Tuple[int, ...], budget0: int,
-             top_groups: Tuple[Group, ...], level: int, budget: int, a_acc: int,
-             b_acc: int, need_exposed: bool) -> None:
-    # One level of ``_walk``: `path` holds the pair lists chosen above it,
-    # `need_exposed` is set only on level k-1 under a both-empty top.  A
-    # module function, not a closure: a closure that calls itself is a
-    # reference cycle, and keeps what it captured alive until the cyclic
-    # collector runs.
-    k = len(bounds)
-    if level == k:
-        groups = top_groups
-    else:
-        groups = _level_groups(bounds[level - 1], bounds[level], budget0)
-    for (mass, a_i, b_i, flag), pairs in groups:
+             markers: Tuple[int, ...], tables: List[Tuple[Group, ...]], level: int,
+             budget: int, a_acc: int, b_acc: int, need_exposed: bool) -> None:
+    # One level of ``_walk``: `tables[i]` holds level i+1's groups, `path`
+    # the pair lists chosen above it, and `need_exposed` is set only on
+    # level k-1 under a both-empty top.  A module function, not a closure:
+    # a closure that calls itself is a reference cycle, and keeps what it
+    # captured alive until the cyclic collector runs.
+    k = len(tables)
+    for (mass, a_i, b_i, flag), pairs in tables[level - 1]:
         if mass > budget:
             break
         if need_exposed and not flag:
@@ -572,15 +597,15 @@ def _descend(out: List[MarkedDysonSymbol], path: List[Tuple[Pair, ...]],
             continue
         path.append(pairs)
         if level > 1:
-            _descend(out, path, markers, bounds, budget0, top_groups,
-                     level - 1, left, a_new, b_new, level == k and flag)
+            _descend(out, path, markers, tables, level - 1, left, a_new, b_new,
+                     level == k and flag)
         elif rectangle == left:
             # Each leaf's levels, top first in `path`, stored level 1 first.
             out.extend(map(_new_marked, zip(map(_reversed, product(*path)), repeat(markers))))
         path.pop()
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
+@lru_cache(maxsize=1)
 def enumerate_marked(k: int, n: int) -> Tuple[MarkedDysonSymbol, ...]:
     """All k-marked Dyson symbols of weight n, in a deterministic order.
 

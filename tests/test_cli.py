@@ -231,10 +231,28 @@ def test_negative_k_for_scan_is_usage_error(capsys):
     assert_one_line_error(usage_error(capsys, "scan", "--p", "5", "--k", "-1"))
 
 
-@pytest.mark.parametrize("bound", [["--max-a", "0"], ["--max-a", "-5"], ["--max-n", "1"]])
-def test_scan_bounds_that_leave_nothing_to_scan_are_usage_errors(capsys, bound):
-    # These used to print "0 witnesses" and exit 0.
-    assert_one_line_error(usage_error(capsys, "scan", "--p", "5", *bound))
+@pytest.mark.parametrize("bound,message", [
+    (["--max-a", "0"], "--max-a must be positive"),
+    (["--max-a", "-5"], "--max-a must be positive"),
+    (["--max-n", "1"], "--max-n must be at least 2"),
+    (["--r", "0"], "--r must be positive"),
+    (["--k", "-1"], "--k must be nonnegative"),
+])
+def test_scan_bounds_that_leave_nothing_to_scan_are_usage_errors(capsys, bound, message):
+    # The bounds used to print "0 witnesses" and exit 0; each message names
+    # the flag, not the scanner's argument.
+    err = usage_error(capsys, "scan", "--p", "5", *bound)
+    assert_one_line_error(err)
+    assert err.strip() == f"dysonsym: error: {message}"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--k", "0", "--n", "5"], "--k must be positive"),
+    (["--k", "2", "--n", "0"], "--n must be positive"),
+])
+def test_moments_out_of_range_names_the_flag(capsys, argv, message):
+    err = usage_error(capsys, "moments", *argv)
+    assert err.strip() == f"dysonsym: error: {message}"
 
 
 def test_nonpositive_k_for_verify_is_usage_error(capsys):

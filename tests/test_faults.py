@@ -33,7 +33,7 @@ CACHES = (
     fold._counts,
     fullcrank.full_crank_table,
     marked.enumerate_marked,
-    marked._level_groups,
+    marked._walk_groups,
     congruence._binomial_lemma_holds,
 )
 

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,6 +58,9 @@ from dysonsym.marked import (
     _read_canonical,
     _read_json,
     _top_groups,
+    _walk,
+    _walk_groups,
+    _walk_tables,
     _wire_grammar,
     is_strict_pair,
 )
@@ -1042,7 +1045,7 @@ def test_enumeration_and_fold_leave_no_reference_cycles(build):
     # and path, or the fold's memo and DP states, would stay alive until the
     # cyclic collector runs.  Cold caches run every enumeration helper.
     enumerate_marked.cache_clear()
-    _level_groups.cache_clear()
+    _walk_groups.cache_clear()
     gc.collect()
     gc.disable()
     try:
@@ -1050,6 +1053,76 @@ def test_enumeration_and_fold_leave_no_reference_cycles(build):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def exact_walk_groups(lo, hi, cap, dyson=False):
+    # `_walk_groups` without its tables: each level's groups built at the cap asked for.
+    return _top_groups(lo, cap, dyson) if hi is None else _level_groups(lo, hi, cap)
+
+
+def widest_walk_keys(k, max_n):
+    """The keys of the tables that walks of k levels up to weight max_n
+    ask for, each with the largest cap asked for, read off the ascending
+    marker tuples with sum <= n."""
+    widest = {}
+    for n in range(1, max_n + 1):
+        for markers in combinations_with_replacement(range(1, n + 1), k - 1):
+            if sum(markers) > n:
+                continue
+            bounds = (1,) + markers
+            asked = [((lo, hi, False), n - sum(markers)) for lo, hi in zip(bounds, markers)]
+            asked.append(((bounds[-1], None, k == 1), n - bounds[-1] - (k - 2) if k > 1 else n))
+            for key, cap in asked:
+                widest[key] = max(widest.get(key, cap), cap)
+    return widest
+
+
+def test_object_suites_keep_one_symbol_list_and_one_walk_table_per_marker():
+    enumerate_marked.cache_clear()
+    _walk_groups.cache_clear()
+    assert all(verdict.passed for verdict in cli.verify_thm24(3, 12))
+    assert all(verdict.passed for verdict in cli.verify_thm26(3, 12))
+    assert enumerate_marked.cache_info().currsize == 1
+    # One table per (lo, hi) and per (top marker, dyson), at the widest cap
+    # that the walks asked for.
+    widest = widest_walk_keys(3, 12)
+    assert {key: cap for key, (cap, groups) in _walk_tables.items()} == widest
+    for (lo, hi, dyson), (cap, groups) in _walk_tables.items():
+        assert groups == exact_walk_groups(lo, hi, cap, dyson)
+
+
+def test_a_walk_inside_the_kept_tables_builds_no_table(monkeypatch):
+    builds = []
+
+    def counted(build):
+        def wrapper(*args):
+            builds.append((build.__name__,) + args)
+            return build(*args)
+        return wrapper
+
+    _walk_groups.cache_clear()
+    _walk(3, 12)
+    monkeypatch.setattr(marked, "_level_groups", counted(marked._level_groups))
+    monkeypatch.setattr(marked, "_top_groups", counted(marked._top_groups))
+    for n in range(1, 13):
+        _walk(3, n)
+    assert builds == []
+    # A wider walk rebuilds tables in place, at its own caps.
+    _walk(3, 13)
+    assert builds
+    assert {key: cap for key, (cap, groups) in _walk_tables.items()} == widest_walk_keys(3, 13)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_the_walk_over_kept_tables_matches_the_exact_tables(monkeypatch, k):
+    # Weights ascending make the kept tables grow; descending, every walk
+    # reads tables wider than it asks for.  Both must give the symbols, in
+    # the order, of a walk whose every table is built at the cap asked for.
+    _walk_groups.cache_clear()
+    weights = list(range(1, 13)) + list(range(12, 0, -1))
+    kept = [_walk(k, n) for n in weights]
+    monkeypatch.setattr(marked, "_walk_groups", exact_walk_groups)
+    assert kept == [_walk(k, n) for n in weights]
 
 
 def test_one_marked_counts_match_the_crank_generating_function():
