@@ -16,9 +16,11 @@ import json
 import os
 import sys
 from collections import Counter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NoReturn, Optional, Sequence, Tuple
 
-from .congruence import is_prime, prime_power, scan_progressions, verify_modular_identity
+from .congruence import (
+    MAX_MODULUS, is_prime, prime_power, scan_progressions, verify_modular_identity,
+)
 from .dyson import _encode, dyson_crank, enumerate_dyson_symbols
 from .fullcrank import (
     Verdict,
@@ -386,20 +388,12 @@ def _plan(identifier: str, args: argparse.Namespace) -> Tuple[Callable, List[tup
             raise ValueError(f"--k {k} disagrees with the {len(args.m)} --m entries")
         k, options["profile"] = len(args.m), tuple(args.m)
     if args.n is not None:
-        if args.max_n is not None:
-            raise ValueError("--n and --max-n cannot be used together")
-        if args.n < 2:
-            raise ValueError("--n must be at least 2")
         options["n"] = args.n
     if k is not None:
         smallest = min(row[1] for row in rows)
         rows = [row for row in rows if row[0] == k] or [(k, smallest) + rows[0][2:]]
     if args.p is not None:
-        if not is_prime(args.p) or args.p < 5:
-            raise ValueError("p must be a prime >= 5")
         r = 1 if args.r is None else args.r
-        if r < 1:
-            raise ValueError("--r must be positive")
         prime_power(args.p, r)
         rows = [rows[0][:2] + (args.p, r)]
     elif args.r is not None:
@@ -443,67 +437,91 @@ def _emit(fmt: str, items: Iterable, header: Sequence[str], row: Callable, line:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Every usage error, argparse's own or main's, is one line on standard
+    error and exit status 2; subparsers are built as this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"dysonsym: error: {message}\n")
+
+
+_MUST = ("must be nonnegative", "must be positive", "must be at least 2")  # by least value
+
+
+def _int_reader(least: int, prime: bool = False) -> Callable[[str], int]:
+    """A numeric flag's ``type=``: an int of at least ``least``, and with
+    ``prime`` a prime of at most ``MAX_MODULUS``, checked as argparse reads
+    the flag, so its message is ``argument --flag: <what it must be>``."""
+
+    def read(text: str) -> int:
+        value = int(text)
+        # The bound first: is_prime trial-divides up to the square root.
+        if prime and value > MAX_MODULUS:
+            raise argparse.ArgumentTypeError(f"must be at most {MAX_MODULUS}")
+        if value < least or prime and not is_prime(value):
+            raise argparse.ArgumentTypeError(f"must be a prime >= {least}" if prime else _MUST[least])
+        return value
+
+    read.__name__ = "int"  # argparse's message for a non-integer: invalid int value: 'x'
+    return read
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by every later one.
 
     ``main`` may run many times in one process and parses each argv with
     this one parser; ``parse_args`` keeps no state between calls.  Callers
-    must not change the parser they get back.
+    must not change the parser they get back.  Each numeric flag's range is
+    checked here, by its ``type=``; the library checks its own arguments.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dysonsym",
         description="Dyson symbols, crank statistics, and partition congruences.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    nonnegative, positive, from_two = _int_reader(0), _int_reader(1), _int_reader(2)
+    prime = _int_reader(5, prime=True)
 
     p = sub.add_parser("partitions", help="list the partitions of n")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
+    p.add_argument("--n", type=nonnegative, required=True)
 
     for verb in ("crank-table", "rank-table"):
         p = sub.add_parser(verb, help=f"the {verb.split('-')[0]} count table at n")
-        p.add_argument("--n", type=int, required=True)
-        common(p)
+        p.add_argument("--n", type=positive, required=True)
 
     p = sub.add_parser("moments", help="symmetrized crank and rank moments")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
+    p.add_argument("--k", type=positive, required=True)
+    p.add_argument("--n", type=positive, required=True)
 
     p = sub.add_parser("dyson", help="enumerate the Dyson symbols of n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--oracle", action="store_true", help="use the structural search instead of the bijection"
-    )
-    common(p)
+    p.add_argument("--n", type=positive, required=True)
+    p.add_argument("--oracle", action="store_true",
+                   help="use the structural search instead of the bijection")
 
     p = sub.add_parser("enumerate-marked", help="enumerate the k-marked symbols of n")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
+    p.add_argument("--k", type=positive, required=True)
+    p.add_argument("--n", type=positive, required=True)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("identifier", choices=VERIFY_IDS + ("all",))
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--max-n", type=int, dest="max_n")
+    p.add_argument("--k", type=positive)
+    bound = p.add_mutually_exclusive_group()
+    bound.add_argument("--n", type=from_two)
+    bound.add_argument("--max-n", type=positive, dest="max_n")
     p.add_argument("--m", type=int, action="append", help="crank profile entry (repeatable)")
-    p.add_argument("--p", type=int)
-    p.add_argument("--r", type=int)
-    common(p)
+    p.add_argument("--p", type=prime)
+    p.add_argument("--r", type=positive)
 
     p = sub.add_parser("scan", help="scan progressions An+B for congruence witnesses")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--k", type=int)
-    p.add_argument("--max-a", type=int, dest="max_a", default=10)
-    p.add_argument("--max-n", type=int, dest="max_n", default=79)
-    common(p)
+    p.add_argument("--p", type=prime, required=True)
+    p.add_argument("--r", type=positive, default=1)
+    p.add_argument("--k", type=nonnegative)
+    p.add_argument("--max-a", type=positive, dest="max_a", default=10)
+    p.add_argument("--max-n", type=from_two, dest="max_n", default=79)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     return parser
 
 
@@ -515,12 +533,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.flush()  # so a closed pipe is reported here, not at exit
         return status
     except ValueError as exc:
-        # Out-of-range arguments are usage errors: status 2, no traceback.
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+        # A level a suite lacks, p^r past the largest modulus, bounds that leave no check.
+        parser.error(str(exc))
     except RecursionError:
         # The walk recurses once per level, a partition list once per part.
-        limit = sys.getrecursionlimit()
-        parser.exit(2, f"{parser.prog}: error: input too large: recursion limit {limit} reached\n")
+        parser.error(f"input too large: recursion limit {sys.getrecursionlimit()} reached")
     except BrokenPipeError:
         # The reader closed standard output early (`| head`).  Point it at
         # the null device so that the flush at exit cannot fail again, and
@@ -533,10 +550,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _verify(args: argparse.Namespace) -> List[Verdict]:
     """Plan every suite that ``args`` names, then run them in order."""
-    if args.k is not None and args.k < 1:
-        raise ValueError("--k must be positive")
-    if args.max_n is not None and args.max_n < 1:
-        raise ValueError("--max-n must be positive")
     ids = VERIFY_IDS if args.identifier == "all" else (args.identifier,)
     plans = []
     for ident in ids:
@@ -575,10 +588,6 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.verb == "moments":
         k, n = args.k, args.n
-        if k < 1:
-            raise ValueError("--k must be positive")
-        if n < 1:
-            raise ValueError("--n must be positive")
         mu, eta = crank_moment(k, n), rank_moment(k, n)
         _emit(fmt, [(k, n, mu, eta)], ("k", "n", "mu", "eta"), tuple,
               lambda _: f"mu_{k}({n}) = {mu}\neta_{k}({n}) = {eta}",
@@ -612,15 +621,6 @@ def _run(args: argparse.Namespace) -> int:
         return 0 if passed == len(verdicts) else 1
 
     if args.verb == "scan":
-        # The flags' own names, before the scanner's messages name its arguments.
-        if args.r < 1:
-            raise ValueError("--r must be positive")
-        if args.max_a < 1:
-            raise ValueError("--max-a must be positive")
-        if args.max_n < 2:
-            raise ValueError("--max-n must be at least 2")
-        if args.k is not None and args.k < 0:
-            raise ValueError("--k must be nonnegative")
         witnesses = scan_progressions(args.p, args.r, k=args.k, a_max=args.max_a, n_max=args.max_n)
         _emit(fmt, witnesses, ("p", "r", "A", "B", "kind", "k", "n_max", "holds", "points"), tuple,
               lambda w: f"{w.kind} p={w.p} r={w.r} A={w.A} B={w.B} k={w.k} points={w.points}")

@@ -70,14 +70,15 @@ def _residue_sides(
     k: int, p: int, r: int, n: int, method: str
 ) -> Tuple[List[int], List[int]]:
     # Both sides of every residue's check, reduced mod p^r, as two lists
-    # indexed by the residue i.
-    if not is_prime(p) or p < 5:
-        raise ValueError("p must be a prime >= 5")
+    # indexed by the residue i.  The modulus bound goes before is_prime,
+    # which trial-divides up to the square root of p.
     if r < 1 or n < 2:
         raise ValueError("need r >= 1 and n >= 2")
+    modulus = prime_power(p, r)
+    if not is_prime(p) or p < 5:
+        raise ValueError("p must be a prime >= 5")
     if 2 * k > p + 1:
         raise ValueError(f"k={k} violates the bound 2k <= p+1 for p={p}")
-    modulus = prime_power(p, r)
     if method == "enumerate":
         full = full_crank_table(k, n)
     elif method == "closed":
@@ -181,17 +182,17 @@ def scan_progressions(
     No A above (n_max - 2) // (MIN_POINTS - 1) can have that many values in
     [2, n_max], so A stops there even when ``a_max`` is larger.
     """
-    if not is_prime(p) or p < 5:
-        raise ValueError("p must be a prime >= 5")
     if r < 1:
         raise ValueError("r must be positive")
+    modulus = prime_power(p, r)  # before is_prime, which trial-divides up to sqrt(p)
+    if not is_prime(p) or p < 5:
+        raise ValueError("p must be a prime >= 5")
     if a_max < 1:
         raise ValueError("a_max must be positive")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     if k is not None and k < 0:
         raise ValueError("k must be nonnegative")
-    modulus = prime_power(p, r)
     # n -> (every residue count vanishes mod p^r, mu_2k(n) vanishes mod p^r)
     memo: Dict[int, Tuple[bool, bool]] = {}
 

@@ -571,7 +571,7 @@ def _walk(k: int, n: int) -> List[MarkedDysonSymbol]:
         tables = [_walk_groups(lo, hi, budget) for lo, hi in zip(bounds, markers)]
         # The top's table is asked for at its largest budget in this walk,
         # with every other marker 1, so the walk builds it at most once.
-        tables.append(_walk_groups(top, None, n - top - (k - 2) if k > 1 else n, k == 1))
+        tables.append(_walk_groups(top, None, n - top - (k - 2), k == 1))
         _descend(out, [], markers, tables, k, budget, 0, 0, False)
     return out
 
@@ -785,8 +785,6 @@ def phi_inverse(sym: DysonSymbol, cranks: Tuple[int, ...]) -> MarkedDysonSymbol:
             f"crank mismatch: symbol has {dyson_crank(sym)}, "
             f"profile requires {sum(cranks) + k - 1}"
         )
-    if k == 1:
-        return MarkedDysonSymbol(((sym.alpha, sym.beta),), ())
     a, b = list(sym.alpha), list(sym.beta)
     levels: List[Pair] = []
     markers_desc: List[int] = []

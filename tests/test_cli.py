@@ -12,6 +12,7 @@ import pytest
 from dysonsym import (
     MarkedDysonSymbol,
     cli,
+    congruence,
     crank_counts,
     crank_vector,
     dyson_crank,
@@ -232,27 +233,76 @@ def test_negative_k_for_scan_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("bound,message", [
-    (["--max-a", "0"], "--max-a must be positive"),
-    (["--max-a", "-5"], "--max-a must be positive"),
-    (["--max-n", "1"], "--max-n must be at least 2"),
-    (["--r", "0"], "--r must be positive"),
-    (["--k", "-1"], "--k must be nonnegative"),
+    (["--max-a", "0"], "argument --max-a: must be positive"),
+    (["--max-a", "-5"], "argument --max-a: must be positive"),
+    (["--max-n", "1"], "argument --max-n: must be at least 2"),
+    (["--r", "0"], "argument --r: must be positive"),
+    (["--k", "-1"], "argument --k: must be nonnegative"),
 ])
 def test_scan_bounds_that_leave_nothing_to_scan_are_usage_errors(capsys, bound, message):
     # The bounds used to print "0 witnesses" and exit 0; each message names
     # the flag, not the scanner's argument.
     err = usage_error(capsys, "scan", "--p", "5", *bound)
-    assert_one_line_error(err)
-    assert err.strip() == f"dysonsym: error: {message}"
+    assert err == f"dysonsym: error: {message}\n"
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["--k", "0", "--n", "5"], "--k must be positive"),
-    (["--k", "2", "--n", "0"], "--n must be positive"),
+    (["--k", "0", "--n", "5"], "argument --k: must be positive"),
+    (["--k", "2", "--n", "0"], "argument --n: must be positive"),
 ])
 def test_moments_out_of_range_names_the_flag(capsys, argv, message):
     err = usage_error(capsys, "moments", *argv)
-    assert err.strip() == f"dysonsym: error: {message}"
+    assert err == f"dysonsym: error: {message}\n"
+
+
+HUGE_P = "1000000000000000003"  # is_prime would trial-divide up to 10^9
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["partitions", "--n", "-1"], "argument --n: must be nonnegative"),
+    (["crank-table", "--n", "0"], "argument --n: must be positive"),
+    (["rank-table", "--n", "0"], "argument --n: must be positive"),
+    (["moments", "--k", "0", "--n", "5"], "argument --k: must be positive"),
+    (["moments", "--k", "2", "--n", "0"], "argument --n: must be positive"),
+    (["dyson", "--n", "0"], "argument --n: must be positive"),
+    (["enumerate-marked", "--k", "0", "--n", "3"], "argument --k: must be positive"),
+    (["enumerate-marked", "--k", "1", "--n", "0"], "argument --n: must be positive"),
+    (["verify", "all", "--k", "0"], "argument --k: must be positive"),
+    (["verify", "thm3.1", "--n", "1"], "argument --n: must be at least 2"),
+    (["verify", "all", "--max-n", "0"], "argument --max-n: must be positive"),
+    (["verify", "mod-identity", "--p", "4"], "argument --p: must be a prime >= 5"),
+    (["verify", "mod-identity", "--p", "5", "--r", "0"], "argument --r: must be positive"),
+    (["verify", "mod-identity", "--p", HUGE_P], "argument --p: must be at most 1000000"),
+    (["scan", "--p", "4"], "argument --p: must be a prime >= 5"),
+    (["scan", "--p", "1000003"], "argument --p: must be at most 1000000"),
+    (["scan", "--p", HUGE_P], "argument --p: must be at most 1000000"),
+    (["scan", "--p", "5", "--r", "0"], "argument --r: must be positive"),
+    (["scan", "--p", "5", "--k", "-1"], "argument --k: must be nonnegative"),
+    (["scan", "--p", "5", "--max-a", "0"], "argument --max-a: must be positive"),
+    (["scan", "--p", "5", "--max-n", "1"], "argument --max-n: must be at least 2"),
+    # argparse's own errors take the same one-line path.
+    (["verify", "thm9.9"], "argument identifier: invalid choice: 'thm9.9' (choose from "
+     + ", ".join(map(repr, cli.VERIFY_IDS + ("all",))) + ")"),
+    (["crank-table"], "the following arguments are required: --n"),
+    (["moments", "--k", "x", "--n", "3"], "argument --k: invalid int value: 'x'"),
+    (["no-such-verb"], "argument verb: invalid choice: 'no-such-verb' (choose from 'partitions',"
+     " 'crank-table', 'rank-table', 'moments', 'dyson', 'enumerate-marked', 'verify', 'scan')"),
+])
+def test_every_usage_error_is_one_line(capsys, monkeypatch, argv, message):
+    # Each numeric flag's range is checked as the flag is parsed, so the
+    # message names the flag; a --p past the largest modulus is rejected
+    # before any primality test.
+    real = congruence.is_prime
+
+    def is_prime(n):
+        assert n <= congruence.MAX_MODULUS, f"is_prime({n}) trial-divides up to its square root"
+        return real(n)
+
+    for module in (cli, congruence):
+        monkeypatch.setattr(module, "is_prime", is_prime)
+    err = usage_error(capsys, *argv)
+    assert err == f"dysonsym: error: {message}\n"
+    assert capsys.readouterr().out == ""
 
 
 def test_nonpositive_k_for_verify_is_usage_error(capsys):
@@ -353,20 +403,19 @@ def test_verify_rejects_a_level_the_suite_does_not_have(capsys, argv, message):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("--p", "4"), "p must be a prime >= 5"),
-        (("--p", "9", "--k", "2"), "p must be a prime >= 5"),
-        (("--p", "5", "--r", "0"), "--r must be positive"),
-        (("--p", "5", "--r", "9", "--max-n", "3"), "p^r = 5^9 exceeds the largest modulus"),
-        (("--p", "5", "--r", "30", "--max-n", "3"), "p^r = 5^30 exceeds the largest modulus"),
+        (("--p", "4"), "argument --p: must be a prime >= 5"),
+        (("--p", "9", "--k", "2"), "argument --p: must be a prime >= 5"),
+        (("--p", "5", "--r", "0"), "argument --r: must be positive"),
+        (("--p", "5", "--r", "9", "--max-n", "3"), "p^r = 5^9 exceeds the largest modulus, 1000000"),
+        (("--p", "5", "--r", "30", "--max-n", "3"),
+         "p^r = 5^30 exceeds the largest modulus, 1000000"),
     ],
 )
 def test_verify_mod_identity_rejects_bad_p_before_running(capsys, argv, message):
     # These used to print "verifying mod-identity ..." and only then fail
     # inside the suite.
     err = usage_error(capsys, "verify", "mod-identity", *argv)
-    assert_one_line_error(err)
-    assert message in err
-    assert "verifying" not in err
+    assert err == f"dysonsym: error: {message}\n"
 
 
 @pytest.mark.parametrize("n", ["1", "0", "-3"])
@@ -374,17 +423,13 @@ def test_verify_thm31_rejects_small_n_before_running(capsys, n):
     # These used to print "verifying thm3.1 ..." and only then fail inside
     # verify_theorem31.
     err = usage_error(capsys, "verify", "thm3.1", "--n", n)
-    assert_one_line_error(err)
-    assert "--n must be at least 2" in err
-    assert "verifying" not in err
+    assert err == "dysonsym: error: argument --n: must be at least 2\n"
 
 
 def test_verify_thm31_rejects_n_with_max_n_before_running(capsys):
     # --max-n used to be ignored: this checked n = 3 at both levels.
     err = usage_error(capsys, "verify", "thm3.1", "--n", "3", "--max-n", "2")
-    assert_one_line_error(err)
-    assert "--n and --max-n cannot be used together" in err
-    assert "verifying" not in err
+    assert err == "dysonsym: error: argument --max-n: not allowed with argument --n\n"
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

@@ -4,6 +4,7 @@ from operator import eq
 
 import pytest
 
+from dysonsym import congruence
 from dysonsym import (
     CongruenceWitness,
     crank_counts,
@@ -198,6 +199,24 @@ def test_prime_power_stops_at_the_largest_modulus():
     for p, r in ((5, 9), (11, 6), (1_000_003, 1), (5, 10**9)):
         with pytest.raises(ValueError, match=f"{p}\\^{r} exceeds"):
             prime_power(p, r)
+
+
+def test_the_modulus_bound_comes_before_the_primality_test(monkeypatch):
+    # is_prime trial-divides up to sqrt(p): with p = 10^18 + 3 both calls
+    # had not reached prime_power's bound after 20 s.
+    real = congruence.is_prime
+
+    def is_prime(n):
+        assert n <= MAX_MODULUS, f"is_prime({n}) trial-divides up to its square root"
+        return real(n)
+
+    monkeypatch.setattr(congruence, "is_prime", is_prime)
+    huge = 10**18 + 3
+    with pytest.raises(ValueError, match=f"{huge}\\^1 exceeds the largest modulus"):
+        scan_progressions(huge, 1)
+    for method in ("enumerate", "closed"):
+        with pytest.raises(ValueError, match=f"{huge}\\^1 exceeds the largest modulus"):
+            verify_modular_identity(2, huge, 1, 6, method=method)
 
 
 def test_scanner_min_points():

@@ -350,6 +350,18 @@ def test_phi_inverse_then_phi():
                 assert phi(eta) == sym
 
 
+def test_phi_inverse_at_one_level_is_the_symbol_itself():
+    # k = 1 takes the general peel, which peels no marker.
+    count = 0
+    for n in range(1, 16):
+        for sym in enumerate_dyson_symbols(n):
+            c = dyson_crank(sym)
+            if c >= 0:
+                count += 1
+                assert phi_inverse(sym, (c,)) == MarkedDysonSymbol(((sym.alpha, sym.beta),), ())
+    assert count == 369
+
+
 def test_peeling_golden_example():
     assert BIG_DYSON.weight() == 127
     eta = phi_inverse(BIG_DYSON, BIG_PROFILE)
