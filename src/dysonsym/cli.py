@@ -21,7 +21,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, NoReturn, Optional,
 from .congruence import (
     MAX_MODULUS, is_prime, prime_power, scan_progressions, verify_modular_identity,
 )
-from .dyson import _encode, dyson_crank, enumerate_dyson_symbols
+from .dyson import DysonSymbol, _encode, dyson_crank, enumerate_dyson_symbols
 from .fullcrank import (
     Verdict,
     ck_brute,
@@ -34,20 +34,22 @@ from .fullcrank import (
 )
 from .fold import _counts, _fold_key
 from .marked import (
+    _level_terms,
+    _placement_holds,
+    _terms_weight,
     crank_vector,
     enumerate_marked,
-    is_strict,
+    is_strict_pair,
     mirror,
     phi,
     phi_inverse,
     theorem21_rhs,
-    validate_marked,
-    weight,
 )
 from .partitions import (
     crank,
     crank_counts,
     crank_moment,
+    is_partition,
     partitions_of,
     rank_counts,
     rank_moment,
@@ -116,30 +118,36 @@ def verify_cor23(k: int, max_n: int) -> List[Verdict]:
     """M(-m, n) = F_1(m; n) for all m, plus crank negation under the encoding.
 
     One pass over the partitions of each n, streamed from ``partitions_of``
-    and never kept, encodes each partition once with ``_encode``: what
-    ``partitions_of`` makes is a partition, so it is not checked again.
-    The symbol's crank goes into the F_1 histogram that is compared with
-    crank_counts(n) (the cor2.3 verdicts, n >= 2) and, for n up to
-    OBJECT_MAX_N, is checked against -crank(lam) (the cor2.3-object
-    verdicts, whose rhs is p(n)).
+    and never kept, maps each partition through ``_encode`` and
+    ``DysonSymbol.crank`` into the F_1 histogram that is compared with
+    crank_counts(n) (the cor2.3 verdicts, n >= 2): what ``partitions_of``
+    makes is a partition, so it is not checked again.  For n up to
+    OBJECT_MAX_N the stream is split by ``itertools.tee``, which holds only
+    the partition both maps are reading, and the pairs (symbol crank,
+    crank(lam)) are counted instead: their first entries give F_1, and
+    the pairs whose entries are negatives count toward the cor2.3-object
+    verdicts, whose rhs is p(n).
     """
     table_verdicts, object_verdicts = [], []
     for n in range(1, max_n + 1):
-        f1: Counter = Counter()
-        negated = 0
-        for lam in partitions_of(n):
-            m = dyson_crank(_encode(lam))
-            f1[m] += 1
-            if n <= OBJECT_MAX_N and m == -crank(lam):
-                negated += 1
+        if n <= OBJECT_MAX_N:
+            lams, again = itertools.tee(partitions_of(n))
+            both = Counter(zip(map(DysonSymbol.crank, map(_encode, lams)), map(crank, again)))
+            f1 = Counter()
+            negated = 0
+            for (m, c), count in both.items():
+                f1[m] += count
+                if m == -c:
+                    negated += count
+            object_verdicts.append(
+                Verdict(identity="cor2.3-object", k=k, n=n, lhs=negated, rhs=sum(f1.values()))
+            )
+        else:
+            f1 = Counter(map(DysonSymbol.crank, map(_encode, partitions_of(n))))
         if n >= 2:
             table = crank_counts(n)
             checks = (table[-m] == f1[m] for m in range(-n, n + 1))
             table_verdicts.append(_tally("cor2.3", k, n, checks))
-        if n <= OBJECT_MAX_N:
-            object_verdicts.append(
-                Verdict(identity="cor2.3-object", k=k, n=n, lhs=negated, rhs=sum(f1.values()))
-            )
     return table_verdicts + object_verdicts
 
 
@@ -173,15 +181,23 @@ def verify_thm24(k: int, max_n: int) -> List[Verdict]:
     Per n, the counting checks compare count_fk at m and at m with one
     crank negated, both read as entries of ``_counts(k, n).every``, the
     table count_fk reads, fetched once per n.  The object checks take each
-    enumerated symbol's crank vector once.  Their histogram, ``walked``,
-    must equal ``every`` at each m the counting checks visit, and the
-    walk's total the fold's: the walk and the fold share no counting code.
+    enumerated symbol's crank vector once, one tuple per distinct vector.
+    Their histogram, ``walked``, must equal ``every`` at each m the
+    counting checks visit, and the walk's total the fold's: the walk and
+    the fold share no counting code.
+
     The mirror checks read one table, ``valid``, which maps the enumerated
-    symbols that pass ``validate_marked`` and weigh n, each checked once,
-    to their indices in ``symbols``.  For each symbol eta and level j with
-    c_j != 0, the image mu = mirror(eta, j) must be in ``valid`` (so it is
-    a valid symbol of weight n, and one that the enumeration holds), have
-    the crank vector of eta with c_j negated, and mirror back to eta.
+    symbols that are valid and weigh n to their indices in ``symbols``.
+    The symbols share their level objects, so each distinct level object
+    of n is tested once for both sides being partitions and, if they are,
+    gets its terms once (``_level_terms``: part sum, lengths, balance),
+    kept by identity for that n.  Each symbol is valid when every level's
+    sides are partitions and ``_placement_holds``, and weighs n when its
+    markers and level terms sum to n with the rectangle term
+    (``_terms_weight``); a faulty level fails every symbol that holds it.  For each symbol eta and level j
+    with c_j != 0, the image mu = mirror(eta, j) must be in ``valid`` (so
+    it is a valid symbol of weight n, and one that the enumeration holds),
+    have the crank vector of eta with c_j negated, and mirror back to eta.
 
     Each (symbol, level) is mirrored once: per level j, ``partner[i]`` is
     the index that ``valid`` gives the image of symbols[i] (None when the
@@ -197,20 +213,30 @@ def verify_thm24(k: int, max_n: int) -> List[Verdict]:
     def checks(n: int) -> Iterator[bool]:
         every = _counts(k, n).every
         symbols = enumerate_marked(k, n)
-        crank_vectors = [crank_vector(eta) for eta in symbols]
+        interned: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        crank_vectors = [interned.setdefault(c, c) for c in map(crank_vector, symbols)]
+        del interned
         walked = Counter(crank_vectors)
         yield len(symbols) == sum(every.values())
         for m in _signed_profiles(k, n - k + 1):
             count = every.get(m, 0)
-            yield walked[m] == count
+            yield walked.get(m, 0) == count
             for j in range(k):
                 yield count == every.get(m[:j] + (-m[j],) + m[j + 1 :], 0)
         del walked  # freed before the mirror tables, where verify all peaks
-        valid = {
-            eta: i
-            for i, eta in enumerate(symbols)
-            if validate_marked(eta) and weight(eta) == n
-        }
+        # id(level) -> (level, its terms), or None for terms when a side
+        # is not a partition: an entry holds its object, so no other
+        # object can take its id while the table lives.
+        facts = {id(pair): pair for eta in symbols for pair in eta.vectors}
+        for key, pair in facts.items():
+            a, b = pair
+            facts[key] = pair, _level_terms(pair) if is_partition(a) and is_partition(b) else None
+        valid = {}
+        for i, eta in enumerate(symbols):
+            terms = [facts[id(pair)][1] for pair in eta.vectors]
+            if None not in terms and _placement_holds(eta) and _terms_weight(eta, terms) == n:
+                valid[eta] = i
+        del facts
         for j in range(1, k + 1):
             partner = [
                 valid.get(mirror(eta, j)) if cranks[j - 1] else None
@@ -262,10 +288,13 @@ def verify_thm26(k: int, max_n: int) -> List[Verdict]:
     nonnegative cranks to (phi(eta), its crank vector), and ``peeled`` maps
     each Dyson symbol sym of n and nonnegative profile m with
     sum(m) + k - 1 = crank(sym) (``_profiles_of_sum`` makes just these) to
-    phi_inverse(sym, m).  Strictness is tested only on symbols whose cranks
-    are all nonnegative.  Each map runs once per object, and each round
-    trip reads the other table: phi(eta) must weigh n, have crank
-    sum(cranks) + k - 1 and peel back to eta in ``peeled``;
+    phi_inverse(sym, m).  A symbol merges when its top crank, read off the
+    two lengths, is nonnegative and every level below the top is a strict
+    pair, which makes its crank nonnegative too; strictness is tested once
+    per lower level object of n, kept by identity, and crank vectors are
+    taken only of the symbols that merge.  Each map runs once per object,
+    and each round trip reads the other table: phi(eta) must weigh n, have
+    crank sum(cranks) + k - 1 and peel back to eta in ``peeled``;
     phi_inverse(sym, m) must merge back to sym in ``merged`` with crank
     vector m.  An entry missing from the other table fails its check, and
     so does a peel that phi_inverse rejects with ValueError (a symbol that
@@ -274,10 +303,20 @@ def verify_thm26(k: int, max_n: int) -> List[Verdict]:
 
     def checks(n: int) -> Iterator[bool]:
         merged = {}
+        strict = {}  # id(level) -> (level, strict), as verify_thm24 keeps level facts
         for eta in enumerate_marked(k, n):
-            cranks = crank_vector(eta)
-            if min(cranks) >= 0 and is_strict(eta):
-                merged[eta] = phi(eta), cranks
+            *lower, (a, b) = eta.vectors
+            if len(a) < len(b):
+                continue
+            for pair in lower:
+                entry = strict.get(id(pair))
+                if entry is None:
+                    entry = strict[id(pair)] = pair, is_strict_pair(*pair)
+                if not entry[1]:
+                    break
+            else:
+                merged[eta] = phi(eta), crank_vector(eta)
+        del strict
         peeled = {}
         for sym in enumerate_dyson_symbols(n):
             c = dyson_crank(sym)

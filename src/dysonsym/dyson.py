@@ -13,7 +13,6 @@ from typing import NamedTuple, Tuple
 
 from .partitions import (
     Partition,
-    _count_greater,
     _wire_tuple,
     check_partition,
     conjugate,
@@ -108,14 +107,22 @@ def _encode(lam: Partition) -> DysonSymbol:
     ones = lam.count(1)
     if ones == 0:
         return _new_dyson(((), conjugate(lam)))
-    # lam decreases: the parts > ones come first, then the parts in
-    # (1, ones], then the ones.
-    big = _count_greater(lam, ones)
-    beta = tuple([part - ones for part in lam[:big]])
-    # nu = (ones, mid...) is a partition whose largest part is `ones`, so
-    # alpha has exactly `ones` parts.
-    alpha = conjugate((ones, *lam[big : len(lam) - ones]))
-    return _new_dyson((alpha, beta))
+    # lam decreases: the parts > ones come first, lam[:big], then the
+    # middle parts in (1, ones], lam[big:end], then the ones.
+    end = len(lam) - ones
+    big = end
+    while big and lam[big - 1] <= ones:
+        big -= 1
+    # alpha is the conjugate of (ones, *middle): ones columns, column c
+    # holding 1 + #{middle parts >= c} cells, which is 1 past the largest
+    # middle part, lam[big].
+    alpha = [1] * ones
+    height = end
+    for c in range(1, (lam[big] if big < end else 0) + 1):
+        while lam[height - 1] < c:
+            height -= 1
+        alpha[c - 1] = height - big + 1
+    return _new_dyson((tuple(alpha), tuple([part - ones for part in lam[:big]])))
 
 
 def from_dyson_symbol(sym: DysonSymbol) -> Partition:

@@ -22,7 +22,7 @@ import re  # loaded with json
 from functools import lru_cache, partial
 from itertools import product, repeat
 from operator import itemgetter
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .dyson import DysonSymbol, dyson_crank, has_dyson_shape, validate_dyson
 from .fold import _counts, _fold_key
@@ -336,22 +336,35 @@ def crank_vector(eta: MarkedDysonSymbol) -> Tuple[int, ...]:
 def weight(eta: MarkedDysonSymbol) -> int:
     """Total weight: part sums, markers, and the rectangle correction term.
 
-    The term is (l + D + k - 1)(s - D): l and s add up each level's longer
-    and shorter lengths, D the balance numbers of the levels below the top.
+    Read off each level's terms (``_level_terms``) by ``_terms_weight``.
     """
-    vectors = eta.vectors
-    top = len(vectors) - 1
-    base = sum(eta.markers)
-    l = s = d = 0  # noqa: E741 - established notation
-    for i, (a, b) in enumerate(vectors):
-        base += sum(a) + sum(b)
-        if len(a) < len(b):
-            a, b = b, a
-        l += len(a)
-        s += len(b)
-        if i < top:
-            d += balanced_count(a, b)
-    return base + (l + d + top) * (s - d)
+    return _terms_weight(eta, map(_level_terms, eta.vectors))
+
+
+def _level_terms(pair: Pair) -> Tuple[int, int, int, int]:
+    """One level's share of a symbol's weight: (part sum, longer length,
+    shorter length, balance of the shorter side against the longer).  The
+    balance counts only below the top, where ``_terms_weight`` reads it."""
+    a, b = pair
+    if len(a) < len(b):
+        a, b = b, a
+    return sum(a) + sum(b), len(a), len(b), balanced_count(a, b)
+
+
+def _terms_weight(eta: MarkedDysonSymbol, terms: Iterable[Tuple[int, int, int, int]]) -> int:
+    """eta's weight from its levels' terms (``_level_terms``), level 1
+    first: the part sums, the markers and the rectangle term
+    (l + D + k - 1)(s - D).  l and s add up each level's longer and shorter
+    lengths, D the balance numbers of the levels below the top."""
+    total = sum(eta.markers)
+    l = s = d = balance = 0  # noqa: E741 - established notation
+    for mass, longer, shorter, balance in terms:
+        total += mass
+        l += longer
+        s += shorter
+        d += balance
+    d -= balance  # the last level is the top, whose balance does not count
+    return total + (l + d + len(eta.vectors) - 1) * (s - d)
 
 
 def validate_marked(eta: MarkedDysonSymbol) -> bool:
@@ -442,13 +455,15 @@ def is_strict(eta: MarkedDysonSymbol) -> bool:
 
 
 def _partitions_in_range(lo: int, hi: int, cap: int) -> Tuple[Partition, ...]:
-    """Partitions with parts in [lo, hi] and sum <= cap, sorted by sum."""
+    """Partitions with parts in [lo, hi] and sum <= cap, sorted by (sum,
+    parts): by sum, and each sum's in ascending order."""
     if lo < 1 or hi < lo:
         return ((),)
-    found = [
-        p for s in range(max(cap, 0) + 1) for p in partitions_of(s, hi) if not p or p[-1] >= lo
-    ]
-    return tuple(sorted(found, key=lambda p: (sum(p), p)))
+    found: List[Partition] = []
+    for s in range(max(cap, 0) + 1):
+        # partitions_of lists each sum's partitions in decreasing order.
+        found.extend(reversed([p for p in partitions_of(s, hi) if not p or p[-1] >= lo]))
+    return tuple(found)
 
 
 def _level_groups(lo: int, hi: int, cap: int) -> Tuple[Group, ...]:
@@ -462,9 +477,10 @@ def _level_groups(lo: int, hi: int, cap: int) -> Tuple[Group, ...]:
     """
     groups: Dict[tuple, List[Pair]] = {}
     candidates = _partitions_in_range(lo, hi, cap)
-    for a in candidates:
-        for b in candidates:
-            mass = sum(a) + sum(b)
+    sums = [sum(p) for p in candidates]
+    for a, asum in zip(candidates, sums):
+        for b, bsum in zip(candidates, sums):
+            mass = asum + bsum
             if mass > cap:
                 break
             _, l_i, s_i, bal = _pair_stats(a, b, top=False)

@@ -23,10 +23,10 @@ from dysonsym import (
     partition_count,
     phi,
     phi_inverse,
-    validate_marked,
     weight,
 )
 from dysonsym.cli import BROKEN_PIPE_STATUS, main
+from dysonsym.marked import _level_terms, _placement_holds, _terms_weight, is_strict_pair
 from dysonsym.fullcrank import Verdict
 
 from golden_cli import CLI_OUTPUTS
@@ -576,14 +576,36 @@ def test_thm24_and_thm26_verdicts_are_unchanged(k):
         ]
 
 
-def test_thm24_validates_and_weighs_each_enumerated_symbol_once(monkeypatch):
-    # The mirror checks used to validate and weigh every image again.
-    validated = counted(monkeypatch, "validate_marked")
-    weighed = counted(monkeypatch, "weight")
+def distinct_levels(symbols, lower_only=False):
+    """The level objects that ``symbols`` hold, each once, by identity, in
+    the order the symbols first hold them."""
+    levels = {}
+    for eta in symbols:
+        for pair in eta.vectors[:-1] if lower_only else eta.vectors:
+            levels.setdefault(id(pair), pair)
+    return list(levels.values())
+
+
+def test_thm24_takes_level_terms_once_per_level_object_and_weighs_each_symbol_once(monkeypatch):
+    # The mirror checks used to validate and weigh every image again, and
+    # then every symbol's sides and balances, which the symbols share.
+    levels = counted(monkeypatch, "_level_terms")
+    placed = counted(monkeypatch, "_placement_holds")
+    weighed = counted(monkeypatch, "_terms_weight")
+    by_n = []  # the symbol lists the driver reads, whose level objects it keys
+
+    def enumerate_kept(k, n):
+        by_n.append(enumerate_marked(k, n))
+        return by_n[-1]
+
+    monkeypatch.setattr(cli, "enumerate_marked", enumerate_kept)
     assert all(v.passed for v in cli.verify_thm24(3, 10))
-    symbols = [eta for n in range(2, 11) for eta in enumerate_marked(3, n)]
-    assert validated == weighed == symbols
+    symbols = [eta for etas in by_n for eta in etas]
+    assert placed == weighed == symbols
     assert len(symbols) == 3752
+    expected = [pair for etas in by_n for pair in distinct_levels(etas)]
+    assert list(map(id, levels)) == list(map(id, expected))
+    assert len(levels) == 768
 
 
 def default_row_symbols():
@@ -625,12 +647,24 @@ def test_thm21_computes_each_rhs_once_per_profile_size(capsys, monkeypatch):
     assert len(profiles) == 170
 
 
-def test_thm26_tests_strictness_under_nonnegative_cranks_only(capsys, monkeypatch):
-    tested = counted(monkeypatch, "is_strict")
+def test_thm26_tests_strictness_once_per_lower_level_and_cranks_only_merges(capsys, monkeypatch):
+    # Strictness used to be tested per symbol, and every symbol's crank
+    # vector taken.  Equal pairs of different walk tables are different
+    # objects, so the pairs tested are compared as values, with multiplicity.
+    tested = []
+    monkeypatch.setattr(cli, "is_strict_pair", lambda a, b: tested.append((a, b)) or is_strict_pair(a, b))
+    cranked = counted(monkeypatch, "crank_vector")
     code, _, _ = run_cli(capsys, "verify", "thm2.6")
     assert code == 0
-    assert tested == [eta for eta in default_row_symbols() if min(crank_vector(eta)) >= 0]
-    assert len(tested) == 3859
+    lower = [
+        pair for k in (1, 2, 3) for n in range(2, 13)
+        for pair in distinct_levels(enumerate_marked(k, n), lower_only=True)
+    ]
+    assert sorted(tested) == sorted(lower)
+    assert len(tested) == 2469
+    merging = [eta for eta in default_row_symbols() if is_strict(eta) and min(crank_vector(eta)) >= 0]
+    assert cranked == merging
+    assert len(cranked) == 1710
 
 
 def test_thm26_runs_phi_and_phi_inverse_once_per_round_trip(monkeypatch):
@@ -675,14 +709,63 @@ def rejecting_one_symbol():
     target = next(eta for eta in enumerate_marked(2, FAULT_N) if crank_vector(eta)[1] != 0)
 
     def wrong(eta):
-        return eta != target and validate_marked(eta)
+        return eta != target and _placement_holds(eta)
 
-    return "thm2.4", "validate_marked", wrong, nonzero_cranks(target)
+    return "thm2.4", "_placement_holds", wrong, nonzero_cranks(target)
 
 
 def weighing_one_symbol_wrong():
     target = next(eta for eta in enumerate_marked(2, FAULT_N) if crank_vector(eta)[0] != 0)
-    return "thm2.4", "weight", lambda eta: weight(eta) + (eta == target), nonzero_cranks(target)
+
+    def wrong(eta, terms):
+        return _terms_weight(eta, terms) + (eta == target)
+
+    return "thm2.4", "_terms_weight", wrong, nonzero_cranks(target)
+
+
+def one_shared_level_off_by_one():
+    # The balance of one level-1 object, which several symbols of FAULT_N
+    # hold and no symbol of another weight that the run reads, read off by
+    # one: each symbol that holds it weighs wrong, and fails as an image.
+    # The widest walk comes first, so that the run rebuilds no table and
+    # its symbols hold the objects found here.
+    enumerate_marked(2, FAULT_N + 1)
+    holders = {}
+    for n in range(2, FAULT_N + 2):
+        for eta in enumerate_marked(2, n):
+            holders.setdefault(id(eta.vectors[0]), (eta.vectors[0], []))[1].append(eta)
+    target, held = max(
+        (entry for entry in holders.values() if {weight(eta) for eta in entry[1]} == {FAULT_N}),
+        key=lambda entry: len(entry[1]),
+    )
+    assert len(held) > 1
+
+    def wrong(pair):
+        mass, longer, shorter, balance = _level_terms(pair)
+        return mass, longer, shorter, balance + (pair is target)
+
+    return "thm2.4", "_level_terms", wrong, sum(map(nonzero_cranks, held))
+
+
+def enumerating_a_side_that_is_no_partition():
+    # One symbol of FAULT_N with a part 1 of level 1 written True, which is
+    # no partition part: the symbol equals the true one, and so does every
+    # sum, length and comparison of its parts, so only the partition test
+    # of its level can fail it, and each check that reaches it as an image.
+    symbols = enumerate_marked(2, FAULT_N)
+    i, target = next(
+        (i, eta) for i, eta in enumerate(symbols)
+        if 1 in eta.vectors[0][0] and any(crank_vector(eta))
+    )
+    (a, b), top = target.vectors
+    faulty = MarkedDysonSymbol(((a[:-1] + (True,), b), top), target.markers)
+    assert faulty == target
+    kept = symbols[:i] + (faulty,) + symbols[i + 1:]
+
+    def wrong(k, n):
+        return kept if (k, n) == (2, FAULT_N) else enumerate_marked(k, n)
+
+    return "thm2.4", "enumerate_marked", wrong, nonzero_cranks(target)
 
 
 def strict_symbols(k, n):
@@ -720,6 +803,8 @@ def peeling_one_symbol_wrong():
         mirror_to_a_decoy,
         rejecting_one_symbol,
         weighing_one_symbol_wrong,
+        one_shared_level_off_by_one,
+        enumerating_a_side_that_is_no_partition,
         merging_one_symbol_wrong,
         peeling_one_symbol_wrong,
     ],

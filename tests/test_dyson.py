@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -155,6 +156,18 @@ def test_unchecked_encoding_agrees_with_the_checked_one():
     for _ in range(200):
         lam = random_partition(rng, rng.randint(200, 400))
         assert _encode(lam) == to_dyson_symbol(lam), lam
+
+
+# sha256 over repr(enumerate_dyson_symbols(n)) for n = 1..30 in turn, as
+# the encoding gave them when it conjugated (ones, *middle parts) for alpha.
+DYSON_DIGEST = "496ed8778d3f110eae0ead2cae7aa6c799b8453b62254ba79ebe367fb8955cb3"
+
+
+def test_dyson_symbols_keep_their_order_up_to_30():
+    digest = hashlib.sha256()
+    for n in range(1, 31):
+        digest.update(repr(enumerate_dyson_symbols(n)).encode())
+    assert digest.hexdigest() == DYSON_DIGEST
 
 
 @st.composite

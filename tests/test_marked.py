@@ -1,5 +1,6 @@
 import ast
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -1135,6 +1136,28 @@ def test_the_walk_over_kept_tables_matches_the_exact_tables(monkeypatch, k):
     kept = [_walk(k, n) for n in weights]
     monkeypatch.setattr(marked, "_walk_groups", exact_walk_groups)
     assert kept == [_walk(k, n) for n in weights]
+
+
+# sha256 over repr(enumerate_marked(k, n)) for n = first..last in turn: the
+# rows that thm2.4 and thm2.6 read, and the objects workload's sizes.
+ENUMERATION_DIGESTS = {
+    (1, 1, 12): "69cb0813d9802008387fd2915201a4a2cfa1b08a3a6af765114ebb87d18fccd9",
+    (2, 1, 12): "4d8483e64f80fccb313502bc0927d374fcbf5de27404c57df91b1a64a2d4453c",
+    (3, 1, 12): "dc8cb514a449ca9325cf7016815fa3b09fd9e2547c7d4f5b41703eca73a2f010",
+    (2, 14, 14): "14891763dca40c3f7c084ded64d2aad97c8616f2e95bb447721d0f3d46fde590",
+    (3, 13, 13): "d07ec3e5668f6eeb32b643b3732329a6ad3eaa880beadc6d501c310e332e690f",
+    (4, 12, 12): "9b9bcee9832aab80aed6c8449cd844b24ee833330515527a889a4378620d2d5d",
+}
+
+
+def test_enumerations_keep_their_symbols_and_order():
+    _walk_groups.cache_clear()
+    enumerate_marked.cache_clear()
+    for (k, first, last), digest in ENUMERATION_DIGESTS.items():
+        h = hashlib.sha256()
+        for n in range(first, last + 1):
+            h.update(repr(enumerate_marked(k, n)).encode())
+        assert h.hexdigest() == digest, (k, first, last)
 
 
 def test_one_marked_counts_match_the_crank_generating_function():
