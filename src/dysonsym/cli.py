@@ -21,7 +21,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, NoReturn, Optional,
 from .congruence import (
     MAX_MODULUS, is_prime, prime_power, scan_progressions, verify_modular_identity,
 )
-from .dyson import DysonSymbol, _encode, dyson_crank, enumerate_dyson_symbols
+from .dyson import DysonSymbol, _encode, enumerate_dyson_symbols
 from .fullcrank import (
     Verdict,
     ck_brute,
@@ -224,16 +224,16 @@ def verify_thm24(k: int, max_n: int) -> List[Verdict]:
             for j in range(k):
                 yield count == every.get(m[:j] + (-m[j],) + m[j + 1 :], 0)
         del walked  # freed before the mirror tables, where verify all peaks
-        # id(level) -> (level, its terms), or None for terms when a side
-        # is not a partition: an entry holds its object, so no other
-        # object can take its id while the table lives.
+        # id(level) -> its terms, or None when a side is not a partition:
+        # ``symbols`` keeps every level alive while the table lives, so no
+        # other object can take a level's id.
         facts = {id(pair): pair for eta in symbols for pair in eta.vectors}
         for key, pair in facts.items():
             a, b = pair
-            facts[key] = pair, _level_terms(pair) if is_partition(a) and is_partition(b) else None
+            facts[key] = _level_terms(pair) if is_partition(a) and is_partition(b) else None
         valid = {}
         for i, eta in enumerate(symbols):
-            terms = [facts[id(pair)][1] for pair in eta.vectors]
+            terms = [facts[id(pair)] for pair in eta.vectors]
             if None not in terms and _placement_holds(eta) and _terms_weight(eta, terms) == n:
                 valid[eta] = i
         del facts
@@ -290,36 +290,31 @@ def verify_thm26(k: int, max_n: int) -> List[Verdict]:
     sum(m) + k - 1 = crank(sym) (``_profiles_of_sum`` makes just these) to
     phi_inverse(sym, m).  A symbol merges when its top crank, read off the
     two lengths, is nonnegative and every level below the top is a strict
-    pair, which makes its crank nonnegative too; strictness is tested once
-    per lower level object of n, kept by identity, and crank vectors are
-    taken only of the symbols that merge.  Each map runs once per object,
-    and each round trip reads the other table: phi(eta) must weigh n, have
-    crank sum(cranks) + k - 1 and peel back to eta in ``peeled``;
-    phi_inverse(sym, m) must merge back to sym in ``merged`` with crank
-    vector m.  An entry missing from the other table fails its check, and
-    so does a peel that phi_inverse rejects with ValueError (a symbol that
-    the enumeration should not have given): it is kept as None.
+    pair, which makes its crank nonnegative too; strictness is tested
+    level by level, up to the first lower level that is not strict, and
+    crank vectors are taken only of the symbols that merge.  Each map runs
+    once per object, and each round trip reads the other table: phi(eta)
+    must weigh n, have crank sum(cranks) + k - 1 and peel back to eta in
+    ``peeled``; phi_inverse(sym, m) must merge back to sym in ``merged``
+    with crank vector m.  An entry missing from the other table fails its
+    check, and so does a peel that phi_inverse rejects with ValueError (a
+    symbol that the enumeration should not have given): it is kept as None.
     """
 
     def checks(n: int) -> Iterator[bool]:
         merged = {}
-        strict = {}  # id(level) -> (level, strict), as verify_thm24 keeps level facts
         for eta in enumerate_marked(k, n):
             *lower, (a, b) = eta.vectors
             if len(a) < len(b):
                 continue
             for pair in lower:
-                entry = strict.get(id(pair))
-                if entry is None:
-                    entry = strict[id(pair)] = pair, is_strict_pair(*pair)
-                if not entry[1]:
+                if not is_strict_pair(*pair):
                     break
             else:
                 merged[eta] = phi(eta), crank_vector(eta)
-        del strict
         peeled = {}
         for sym in enumerate_dyson_symbols(n):
-            c = dyson_crank(sym)
+            c = sym.crank()
             if c < k - 1:
                 continue
             for m in _profiles_of_sum(k, c - k + 1):
@@ -330,7 +325,7 @@ def verify_thm26(k: int, max_n: int) -> List[Verdict]:
         for eta, (sym, cranks) in merged.items():
             yield (
                 sym.weight() == n
-                and dyson_crank(sym) == sum(cranks) + k - 1
+                and sym.crank() == sum(cranks) + k - 1
                 and peeled.get((sym, cranks)) == eta
             )
         for (sym, m), eta in peeled.items():

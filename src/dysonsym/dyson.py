@@ -80,11 +80,6 @@ def has_dyson_shape(alpha: Partition, beta: Partition) -> bool:
     return alpha[0] == alpha[1]
 
 
-def dyson_crank(sym: DysonSymbol) -> int:
-    """len(alpha) - len(beta)."""
-    return sym.crank()
-
-
 def to_dyson_symbol(lam: Partition) -> DysonSymbol:
     """Encode a nonempty partition as a Dyson symbol of the same weight.
 
@@ -188,6 +183,8 @@ def count_f1(m: int, n: int) -> int:
     """Number of Dyson symbols of weight n with crank m, by enumeration.
 
     An oracle for ``crank_counts``: it encodes every partition of n on
-    each call and keeps nothing.
+    each call and keeps nothing.  It stays while the benchmark reads its
+    own time as a per-layer metric (``dyson.count_f1.self_s``), which a
+    deletion would turn into a missing key.
     """
     return sum(1 for sym in enumerate_dyson_symbols(n) if sym.crank() == m)

@@ -24,7 +24,7 @@ from itertools import product, repeat
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from .dyson import DysonSymbol, dyson_crank, has_dyson_shape, validate_dyson
+from .dyson import DysonSymbol, has_dyson_shape, validate_dyson
 from .fold import _counts, _fold_key
 from .partitions import (
     Partition,
@@ -477,10 +477,9 @@ def _level_groups(lo: int, hi: int, cap: int) -> Tuple[Group, ...]:
     """
     groups: Dict[tuple, List[Pair]] = {}
     candidates = _partitions_in_range(lo, hi, cap)
-    sums = [sum(p) for p in candidates]
-    for a, asum in zip(candidates, sums):
-        for b, bsum in zip(candidates, sums):
-            mass = asum + bsum
+    for a in candidates:
+        for b in candidates:
+            mass = sum(a) + sum(b)
             if mass > cap:
                 break
             _, l_i, s_i, bal = _pair_stats(a, b, top=False)
@@ -796,9 +795,9 @@ def phi_inverse(sym: DysonSymbol, cranks: Tuple[int, ...]) -> MarkedDysonSymbol:
         raise ValueError("cranks must be nonnegative")
     if not validate_dyson(sym):
         raise ValueError(f"not a valid Dyson symbol: {sym}")
-    if dyson_crank(sym) != sum(cranks) + k - 1:
+    if sym.crank() != sum(cranks) + k - 1:
         raise ValueError(
-            f"crank mismatch: symbol has {dyson_crank(sym)}, "
+            f"crank mismatch: symbol has {sym.crank()}, "
             f"profile requires {sum(cranks) + k - 1}"
         )
     a, b = list(sym.alpha), list(sym.beta)

@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -15,7 +16,6 @@ from dysonsym import (
     congruence,
     crank_counts,
     crank_vector,
-    dyson_crank,
     enumerate_dyson_symbols,
     enumerate_marked,
     is_strict,
@@ -576,12 +576,12 @@ def test_thm24_and_thm26_verdicts_are_unchanged(k):
         ]
 
 
-def distinct_levels(symbols, lower_only=False):
+def distinct_levels(symbols):
     """The level objects that ``symbols`` hold, each once, by identity, in
     the order the symbols first hold them."""
     levels = {}
     for eta in symbols:
-        for pair in eta.vectors[:-1] if lower_only else eta.vectors:
+        for pair in eta.vectors:
             levels.setdefault(id(pair), pair)
     return list(levels.values())
 
@@ -647,21 +647,25 @@ def test_thm21_computes_each_rhs_once_per_profile_size(capsys, monkeypatch):
     assert len(profiles) == 170
 
 
-def test_thm26_tests_strictness_once_per_lower_level_and_cranks_only_merges(capsys, monkeypatch):
-    # Strictness used to be tested per symbol, and every symbol's crank
-    # vector taken.  Equal pairs of different walk tables are different
-    # objects, so the pairs tested are compared as values, with multiplicity.
+def test_thm26_tests_strictness_below_nonnegative_tops_and_cranks_only_merges(capsys, monkeypatch):
+    # Strictness is tested only under a top crank >= 0, level by level, and
+    # stops at the first level that is not strict; every symbol's crank
+    # vector used to be taken.  The pairs tested are compared as values.
     tested = []
     monkeypatch.setattr(cli, "is_strict_pair", lambda a, b: tested.append((a, b)) or is_strict_pair(a, b))
     cranked = counted(monkeypatch, "crank_vector")
     code, _, _ = run_cli(capsys, "verify", "thm2.6")
     assert code == 0
-    lower = [
-        pair for k in (1, 2, 3) for n in range(2, 13)
-        for pair in distinct_levels(enumerate_marked(k, n), lower_only=True)
-    ]
-    assert sorted(tested) == sorted(lower)
-    assert len(tested) == 2469
+    expected = []
+    for eta in default_row_symbols():
+        *lower, (a, b) = eta.vectors
+        if len(a) >= len(b):
+            for pair in lower:
+                expected.append(pair)
+                if not is_strict_pair(*pair):
+                    break
+    assert tested == expected
+    assert len(tested) == 11709
     merging = [eta for eta in default_row_symbols() if is_strict(eta) and min(crank_vector(eta)) >= 0]
     assert cranked == merging
     assert len(cranked) == 1710
@@ -780,7 +784,7 @@ def merging_one_symbol_wrong():
         (eta, sym)
         for eta in strict_symbols(2, FAULT_N)
         for sym in enumerate_dyson_symbols(FAULT_N)
-        if sym != phi(eta) and dyson_crank(sym) == dyson_crank(phi(eta))
+        if sym != phi(eta) and sym.crank() == phi(eta).crank()
     )
     return "thm2.6", "phi", lambda eta: decoy if eta == target else phi(eta), 2
 
@@ -827,6 +831,35 @@ def test_verify_all_verdicts_are_the_golden_rows(capsys):
         assert line == Verdict(*row).to_json(), f"verdict {i} differs from the golden row {row}"
     assert len(lines) == len(VERIFY_ALL) == 387
     assert code == 0
+
+
+# (exit status, sha256 of standard output, sha256 of standard error) of
+# `verify all` in each format: every byte is pinned, not only the json
+# verdict rows.
+VERIFY_ALL_DIGESTS = {
+    "csv": (
+        0,
+        "3d3b5ebfff57d2edfe908533214a8cc3c88a0dda0da0f391a3b9915ed0bbbff0",
+        "e90e923f50e321229cf707ae2af0a1d252291ca305ae0bb7221ece790c5d7642",
+    ),
+    "json": (
+        0,
+        "6b2a7de0f4255a951799ee32d4fdc08d19c192bb9bc53084320954251e06aa89",
+        "e90e923f50e321229cf707ae2af0a1d252291ca305ae0bb7221ece790c5d7642",
+    ),
+    "text": (
+        0,
+        "fcc8b1cee3df44bdcc3d7f125ba17d316bebcdb3c4d40ad3ed8ee7146016c303",
+        "e90e923f50e321229cf707ae2af0a1d252291ca305ae0bb7221ece790c5d7642",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_ALL_DIGESTS))
+def test_verify_all_writes_the_pinned_bytes(capsys, fmt):
+    code, out, err = run_cli(capsys, "verify", "all", "--format", fmt)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
+    assert (code, *digests) == VERIFY_ALL_DIGESTS[fmt]
 
 
 def test_moments_of_a_huge_order_return_at_once(capsys):

@@ -9,7 +9,6 @@ from dysonsym import (
     count_f1,
     crank,
     crank_counts,
-    dyson_crank,
     enumerate_dyson_symbols,
     from_dyson_symbol,
     partition_count,
@@ -26,7 +25,6 @@ def test_weight_and_crank():
     sym = DysonSymbol((2, 2), (1,))
     assert sym.weight() == 2 + 2 + 1 + 2 * 1
     assert sym.crank() == 1
-    assert dyson_crank(sym) == 1
 
 
 def test_validate_dyson():
@@ -78,7 +76,7 @@ def test_encoding_is_weight_preserving_bijection():
 def test_crank_negation_under_encoding():
     for n in range(1, 16):
         for lam in partitions_of(n):
-            assert dyson_crank(to_dyson_symbol(lam)) == -crank(lam)
+            assert to_dyson_symbol(lam).crank() == -crank(lam)
 
 
 def test_structural_search_agrees_with_bijection():
@@ -207,5 +205,5 @@ def test_encode_decode_round_trip_up_to_200(lam):
     assert from_dyson_symbol(sym) == lam
     assert DysonSymbol.from_json(sym.to_json()) == sym
     # The symbol's crank is -crank(lam), a crank that M(m, n) counts.
-    assert dyson_crank(sym) == -crank(lam)
-    assert crank_counts(n)[dyson_crank(sym)] > 0
+    assert sym.crank() == -crank(lam)
+    assert crank_counts(n)[sym.crank()] > 0

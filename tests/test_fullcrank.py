@@ -11,7 +11,6 @@ from dysonsym import (
     ck_brute,
     ck_closed_form,
     count_full_crank,
-    count_full_crank_residue,
     crank_counts,
     crank_moment,
     enumerate_marked,
@@ -27,6 +26,7 @@ from dysonsym import cli, fullcrank, marked, partitions
 from dysonsym.congruence import MAX_MODULUS
 from dysonsym.fullcrank import full_crank_table
 from dysonsym.fold import _counts
+from dysonsym.partitions import _residues
 
 from golden_data import BIG_THREE_MARKED
 
@@ -67,13 +67,11 @@ def test_theorem43_rhs_value():
     assert theorem43_rhs(2, 5, 7) == gen_binomial(5, 2) * 1
 
 
-def test_count_full_crank_residue():
+def test_full_crank_residues_count_every_symbol():
+    # The residue classes mod 5 that mod-identity reads partition the symbols.
     for k in (1, 2):
         for n in range(2, 9):
-            table_total = sum(count_full_crank_residue(k, i, 5, n) for i in range(5))
-            assert table_total == len(enumerate_marked(k, n))
-    with pytest.raises(ValueError):
-        count_full_crank_residue(2, 5, 5, 6)
+            assert sum(_residues(full_crank_table(k, n), 5)) == len(enumerate_marked(k, n))
     with pytest.raises(ValueError):
         count_full_crank(2, 0, 1)
 
@@ -83,8 +81,6 @@ FULL_CRANK_ERRORS = [
     (full_crank_table, (2, 0), "k and n must be positive"),
     (full_crank_table, (2, -1), "k and n must be positive"),
     (count_full_crank, (2, 0, 1), "n must be at least 2"),
-    (count_full_crank_residue, (2, 0, 5, 0), "k and n must be positive"),
-    (count_full_crank_residue, (2, 5, 5, 6), "need t >= 1 and 0 <= i < t"),
 ]
 
 
@@ -102,15 +98,15 @@ def test_full_crank_residue_values_at_five():
     # The 35 two-marked symbols of 5 classified by full crank mod 5.
     assert count_full_crank(2, 5, 5) == 10
     assert count_full_crank(2, -5, 5) == 15
-    assert count_full_crank_residue(2, 0, 5, 5) == 25
+    assert _residues(full_crank_table(2, 5), 5)[0] == 25
 
 
 def test_full_crank_residue_at_a_large_modulus():
-    # One class is summed, and no table of t entries is built.
-    for t in (MAX_MODULUS + 1, 5**30):
-        assert count_full_crank_residue(2, 5, t, 5) == 10
-        assert count_full_crank_residue(2, t - 5, t, 5) == 15
-        assert count_full_crank_residue(2, 0, t, 5) == 0
+    # At the largest modulus mod-identity takes, each class holds one crank.
+    residues = _residues(full_crank_table(2, 5), MAX_MODULUS)
+    assert residues[5] == 10
+    assert residues[MAX_MODULUS - 5] == 15
+    assert residues[0] == 0
 
 
 def test_ck_closed_form_known_values():
@@ -152,6 +148,15 @@ def test_barck_matches_closed_form():
     for k in range(2, 5):
         for m in range(-3, k - 1):
             assert barck_brute(k, m) == barck_closed_form(k, m) == 0
+
+
+def test_barck_is_the_binomial_of_theorem43_rhs():
+    # The lemma behind theorem43_rhs: at m >= 1 its binomial counts the
+    # positive-top solutions that barck_brute counts by convolution.
+    for k in (1, 2, 3):
+        for n in (2, 5, 9):
+            for m in range(1, n + 1):
+                assert theorem43_rhs(k, m, n) == barck_brute(k, m) * crank_counts(n)[m]
 
 
 def test_series_coefficients_match():

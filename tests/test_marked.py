@@ -23,7 +23,6 @@ from dysonsym import (
     crank_counts,
     crank_moment,
     crank_vector,
-    dyson_crank,
     enumerate_dyson_symbols,
     enumerate_marked,
     is_strict,
@@ -335,7 +334,7 @@ def test_phi_preserves_weight_and_crank():
                     continue
                 merged = phi(eta)
                 assert merged.weight() == n
-                assert dyson_crank(merged) == sum(cranks) + k - 1
+                assert merged.crank() == sum(cranks) + k - 1
                 assert phi_inverse(merged, cranks) == eta
 
 
@@ -343,7 +342,7 @@ def test_phi_inverse_then_phi():
     for k in (2, 3):
         for n in range(2, 10):
             for sym in enumerate_dyson_symbols(n):
-                c = dyson_crank(sym)
+                c = sym.crank()
                 if c != k - 1:
                     continue
                 eta = phi_inverse(sym, (0,) * k)
@@ -356,7 +355,7 @@ def test_phi_inverse_at_one_level_is_the_symbol_itself():
     count = 0
     for n in range(1, 16):
         for sym in enumerate_dyson_symbols(n):
-            c = dyson_crank(sym)
+            c = sym.crank()
             if c >= 0:
                 count += 1
                 assert phi_inverse(sym, (c,)) == MarkedDysonSymbol(((sym.alpha, sym.beta),), ())
