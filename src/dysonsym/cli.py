@@ -208,6 +208,13 @@ def verify_thm24(k: int, max_n: int) -> List[Verdict]:
     validation, say), mirror(mu, j) is built and compared directly.
     Images reuse validated int parts or add ints to them, so equal by
     value is the same symbol.
+
+    The verdicts are computed from n = max_n down to 2, then returned in
+    ascending order.  As ``_fold_up_to`` does for the fold, the first walk,
+    at max_n, builds each walk table at the widest cap that any n asks for,
+    and every later walk reads it as it is (``marked._walk_groups``); the
+    one-entry ``enumerate_marked`` cache ends the call holding the
+    smallest list, weight 2, not the largest.
     """
 
     def checks(n: int) -> Iterator[bool]:
@@ -254,7 +261,7 @@ def verify_thm24(k: int, max_n: int) -> List[Verdict]:
                     yield symbols[partner[i]] == eta
 
     _fold_up_to(_counts, k, max_n)
-    return [_tally("thm2.4", k, n, checks(n)) for n in range(2, max_n + 1)]
+    return [_tally("thm2.4", k, n, checks(n)) for n in range(max_n, 1, -1)][::-1]
 
 
 def verify_thm25(k: int, max_n: int) -> List[Verdict]:
@@ -299,6 +306,10 @@ def verify_thm26(k: int, max_n: int) -> List[Verdict]:
     with crank vector m.  An entry missing from the other table fails its
     check, and so does a peel that phi_inverse rejects with ValueError (a
     symbol that the enumeration should not have given): it is kept as None.
+
+    As in ``verify_thm24``, n runs from max_n down to 2, so each walk table
+    is built once, at its widest cap, and the symbol-list cache is left
+    holding weight 2; the verdicts are returned in ascending order.
     """
 
     def checks(n: int) -> Iterator[bool]:
@@ -331,7 +342,7 @@ def verify_thm26(k: int, max_n: int) -> List[Verdict]:
         for (sym, m), eta in peeled.items():
             yield merged.get(eta) == (sym, m)
 
-    return [_tally("thm2.6", k, n, checks(n)) for n in range(2, max_n + 1)]
+    return [_tally("thm2.6", k, n, checks(n)) for n in range(max_n, 1, -1)][::-1]
 
 
 def verify_thm31(k: int, max_n: int, n: Optional[int] = None) -> List[Verdict]:

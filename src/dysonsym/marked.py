@@ -45,8 +45,10 @@ Group = Tuple[Tuple[int, int, int, bool], Tuple[Pair, ...]]  # ((mass, A, B, fla
 # benchmark's objects workload reads each of its 3 lists back to back.  The
 # walk's tables (`_walk_groups`) keep one table per marker pair and one per
 # top marker, each at the widest cap asked for: 37 level and 13 top tables
-# after `verify all`, 44 and 14 after the objects workload.  The fold's
-# caches are bounded in `fold`.
+# after `verify all`, 44 and 14 after the objects workload.  The object
+# suites ask for their largest weight first, so each table is built once,
+# at that cap (50 builds in `verify all`), and the list cache ends each
+# suite holding its weight-2 list.  The fold's caches are bounded in `fold`.
 # The wire format keeps four caches, each bounded by `_LEVEL_CACHE`.  The
 # writer's memos (`_level_texts`, `_marker_texts`) hold the text of each
 # level and markers object it has written; the symbols of the walk share

@@ -610,8 +610,9 @@ def test_thm24_takes_level_terms_once_per_level_object_and_weighs_each_symbol_on
 
 def default_row_symbols():
     """The symbols that thm2.4 and thm2.6 enumerate at their default rows,
-    levels 1..3 up to n = 12, in the order the drivers visit them."""
-    return [eta for k in (1, 2, 3) for n in range(2, 13) for eta in enumerate_marked(k, n)]
+    levels 1..3 up to n = 12, in the order the drivers visit them: each
+    level's largest weight first."""
+    return [eta for k in (1, 2, 3) for n in range(12, 1, -1) for eta in enumerate_marked(k, n)]
 
 
 def test_thm24_takes_each_crank_vector_once_at_its_default_rows(capsys, monkeypatch):

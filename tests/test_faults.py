@@ -24,6 +24,7 @@ from dysonsym.marked import (
     is_strict,
     mirror,
     phi_inverse,
+    weight,
 )
 from dysonsym.congruence import crank_residue_table
 from dysonsym.partitions import CountTable, _partition_numbers, crank_counts, gen_binomial
@@ -106,10 +107,12 @@ def encoding_swapped_at_431(lam):
 
 
 def mirror_fixing_once_at_two():
+    # Fires on the first 2-marked symbol of weight 2 that thm2.4 mirrors,
+    # whichever weight the driver visits first.
     fired = []
 
     def faulty(eta, j):
-        if not fired and eta.k == 2:
+        if not fired and eta.k == 2 and weight(eta) == 2:
             fired.append(eta)
             return eta
         return mirror(eta, j)

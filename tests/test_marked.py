@@ -1125,6 +1125,37 @@ def test_a_walk_inside_the_kept_tables_builds_no_table(monkeypatch):
     assert {key: cap for key, (cap, groups) in _walk_tables.items()} == widest_walk_keys(3, 13)
 
 
+def test_object_suites_build_each_walk_table_once(capsys, monkeypatch):
+    # Walking n = 2..max_n upward rebuilt each table as its cap grew: 260
+    # builds at the default rows of thm2.4 and thm2.6 for the 50 tables kept.
+    builds = []
+    for name in ("_level_groups", "_top_groups"):
+        build = getattr(marked, name)
+        monkeypatch.setattr(marked, name,
+                            lambda *args, name=name, build=build: builds.append(name) or build(*args))
+    enumerate_marked.cache_clear()
+    _walk_groups.cache_clear()
+    assert all(verdict.passed for verdict in cli.verify_thm24(3, 12))
+    assert len(builds) == len(_walk_tables) == len(widest_walk_keys(3, 12))
+    enumerate_marked.cache_clear()
+    _walk_groups.cache_clear()
+    builds.clear()
+    assert cli.main(["verify", "thm2.4"]) == cli.main(["verify", "thm2.6"]) == 0
+    capsys.readouterr()
+    assert Counter(builds) == {"_level_groups": 37, "_top_groups": 13}
+    assert len(_walk_tables) == 50
+
+
+def test_object_suites_leave_their_smallest_symbol_list_cached():
+    # The one-entry list cache used to end each suite holding its largest
+    # list, (3, 12), alive through the suites that `verify all` runs next.
+    enumerate_marked.cache_clear()
+    cli.verify_thm26(3, 12)
+    misses = enumerate_marked.cache_info().misses
+    enumerate_marked(3, 2)
+    assert enumerate_marked.cache_info().misses == misses
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_the_walk_over_kept_tables_matches_the_exact_tables(monkeypatch, k):
     # Weights ascending make the kept tables grow; descending, every walk
