@@ -17,7 +17,10 @@ from typing import Callable, Dict, List, NamedTuple, Tuple
 # (`_widest_range`): the tables of every weight up to the largest asked for,
 # 3 profile and 3 full-crank ranges in `verify all`.  A range replaces the
 # narrower one before it, so a store holds at most one range per k.  The
-# fold's DP states, level entries and memo live for one range.
+# fold's DP states, level entries and memo live for one range.  A range's
+# tables share their keys across weights: one tuple per distinct key, and in
+# `_counts` one per distinct crank vector, through intern dicts that live
+# only while the range is built.
 
 
 def _level_states(hi: int, cap: int, k: int) -> List[Dict[tuple, int]]:
@@ -166,7 +169,8 @@ def _fold_range(k: int, max_n: int,
     every n.  The top is read one (lower marker, shape, weight left under
     it) at a time; each such state is asked for once, so the memo keeps
     only the states further down, and its counts go to the weight of every
-    top mass at once.
+    top mass at once.  Equal keys of the tables are one tuple, shared
+    across weights.
     """
     if k < 1 or max_n < 1:
         raise ValueError("k and n must be positive")
@@ -222,6 +226,7 @@ def _fold_range(k: int, max_n: int,
         return out
 
     tables: List[Dict[tuple, int]] = [{} for _ in range(max_n + 1)]
+    keys: Dict[tuple, tuple] = {}  # one tuple per distinct key, for every table
     for lo in range(1, max_n + 1) if k > 1 else (1,):
         marker = lo if k > 1 else 0  # p_{k-1} = lo; a Dyson symbol has none
         # The histogram leaves out only the pairs whose term passes the
@@ -242,14 +247,18 @@ def _fold_range(k: int, max_n: int,
                 else:
                     lower = [((large - small,), 1)]
                 # crank -> [(key, ways)], built once for every mass, so the
-                # tables of the weights this `left` reaches share their keys.
+                # tables of the weights this `left` reaches share their keys;
+                # `keys` makes an equal key of another `left` the same tuple.
                 keyed: Dict[int, list] = {}
                 for mass, cranks in by_mass.items():
                     if marker + mass + left <= max_n:
                         table = tables[marker + mass + left]
                         for crank, count in cranks.items():
                             if crank not in keyed:
-                                keyed[crank] = [((crank,) + key, ways) for key, ways in lower]
+                                shared = keyed[crank] = []
+                                for key, ways in lower:
+                                    key = (crank,) + key
+                                    shared.append((keys.setdefault(key, key), ways))
                             for key, ways in keyed[crank]:
                                 table[key] = table.get(key, 0) + count * ways
     # `below` calls itself through its closure cell, a reference cycle that
@@ -323,12 +332,18 @@ def _counts(k: int, max_n: int) -> List[_Counts]:
     bal_1, ..., c_{k-1}, bal_{k-1}) is a symbol's cranks and balances, as
     l - s is the sum of the |c_i|.  Beside it go the counts by crank
     vector, read off the keys.  No symbol and no pair is built.
+
+    Keys are shared across weights: equal keys of the weights' tables are
+    one tuple (``_fold_range`` interns them), and so are equal crank
+    vectors, through an intern dict that lives only for the build.
     """
     tables = _fold_range(k, max_n, _profile_label)
+    vectors: Dict[tuple, tuple] = {}
     for n, table in enumerate(tables):
         every: Dict[tuple, int] = {}
         for key, count in table.items():
             cranks = key[2::2] + key[:1]
+            cranks = vectors.setdefault(cranks, cranks)
             every[cranks] = every.get(cranks, 0) + count
         # Counter(d) copies d into a table of just its size.
         tables[n] = _Counts(table, Counter(every))

@@ -49,6 +49,11 @@ Group = Tuple[Tuple[int, int, int, bool], Tuple[Pair, ...]]  # ((mass, A, B, fla
 # suites ask for their largest weight first, so each table is built once,
 # at that cap (50 builds in `verify all`), and the list cache ends each
 # suite holding its weight-2 list.  The fold's caches are bounded in `fold`.
+# The mirror memo (`_mirror_images`) keeps the image of each level object
+# `mirror` has mirrored, and the level as its image's image: at most
+# `_LEVEL_CACHE` entries, for one symbol list, since `enumerate_marked`
+# empties it whenever it builds a new list.  The objects workload leaves 732
+# entries, the images of its last list.
 # The wire format keeps four caches, each bounded by `_LEVEL_CACHE`.  The
 # writer's memos (`_level_texts`, `_marker_texts`) hold the text of each
 # level and markers object it has written; the symbols of the walk share
@@ -631,6 +636,7 @@ def enumerate_marked(k: int, n: int) -> Tuple[MarkedDysonSymbol, ...]:
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
+    _mirror_images.clear()  # the images of the list this one replaces
     return tuple(_walk(k, n))
 
 
@@ -710,6 +716,33 @@ def theorem21_rhs(cranks: Tuple[int, ...], n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The image ``mirror`` built for each level object, under a key that names
+# the level's role: its id below the top, where the image is the swap, and
+# (id, p_{k-1}) at the top, where it is the t-shift above p_{k-1} (1 for a
+# Dyson symbol); an int is never equal to a tuple, so the roles never meet.
+# An entry (level, image) holds its level, as in ``_level_texts``, and each
+# is stored both ways, since the map is an involution.  Only tuple levels
+# of two tuples are kept, and a top only under an int p_{k-1}; the memo is
+# emptied when it is full and whenever ``enumerate_marked`` builds a list.
+_mirror_images: Dict[object, Tuple[Pair, Pair]] = {}
+
+
+def _mirror_pair(a: Partition, b: Partition, top_lo: Optional[int]) -> Pair:
+    # One level's image: the swap (top_lo None), or the top's t-shift,
+    # which is the swap at t = 0.
+    if top_lo is None:
+        return b, a
+    if len(b) >= 2:
+        t = b[0] - b[1]
+    elif len(b) == 1:
+        t = b[0] - top_lo
+    else:
+        t = 0
+    if t:
+        return (b[0] - t,) + b[1:], (a[0] + t,) + a[1:] if a else ()
+    return b, a
+
+
 def mirror(eta: MarkedDysonSymbol, j: int) -> MarkedDysonSymbol:
     """Negate the j-th crank (1-based), preserving weight and other cranks.
 
@@ -720,6 +753,10 @@ def mirror(eta: MarkedDysonSymbol, j: int) -> MarkedDysonSymbol:
     holds the symbol's own partition objects at level j; only t != 0 builds
     new parts.  Symbols with zero j-th crank are returned unchanged.
 
+    Images share level objects (``_mirror_images``): the images of symbols
+    that share a level object share one image of it, and mirroring an
+    image back gives the symbol's own level object.
+
     Raises ``ValueError`` for a level out of range, and for the Dyson
     symbol ((1,), ()) (k = 1, weight 1), which has no image: no symbol of
     weight 1 has crank -1.
@@ -728,25 +765,30 @@ def mirror(eta: MarkedDysonSymbol, j: int) -> MarkedDysonSymbol:
     k = len(vectors)
     if not 1 <= j <= k:
         raise ValueError(f"level out of range: {j}")
-    a, b = vectors[j - 1]
+    pair = vectors[j - 1]
+    a, b = pair
     if len(a) == len(b):
         return eta
     if j < k:
-        new_pair = (b, a)
+        top_lo, key = None, id(pair)
     else:
-        top_lo = markers[-1] if k > 1 else 1
-        if len(b) >= 2:
-            t = b[0] - b[1]
-        elif len(b) == 1:
-            t = b[0] - top_lo
-        else:
-            t = 0
-        if t:
-            new_pair = ((b[0] - t,) + b[1:], (a[0] + t,) + a[1:] if a else ())
-        elif k == 1 and not b and a == (1,):
+        if k == 1 and not b and a == (1,):
             raise ValueError("((1,), ()) has no mirror image: no symbol of weight 1 has crank -1")
-        else:
-            new_pair = (b, a)
+        top_lo = markers[-1] if k > 1 else 1
+        # None, which is no key, for a 1.0 or True that would find 1's images.
+        key = (id(pair), top_lo) if type(top_lo) is int else None
+    entry = _mirror_images.get(key)
+    if entry is not None:
+        new_pair = entry[1]
+    else:
+        new_pair = _mirror_pair(a, b, top_lo)
+        if key is not None and type(pair) is type(a) is type(b) is tuple:
+            if len(_mirror_images) >= _LEVEL_CACHE - 1:
+                _mirror_images.clear()
+            _mirror_images[key] = (pair, new_pair)
+            if _mirror_pair(*new_pair, top_lo) == pair:  # so on every valid level
+                back = id(new_pair) if top_lo is None else (id(new_pair), top_lo)
+                _mirror_images[back] = (new_pair, pair)
     levels = list(vectors)
     levels[j - 1] = new_pair
     return _new_marked((tuple(levels), markers))

@@ -44,9 +44,11 @@ def clean_caches():
     table = partitions._P_TABLE
     for cache in CACHES:
         cache.cache_clear()
+    marked._mirror_images.clear()  # so no row reads an earlier row's images
     yield
     for cache in CACHES:
         cache.cache_clear()
+    marked._mirror_images.clear()
     partitions._P_TABLE = table
 
 

@@ -53,6 +53,7 @@ from dysonsym.marked import (
     _level_groups,
     _level_texts,
     _marker_texts,
+    _mirror_images,
     _pair_stats,
     _partitions_in_range,
     _read_canonical,
@@ -286,6 +287,109 @@ def test_mirror_rejects_bad_level():
         mirror(eta, 3)
 
 
+def test_mirroring_an_image_back_gives_the_symbols_own_level():
+    mirrored = 0
+    for eta in enumerate_marked(3, 10):
+        for j, crank in enumerate(crank_vector(eta), start=1):
+            if crank:
+                image = mirror(eta, j)
+                assert image == mirror_formula(eta, j), (eta, j)
+                assert mirror(image, j).vectors[j - 1] is eta.vectors[j - 1], (eta, j)
+                mirrored += 1
+    assert mirrored > 0
+
+
+def test_images_of_symbols_that_share_a_level_share_its_image():
+    symbols = enumerate_marked(3, 10)
+    images = {}  # (j, p_2 at the top, level object id) -> image level objects
+    for j in (1, 2, 3):
+        for eta in symbols:
+            role = eta.markers[-1] if j == 3 else None
+            images.setdefault((j, role, id(eta.vectors[j - 1])), []).append(
+                mirror(eta, j).vectors[j - 1])
+    shared = [levels for levels in images.values() if len(levels) > 1]
+    assert shared
+    for levels in shared:
+        assert all(level is levels[0] for level in levels), levels[0]
+
+
+@pytest.mark.parametrize("top_first", [False, True])
+def test_a_level_gets_its_image_in_each_role(top_first):
+    # One decoded level object that is level 2 of one symbol and the top of
+    # another: a swap in the first, a shift by t = 1 in the second.
+    lower, top = (
+        MarkedDysonSymbol.from_json(
+            MarkedDysonSymbol(vectors, markers).to_json())
+        for vectors, markers in (
+            ((((), (1, 1, 1)), ((1, 1), (2,)), ((), ())), (1, 2)),
+            ((((), ()), ((), ()), ((1, 1), (2,))), (1, 1)),
+        )
+    )
+    assert lower in enumerate_marked(3, 10) and top in enumerate_marked(3, 10)
+    assert lower.vectors[1] is top.vectors[2]
+    calls = [(lower, 2), (top, 3)]
+    for eta, j in calls[::-1] if top_first else calls:
+        image = mirror(eta, j)
+        assert image == mirror_formula(eta, j), (eta, j)
+        assert mirror(image, j) == eta
+    assert mirror(lower, 2).vectors[1] == ((2,), (1, 1))
+    assert mirror(top, 3).vectors[2] == ((1,), (2, 1))
+
+
+def test_mirror_keeps_no_way_back_that_the_formula_does_not_take():
+    # Not a symbol: beta = (3,) under an empty alpha must be (p_1,).  Its
+    # top's image, ((1,), ()), swaps to ((), (1,)), not back to the top.
+    eta = MarkedDysonSymbol((((), ()), ((), (3,))), (1,))
+    assert not validate_marked(eta)
+    image = mirror(eta, 2)
+    assert image == mirror_formula(eta, 2)
+    assert mirror(image, 2) == mirror_formula(image, 2) != eta
+
+
+def test_mirror_keeps_no_image_of_a_level_that_can_change():
+    eta = BIG_THREE_MARKED
+    j = next(j for j, crank in enumerate(crank_vector(eta)[:-1], start=1) if crank)
+    # A list level, mutated between two calls.
+    level = list(eta.vectors[j - 1])
+    listed = MarkedDysonSymbol(eta.vectors[: j - 1] + (level,) + eta.vectors[j:], eta.markers)
+    assert mirror(listed, j) == mirror_formula(listed, j)
+    level.reverse()
+    assert mirror(listed, j) == mirror_formula(listed, j)
+    assert mirror(listed, j).vectors[j - 1] == tuple(eta.vectors[j - 1])
+    # A tuple level of two lists.
+    a, b = eta.vectors[j - 1]
+    nested = MarkedDysonSymbol(
+        eta.vectors[: j - 1] + ((list(a), list(b)),) + eta.vectors[j:], eta.markers)
+    assert mirror(nested, j) == mirror_formula(nested, j)
+    kept = [held for held, _ in _mirror_images.values()]
+    assert not any(held is level or held is nested.vectors[j - 1] for held in kept)
+
+
+def test_the_mirror_memo_is_bounded_and_lives_for_one_symbol_list():
+    symbols = enumerate_marked(3, 10)
+    # Copies with fresh level objects, kept alive, fill the memo past its
+    # bound without a new list.
+    copies = [MarkedDysonSymbol(tuple((a, b) for a, b in eta.vectors), eta.markers)
+              for eta in symbols]
+    largest = emptied = 0
+    for eta in copies:
+        for j in (1, 2, 3):
+            before = len(_mirror_images)
+            assert mirror(eta, j) == mirror_formula(eta, j)
+            assert len(_mirror_images) <= _LEVEL_CACHE
+            largest = max(largest, len(_mirror_images))
+            emptied += len(_mirror_images) < before
+    assert largest >= _LEVEL_CACHE - 1 and emptied
+    # A hit keeps the memo; a miss, which builds a new list, empties it.
+    for eta in symbols:
+        mirror(eta, 3)
+    kept = dict(_mirror_images)
+    assert kept and enumerate_marked(3, 10) is symbols
+    assert _mirror_images == kept
+    enumerate_marked(3, 9)
+    assert not _mirror_images
+
+
 def test_balance_refinement_matches_strict_counts():
     for n in range(2, 11):
         for m1 in range(0, 4):
@@ -414,7 +518,8 @@ def test_to_json_matches_one_dumps_of_the_symbol(k, n):
         # Both decoders' symbols: shared levels and markers, and fresh ones.
         for decoded in (_read_canonical(eta.to_json()), _read_json(eta.to_json())):
             assert decoded == eta and decoded.to_json() == reference_to_json(eta)
-    # A mirror image holds a fresh pair object at its mirrored level.
+    # A mirror image holds, at its mirrored level, a pair object that no
+    # symbol of the list holds.
     for j in range(1, k + 1):
         for eta in symbols:
             image = mirror(eta, j)
@@ -449,7 +554,9 @@ def test_to_json_is_right_after_the_level_memo_has_filled():
     written = []
     for k, n in ((2, 14), (3, 12)):
         for eta in enumerate_marked(k, n):
-            for symbol in (eta, mirror(eta, 1)):
+            # Images share level objects; those of every level j still
+            # write more of them than the memo holds.
+            for symbol in (eta,) + tuple(mirror(eta, j) for j in range(1, k + 1)):
                 assert symbol.to_json() == reference_to_json(symbol)
                 written.extend(symbol.vectors)
                 assert len(_level_texts) <= _LEVEL_CACHE
@@ -1005,6 +1112,23 @@ def test_verify_thm21_runs_one_fold(monkeypatch):
     assert count_fk((1, 0), 15) == theorem21_rhs((1, 0), 15)
     assert runs == [(2, 14), (2, 15)]
     assert _counts.cache_info().currsize == 1
+
+
+def test_counts_share_their_keys_across_weights():
+    _counts.cache_clear()
+    _counts(3, 12)
+    reference = _fold_range(3, 12, _profile_label)
+    keys, vectors = {}, {}
+    for n in range(1, 13):
+        counts = _counts(3, n)
+        assert counts.folded == reference[n], n
+        for key in counts.folded:
+            assert keys.setdefault(key, key) is key, (n, key)
+        for cranks in counts.every:
+            assert vectors.setdefault(cranks, cranks) is cranks, (n, cranks)
+    assert _counts.cache_info().misses == 1
+    # Keys repeat across weights, as the crank vectors do.
+    assert len(keys) < sum(len(reference[n]) for n in range(1, 13))
 
 
 FOLD_NAMES = (
