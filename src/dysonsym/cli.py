@@ -24,7 +24,7 @@ from .congruence import (
 from .dyson import DysonSymbol, _encode, enumerate_dyson_symbols
 from .fullcrank import (
     Verdict,
-    ck_brute,
+    _solution_counts,
     ck_closed_form,
     count_full_crank,
     full_crank_table,
@@ -37,6 +37,7 @@ from .marked import (
     _level_terms,
     _placement_holds,
     _terms_weight,
+    _walk,
     crank_vector,
     enumerate_marked,
     is_strict_pair,
@@ -291,38 +292,41 @@ def verify_thm25(k: int, max_n: int) -> List[Verdict]:
 def verify_thm26(k: int, max_n: int) -> List[Verdict]:
     """Both round trips of the merge/peel bijection.
 
-    Per n, two tables: ``merged`` maps each enumerated strict eta with
-    nonnegative cranks to (phi(eta), its crank vector), and ``peeled`` maps
-    each Dyson symbol sym of n and nonnegative profile m with
-    sum(m) + k - 1 = crank(sym) (``_profiles_of_sum`` makes just these) to
-    phi_inverse(sym, m).  A symbol merges when its top crank, read off the
-    two lengths, is nonnegative and every level below the top is a strict
-    pair, which makes its crank nonnegative too; strictness is tested
-    level by level, up to the first lower level that is not strict, and
-    crank vectors are taken only of the symbols that merge.  Each map runs
-    once per object, and each round trip reads the other table: phi(eta)
-    must weigh n, have crank sum(cranks) + k - 1 and peel back to eta in
-    ``peeled``; phi_inverse(sym, m) must merge back to sym in ``merged``
-    with crank vector m.  An entry missing from the other table fails its
-    check, and so does a peel that phi_inverse rejects with ValueError (a
-    symbol that the enumeration should not have given): it is kept as None.
+    Per n, two tables: ``merged`` maps each strict eta with nonnegative
+    cranks to (phi(eta), its crank vector), and ``peeled`` maps each Dyson
+    symbol sym of n and nonnegative profile m with sum(m) + k - 1 =
+    crank(sym) (``_profiles_of_sum`` makes just these) to
+    phi_inverse(sym, m).  The walk builds only the symbols of weight n that
+    merge (``marked._walk`` with ``merging``), and each is tested before
+    phi, which raises on one that does not: its top crank, read off the two
+    lengths, must be nonnegative and each lower level a strict pair, up to
+    the first that is not; a walked symbol that fails fails one check.
+    Each map runs once per object, and each round trip reads the other
+    table: phi(eta) must weigh n, have crank sum(cranks) + k - 1 and peel
+    back to eta in ``peeled``; phi_inverse(sym, m) must merge back to sym
+    in ``merged`` with crank vector m.  An entry missing from the other
+    table fails its check, and so does a peel that phi_inverse rejects
+    with ValueError: it is kept as None.
 
     As in ``verify_thm24``, n runs from max_n down to 2, so each walk table
-    is built once, at its widest cap, and the symbol-list cache is left
-    holding weight 2; the verdicts are returned in ascending order.
+    is built once, at its widest cap; the verdicts are returned in
+    ascending order.
     """
 
     def checks(n: int) -> Iterator[bool]:
-        merged = {}
-        for eta in enumerate_marked(k, n):
+        merged, rejected = {}, 0
+        for eta in _walk(k, n, merging=True):
             *lower, (a, b) = eta.vectors
             if len(a) < len(b):
+                rejected += 1
                 continue
             for pair in lower:
                 if not is_strict_pair(*pair):
+                    rejected += 1
                     break
             else:
                 merged[eta] = phi(eta), crank_vector(eta)
+        yield from itertools.repeat(False, rejected)
         peeled = {}
         for sym in enumerate_dyson_symbols(n):
             c = sym.crank()
@@ -364,11 +368,15 @@ def verify_thm43(k: int, max_n: int) -> List[Verdict]:
 
 
 def verify_gfck(k: int, max_j: int) -> List[Verdict]:
-    """Series coefficients vs closed form vs brute-force solution counts."""
+    """Series coefficients vs closed form vs brute-force solution counts.
+
+    The brute-force counts ``ck_brute(k, j)`` of every j <= max_j are read
+    off one list, the solution counts of ``ck_brute``'s equation up to
+    max_j, so the brute force runs once per k, not once per j.
+    """
     coeffs = series_coefficients(k, max_j)
-    checks = (
-        coeffs[j] == ck_closed_form(k, j) == ck_brute(k, j) for j in range(max_j + 1)
-    )
+    brute = _solution_counts(max_j, k + 1, 0, k)
+    checks = (coeffs[j] == ck_closed_form(k, j) == brute[j] for j in range(max_j + 1))
     return [_tally("gf-ck", k, max_j, checks)]
 
 

@@ -102,12 +102,11 @@ def _power(poly: List[int], e: int, order: int) -> List[int]:
     return _convolve(rest, poly, order) if e % 2 else rest
 
 
-def _solutions(target: int, signed: int, positive: int, even: int) -> int:
-    """Solutions of |m_1| + ... + p_1 + ... + 2t_1 + ... = target in
-    ``signed`` integers m_i, ``positive`` integers p_i >= 1 and ``even``
-    terms with t_i >= 0, by exact integer convolution of powers of series."""
-    if target < 0:
-        return 0
+def _solution_counts(target: int, signed: int, positive: int, even: int) -> List[int]:
+    """Solutions of |m_1| + ... + p_1 + ... + 2t_1 + ... = v in ``signed``
+    integers m_i, ``positive`` integers p_i >= 1 and ``even`` terms with
+    t_i >= 0, for every v = 0..target, by exact integer convolution of
+    powers of series."""
     variables = (
         ([1] + [2] * target, signed),  # |m| = v: one way at 0, else two
         ([0] + [1] * target, positive),  # p = v
@@ -116,7 +115,7 @@ def _solutions(target: int, signed: int, positive: int, even: int) -> int:
     ways = [1] + [0] * target
     for variable, count in variables:
         ways = _convolve(ways, _power(variable, count, target), target)
-    return ways[target]
+    return ways
 
 
 def ck_brute(k: int, j: int) -> int:
@@ -127,7 +126,7 @@ def ck_brute(k: int, j: int) -> int:
     """
     if k < 1 or j < 0:
         raise ValueError("need k >= 1 and j >= 0")
-    return _solutions(j, k + 1, 0, k)
+    return _solution_counts(j, k + 1, 0, k)[j]
 
 
 def ck_closed_form(k: int, j: int) -> int:
@@ -147,7 +146,8 @@ def barck_brute(k: int, m: int) -> int:
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    return _solutions(m - k + 1, k - 1, 1, k - 1)
+    target = m - k + 1
+    return _solution_counts(target, k - 1, 1, k - 1)[target] if target >= 0 else 0
 
 
 def barck_closed_form(k: int, m: int) -> int:

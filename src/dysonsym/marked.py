@@ -41,14 +41,17 @@ Group = Tuple[Tuple[int, int, int, bool], Tuple[Pair, ...]]  # ((mass, A, B, fla
 
 # Cache bounds.  The symbol-list cache (`enumerate_marked`) keeps one list,
 # the last one asked for: `verify all` at its default bounds builds 33 lists,
-# each read by thm2.4 and again by thm2.6 (66 misses, no hit), and the
-# benchmark's objects workload reads each of its 3 lists back to back.  The
-# walk's tables (`_walk_groups`) keep one table per marker pair and one per
-# top marker, each at the widest cap asked for: 37 level and 13 top tables
-# after `verify all`, 44 and 14 after the objects workload.  The object
-# suites ask for their largest weight first, so each table is built once,
-# at that cap (50 builds in `verify all`), and the list cache ends each
-# suite holding its weight-2 list.  The fold's caches are bounded in `fold`.
+# each read by thm2.4 only (33 misses, no hit; thm2.6 walks the symbols it
+# merges and keeps no list), and the benchmark's objects workload reads each
+# of its 3 lists back to back.  The walk's tables (`_walk_groups`) keep one
+# table per marker pair and one per top marker, each at the widest cap
+# asked for: 37 level and 13 top tables after `verify all`, 44 and 14 after
+# the objects workload.  The object suites ask for their largest weight
+# first, so each table is built once, at that cap (50 builds in `verify
+# all`), and thm2.4 ends holding its weight-2 list.  The mergeable part of
+# a table (`_merging_groups`) is kept while the table is, at most one per
+# kept table: 50 after `verify all`, none after the objects workload.  The
+# fold's caches are bounded in `fold`.
 # The mirror memo (`_mirror_images`) keeps the image of each level object
 # `mirror` has mirrored, and the level as its image's image: at most
 # `_LEVEL_CACHE` entries, for one symbol list, since `enumerate_marked`
@@ -547,6 +550,9 @@ def _marker_choices(left: int, remaining: int, lo: int = 1,
 # The walk's tables (``_walk_groups``): (lo, hi, False) -> a level's, and
 # (lo, None, dyson) -> a top's, each as (cap, groups) at the widest cap asked for.
 _walk_tables: Dict[tuple, Tuple[int, Tuple[Group, ...]]] = {}
+# The mergeable part of each full table, under its key (``_merging_groups``),
+# dropped when the full table is rebuilt.
+_merging_tables: Dict[tuple, Tuple[Group, ...]] = {}
 
 
 def _walk_groups(lo: int, hi: Optional[int], cap: int, dyson: bool = False) -> Tuple[Group, ...]:
@@ -559,41 +565,73 @@ def _walk_groups(lo: int, hi: Optional[int], cap: int, dyson: bool = False) -> T
     groups ascend by mass, ``_descend`` stops at the first one past its
     budget, and a group of mass <= cap holds the same pairs, in the same
     order, at any larger cap (the argument of ``fold._widest_range``).
-    ``cache_clear()`` empties the tables.
+    ``cache_clear()`` empties the tables and their mergeable parts.
     """
     key = (lo, hi, dyson)
     kept = _walk_tables.get(key)
     if kept is None or kept[0] < cap:
         groups = _top_groups(lo, cap, dyson) if hi is None else _level_groups(lo, hi, cap)
         kept = _walk_tables[key] = (cap, groups)
+        _merging_tables.pop(key, None)
     return kept[1]
 
 
-_walk_groups.cache_clear = _walk_tables.clear
+def _merging_groups(lo: int, hi: Optional[int], cap: int, dyson: bool = False) -> Tuple[Group, ...]:
+    """``_walk_groups(lo, hi, cap, dyson)`` less the pairs that no symbol
+    ``phi`` merges can hold: below the top the pairs that are not strict
+    (``is_strict_pair``), at the top those of negative crank.
+
+    Filtered from the kept full table, never built, and kept as long as it
+    is.  Each group keeps its summary and the order of its pairs, and a
+    group left empty is dropped: the walk reads a level only through its
+    groups' summaries, and a leaf's symbols are the product of its groups'
+    pairs, so a walk over these tables gives the symbols of a walk over the
+    full ones that merge, in the same order.
+    """
+    groups = _walk_groups(lo, hi, cap, dyson)
+    key = (lo, hi, dyson)
+    kept = _merging_tables.get(key)
+    if kept is None:
+        keep = (lambda a, b: len(a) >= len(b)) if hi is None else is_strict_pair
+        filtered = ((summary, tuple([pair for pair in pairs if keep(*pair)]))
+                    for summary, pairs in groups)
+        kept = _merging_tables[key] = tuple(group for group in filtered if group[1])
+    return kept
 
 
-def _walk(k: int, n: int) -> List[MarkedDysonSymbol]:
-    """Every k-marked symbol of weight n, built level by level, top first.
+def _clear_walk_tables() -> None:
+    _walk_tables.clear()
+    _merging_tables.clear()
+
+
+_walk_groups.cache_clear = _clear_walk_tables
+
+
+def _walk(k: int, n: int, merging: bool = False) -> List[MarkedDysonSymbol]:
+    """Every k-marked symbol of weight n, built level by level, top first;
+    with ``merging``, only those that ``phi`` merges, in the same order.
 
     For each marker tuple the walk descends through one group per level
     (``_top_groups`` for level k, ``_level_groups`` below it, both read
-    through ``_walk_groups``), summing their A and B; each leaf stands for
-    the product of its groups' pairs.  A level is pruned once the part sums
-    plus markers exceed n, or the rectangle term (A + k - 1) B exceeds what
-    is left of n: the term never shrinks as levels are added (A_i >= B_i >=
-    0).  A leaf is a level-1 group at which the term equals what is left.
+    through ``_walk_groups``, or ``_merging_groups`` with ``merging``),
+    summing their A and B; each leaf stands for the product of its groups'
+    pairs.  A level is pruned once the part sums plus markers exceed n, or
+    the rectangle term (A + k - 1) B exceeds what is left of n: the term
+    never shrinks as levels are added (A_i >= B_i >= 0).  A leaf is a
+    level-1 group at which the term equals what is left.
     It shares no counting code with ``fold._fold_range``, which the tests
     and thm2.4 compare it against.
     """
+    groups = _merging_groups if merging else _walk_groups
     out: List[MarkedDysonSymbol] = []
     for markers in _marker_choices(k - 1, n):
         bounds = (1,) + markers
         budget = n - sum(markers)
         top = bounds[-1]
-        tables = [_walk_groups(lo, hi, budget) for lo, hi in zip(bounds, markers)]
+        tables = [groups(lo, hi, budget) for lo, hi in zip(bounds, markers)]
         # The top's table is asked for at its largest budget in this walk,
         # with every other marker 1, so the walk builds it at most once.
-        tables.append(_walk_groups(top, None, n - top - (k - 2), k == 1))
+        tables.append(groups(top, None, n - top - (k - 2), k == 1))
         _descend(out, [], markers, tables, k, budget, 0, 0, False)
     return out
 

@@ -26,7 +26,7 @@ from dysonsym import (
     weight,
 )
 from dysonsym.cli import BROKEN_PIPE_STATUS, main
-from dysonsym.marked import _level_terms, _placement_holds, _terms_weight, is_strict_pair
+from dysonsym.marked import _level_terms, _placement_holds, _terms_weight, _walk, is_strict_pair
 from dysonsym.fullcrank import Verdict
 
 from golden_cli import CLI_OUTPUTS
@@ -649,27 +649,36 @@ def test_thm21_computes_each_rhs_once_per_profile_size(capsys, monkeypatch):
 
 
 def test_thm26_tests_strictness_below_nonnegative_tops_and_cranks_only_merges(capsys, monkeypatch):
-    # Strictness is tested only under a top crank >= 0, level by level, and
-    # stops at the first level that is not strict; every symbol's crank
-    # vector used to be taken.  The pairs tested are compared as values.
+    # The driver walks only the symbols that merge, and tests each lower
+    # level of each once more: 11,709 levels were tested when it read every
+    # symbol, up to the first level that is not strict under a top crank
+    # >= 0.  Every symbol's crank vector used to be taken.  The pairs tested
+    # are compared as values.
     tested = []
     monkeypatch.setattr(cli, "is_strict_pair", lambda a, b: tested.append((a, b)) or is_strict_pair(a, b))
     cranked = counted(monkeypatch, "crank_vector")
     code, _, _ = run_cli(capsys, "verify", "thm2.6")
     assert code == 0
-    expected = []
-    for eta in default_row_symbols():
-        *lower, (a, b) = eta.vectors
-        if len(a) >= len(b):
-            for pair in lower:
-                expected.append(pair)
-                if not is_strict_pair(*pair):
-                    break
-    assert tested == expected
-    assert len(tested) == 11709
     merging = [eta for eta in default_row_symbols() if is_strict(eta) and min(crank_vector(eta)) >= 0]
+    assert tested == [pair for eta in merging for pair in eta.vectors[:-1]]
+    assert len(tested) == 2645
     assert cranked == merging
     assert len(cranked) == 1710
+
+
+def test_gfck_builds_one_brute_force_list_per_level(capsys, monkeypatch):
+    # ck_brute's convolution used to run once per j, each up to j.
+    built = []
+    original = cli._solution_counts
+
+    def counted_list(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "_solution_counts", counted_list)
+    code, _, _ = run_cli(capsys, "verify", "gf-ck")
+    assert code == 0
+    assert built == [(25, k + 1, 0, k) for k in (1, 2, 3, 4)]
 
 
 def test_thm26_runs_phi_and_phi_inverse_once_per_round_trip(monkeypatch):
@@ -802,6 +811,21 @@ def peeling_one_symbol_wrong():
     return "thm2.6", "phi_inverse", wrong, 2
 
 
+def walking_a_symbol_of_negative_top_crank():
+    # A strict symbol that phi rejects for its top crank joins the walk of
+    # the symbols it merges: it fails one check, and phi never sees it.
+    extra = next(
+        eta for eta in enumerate_marked(2, FAULT_N)
+        if is_strict(eta) and len(eta.vectors[-1][0]) < len(eta.vectors[-1][1])
+    )
+
+    def wrong(k, n, merging=False):
+        walked = _walk(k, n, merging)
+        return walked + [extra] if (k, n, merging) == (2, FAULT_N, True) else walked
+
+    return "thm2.6", "_walk", wrong, 1
+
+
 @pytest.mark.parametrize(
     "fault",
     [
@@ -812,6 +836,7 @@ def peeling_one_symbol_wrong():
         enumerating_a_side_that_is_no_partition,
         merging_one_symbol_wrong,
         peeling_one_symbol_wrong,
+        walking_a_symbol_of_negative_top_crank,
     ],
 )
 def test_thm24_and_thm26_catch_a_fault_at_one_symbol(capsys, monkeypatch, fault):

@@ -151,6 +151,38 @@ def walk_dropping_an_orbit_at_two_ten():
     return faulty
 
 
+def merging_walk_dropping_one_at_two_nine():
+    # The first symbol that the walk of the symbols phi merges gives at
+    # (2, 9) goes missing: its merge does not peel back to a merged symbol.
+    def faulty(k, n, merging=False):
+        walked = marked._walk(k, n, merging)
+        return walked[1:] if (k, n, merging) == (2, 9, True) else walked
+
+    return faulty
+
+
+def merging_walk_adding_one_at_two_nine():
+    # A symbol of (2, 9) that phi would reject, a lower level not strict
+    # under a top crank >= 0, joins the walk: the driver fails it as one
+    # check instead of letting phi raise.
+    extra = next(
+        eta for eta in marked._walk(2, 9)
+        if len(eta.vectors[-1][0]) >= len(eta.vectors[-1][1]) and not is_strict(eta)
+    )
+
+    def faulty(k, n, merging=False):
+        walked = marked._walk(k, n, merging)
+        return walked + [extra] if (k, n, merging) == (2, 9, True) else walked
+
+    return faulty
+
+
+def brute_list_off_at_seven(target, signed, positive, even):
+    # Entry 7 of every brute-force solution list, plus 1.
+    counts = fullcrank._solution_counts(target, signed, positive, even)
+    return counts[:7] + [counts[7] + 1] + counts[8:]
+
+
 def peel_shifting_markers_at_nine(sym, cranks):
     eta = phi_inverse(sym, cranks)
     if sym.weight() == 9 and tuple(cranks) == (1, 1):
@@ -216,9 +248,10 @@ FOLD_FAILS = (
 # are patched in every module that reads them, crank_residue_table in
 # congruence, its one reader, and the table of partition numbers in
 # partitions, which owns it; the others only in the cli, whose drivers are
-# their one reader among the suites.  The encoding has a second row,
-# patched in dyson too: thm2.6 then peels the swapped symbol, which
-# phi_inverse rejects, and counts it as a missing peel.
+# their one reader among the suites (the walk's cli binding is read by
+# thm2.6 only; thm2.4 walks through enumerate_marked).  The encoding has a
+# second row, patched in dyson too: thm2.6 then peels the swapped symbol,
+# which phi_inverse rejects, and counts it as a missing peel.
 FAULTS = {
     "crank_counts": (
         "crank_counts", (cli, congruence, fullcrank, marked, partitions),
@@ -238,8 +271,18 @@ FAULTS = {
         "series_coefficients", (cli,), lambda: series_off_at_seven,
         {("gf-ck", k, 25) for k in (1, 2, 3, 4)},
     ),
+    "brute_force_list": (
+        "_solution_counts", (cli,), lambda: brute_list_off_at_seven,
+        {("gf-ck", k, 25) for k in (1, 2, 3, 4)},
+    ),
     "mirror": ("mirror", (cli,), mirror_fixing_once_at_two, {("thm2.4", 2, 2)}),
     "walk": ("enumerate_marked", (cli,), walk_dropping_an_orbit_at_two_ten, {("thm2.4", 2, 10)}),
+    "merging_walk_dropping": (
+        "_walk", (cli,), merging_walk_dropping_one_at_two_nine, {("thm2.6", 2, 9)},
+    ),
+    "merging_walk_adding": (
+        "_walk", (cli,), merging_walk_adding_one_at_two_nine, {("thm2.6", 2, 9)},
+    ),
     "phi_inverse": (
         "phi_inverse", (cli,), lambda: peel_shifting_markers_at_nine, {("thm2.6", 2, 9)},
     ),

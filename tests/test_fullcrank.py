@@ -123,6 +123,12 @@ def test_ck_brute_matches_closed_form():
             assert ck_brute(k, j) == ck_closed_form(k, j)
 
 
+def test_one_brute_force_list_gives_ck_brute_at_every_j():
+    # verify gf-ck reads ck_brute(k, j) for every j <= 25 off this one list.
+    for k in range(1, 5):
+        assert fullcrank._solution_counts(25, k + 1, 0, k) == [ck_brute(k, j) for j in range(26)]
+
+
 def test_ck_brute_literal_small():
     # Independent literal enumeration of the solutions at tiny sizes.
     from itertools import product
@@ -166,7 +172,7 @@ def test_series_coefficients_match():
 
 
 def test_power_matches_repeated_convolution():
-    # The loop series_coefficients and _solutions ran before, kept as oracle.
+    # The loop series_coefficients and _solution_counts ran before, kept as oracle.
     for poly in ([1, -1], [1, 2, 2, 2, 2], [0, 1, 1, 1], [1, 0, 1, 0, 1]):
         for order in range(0, 9):
             for e in range(0, 10):

@@ -1273,11 +1273,81 @@ def test_object_suites_build_each_walk_table_once(capsys, monkeypatch):
 def test_object_suites_leave_their_smallest_symbol_list_cached():
     # The one-entry list cache used to end each suite holding its largest
     # list, (3, 12), alive through the suites that `verify all` runs next.
+    # thm2.6 walks only the symbols it merges and leaves the cache as it
+    # found it; it used to build all 11 lists of its row again.
     enumerate_marked.cache_clear()
-    cli.verify_thm26(3, 12)
-    misses = enumerate_marked.cache_info().misses
+    cli.verify_thm24(3, 12)
+    info = enumerate_marked.cache_info()
+    assert all(verdict.passed for verdict in cli.verify_thm26(3, 12))
+    assert enumerate_marked.cache_info() == info
     enumerate_marked(3, 2)
-    assert enumerate_marked.cache_info().misses == misses
+    assert enumerate_marked.cache_info().misses == info.misses
+
+
+def merges(eta):
+    # What phi takes: a top crank >= 0 and a strict pair at every lower level.
+    (a, b) = eta.vectors[-1]
+    return len(a) >= len(b) and is_strict(eta)
+
+
+def fold_merging_count(k, n):
+    # The symbols phi merges, counted by the fold, which shares no code with
+    # the walk: the strict counts of the crank vectors with a top crank >= 0
+    # (count_fk_strict is 0 at a negative lower crank), or at k = 1 the
+    # symbols of crank >= 0.
+    every = _counts(k, n).every
+    if k == 1:
+        return sum(count for (m,), count in every.items() if m >= 0)
+    return sum(count_fk_strict(cranks, n) for cranks in every if cranks[-1] >= 0)
+
+
+@pytest.mark.parametrize("k, max_n", [(1, 14), (2, 14), (3, 14), (4, 12)])
+def test_the_merging_walk_is_the_merging_part_of_the_enumeration(k, max_n):
+    # In order, so thm2.6 reads the symbols that filtering enumerate_marked
+    # gave it, and as many as the fold counts.
+    _walk_groups.cache_clear()
+    for n in range(1, max_n + 1):
+        walked = _walk(k, n, merging=True)
+        assert walked == [eta for eta in enumerate_marked(k, n) if merges(eta)], (k, n)
+        assert len(walked) == fold_merging_count(k, n), (k, n)
+
+
+def mergeable_part(key, groups):
+    # A full table's groups less the pairs no merge holds, empty groups dropped.
+    lo, hi, dyson = key
+    keep = (lambda a, b: len(a) >= len(b)) if hi is None else is_strict_pair
+    kept = [(summary, tuple(pair for pair in pairs if keep(*pair))) for summary, pairs in groups]
+    return tuple((summary, pairs) for summary, pairs in kept if pairs)
+
+
+def test_merging_tables_are_filtered_from_the_kept_tables_and_cleared_with_them(monkeypatch):
+    builds = []
+    for name in ("_level_groups", "_top_groups"):
+        build = getattr(marked, name)
+        monkeypatch.setattr(marked, name,
+                            lambda *args, name=name, build=build: builds.append(name) or build(*args))
+    _walk_groups.cache_clear()
+    for n in range(12, 1, -1):
+        _walk(3, n, merging=True)
+    # The full tables the walk that keeps every symbol keeps, each built
+    # once, and one mergeable part of each, holding the full table's pairs.
+    widest = widest_walk_keys(3, 12)
+    assert len(builds) == len(_walk_tables) == len(widest)
+    assert {key: cap for key, (cap, groups) in _walk_tables.items()} == widest
+    assert marked._merging_tables.keys() == _walk_tables.keys()
+    for key, (cap, groups) in _walk_tables.items():
+        assert marked._merging_tables[key] == mergeable_part(key, groups)
+        held = {id(pair) for summary, pairs in groups for pair in pairs}
+        assert all(id(pair) in held for summary, pairs in marked._merging_tables[key] for pair in pairs)
+    # A wider walk rebuilds full tables, and their mergeable parts with them.
+    before = dict(_walk_tables)
+    _walk(3, 13, merging=True)
+    rebuilt = [key for key in before if _walk_tables[key] is not before[key]]
+    assert rebuilt
+    for key, (cap, groups) in _walk_tables.items():
+        assert marked._merging_tables[key] == mergeable_part(key, groups)
+    _walk_groups.cache_clear()
+    assert not _walk_tables and not marked._merging_tables
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
