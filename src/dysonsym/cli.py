@@ -27,7 +27,6 @@ from .fullcrank import (
     _solution_counts,
     ck_closed_form,
     count_full_crank,
-    full_crank_table,
     series_coefficients,
     theorem43_rhs,
     verify_theorem31,
@@ -61,7 +60,7 @@ BROKEN_PIPE_STATUS = 141
 
 # Caps: cor2.3 checks the encoding on every partition of n, and
 # mod-identity's enumerate route reads the full-crank table of the fold
-# (``full_crank_table``, which builds no symbol), only up to these n;
+# (``fullcrank.full_crank_table``, which builds no symbol), only up to these n;
 # --max-n raises the other checks of those suites past them.
 OBJECT_MAX_N = 25
 ENUMERATE_MAX_N = 14
@@ -82,11 +81,18 @@ def _tally(identity: str, k: int, n: int, checks: Iterable[bool]) -> Verdict:
     return Verdict(identity=identity, k=k, n=n, lhs=ok, rhs=total)
 
 
-def _fold_up_to(table: Callable[[int, int], object], k: int, max_n: int) -> None:
-    """Ask ``table`` once for weight max_n, so that one range fold builds
-    the tables of every n >= 2 that a driver's loop then reads."""
-    if max_n >= 2:
-        table(k, max_n)
+def _by_weight(identity: str, k: int, max_n: int,
+               checks: Callable[[int], Iterable[bool]]) -> List[Verdict]:
+    """One verdict per weight n = 2..max_n, in that order, tallying ``checks(n)``.
+
+    The weights are visited largest first, as every driver visits them.
+    The fold's and the walk's tables are kept per k (or per marker) at the
+    widest bound asked for (``fold._widest_range``, ``marked._walk_groups``),
+    so the first visit, at max_n, builds each table at the bound that every
+    later weight reads, and none is built twice.  A one-entry cache such as
+    ``enumerate_marked``'s ends holding its weight-2 entry.
+    """
+    return [_tally(identity, k, n, checks(n)) for n in range(max_n, 1, -1)][::-1]
 
 
 def _nonneg_profiles(k: int, bound: int) -> Iterator[Tuple[int, ...]]:
@@ -171,8 +177,7 @@ def verify_thm21(
                 rhs[size] = theorem21_rhs(m, n)
             yield count == rhs[size]
 
-    _fold_up_to(_counts, k, max_n)
-    return [_tally("thm2.1", k, n, checks(n)) for n in range(2, max_n + 1)]
+    return _by_weight("thm2.1", k, max_n, checks)
 
 
 def verify_thm24(k: int, max_n: int) -> List[Verdict]:
@@ -209,13 +214,6 @@ def verify_thm24(k: int, max_n: int) -> List[Verdict]:
     validation, say), mirror(mu, j) is built and compared directly.
     Images reuse validated int parts or add ints to them, so equal by
     value is the same symbol.
-
-    The verdicts are computed from n = max_n down to 2, then returned in
-    ascending order.  As ``_fold_up_to`` does for the fold, the first walk,
-    at max_n, builds each walk table at the widest cap that any n asks for,
-    and every later walk reads it as it is (``marked._walk_groups``); the
-    one-entry ``enumerate_marked`` cache ends the call holding the
-    smallest list, weight 2, not the largest.
     """
 
     def checks(n: int) -> Iterator[bool]:
@@ -261,8 +259,7 @@ def verify_thm24(k: int, max_n: int) -> List[Verdict]:
                 else:
                     yield symbols[partner[i]] == eta
 
-    _fold_up_to(_counts, k, max_n)
-    return [_tally("thm2.4", k, n, checks(n)) for n in range(max_n, 1, -1)][::-1]
+    return _by_weight("thm2.4", k, max_n, checks)
 
 
 def verify_thm25(k: int, max_n: int) -> List[Verdict]:
@@ -285,8 +282,7 @@ def verify_thm25(k: int, max_n: int) -> List[Verdict]:
                     _fold_key(shifted, strict), 0
                 )
 
-    _fold_up_to(_counts, k, max_n)
-    return [_tally("thm2.5", k, n, checks(n)) for n in range(2, max_n + 1)]
+    return _by_weight("thm2.5", k, max_n, checks)
 
 
 def verify_thm26(k: int, max_n: int) -> List[Verdict]:
@@ -307,10 +303,6 @@ def verify_thm26(k: int, max_n: int) -> List[Verdict]:
     in ``merged`` with crank vector m.  An entry missing from the other
     table fails its check, and so does a peel that phi_inverse rejects
     with ValueError: it is kept as None.
-
-    As in ``verify_thm24``, n runs from max_n down to 2, so each walk table
-    is built once, at its widest cap; the verdicts are returned in
-    ascending order.
     """
 
     def checks(n: int) -> Iterator[bool]:
@@ -346,25 +338,21 @@ def verify_thm26(k: int, max_n: int) -> List[Verdict]:
         for (sym, m), eta in peeled.items():
             yield merged.get(eta) == (sym, m)
 
-    return [_tally("thm2.6", k, n, checks(n)) for n in range(max_n, 1, -1)][::-1]
+    return _by_weight("thm2.6", k, max_n, checks)
 
 
 def verify_thm31(k: int, max_n: int, n: Optional[int] = None) -> List[Verdict]:
     if n is not None:
         return [verify_theorem31(k, n)]
-    _fold_up_to(full_crank_table, k + 1, max_n)
-    return [verify_theorem31(k, m) for m in range(2, max_n + 1)]
+    # Largest weight first, as in ``_by_weight``.
+    return [verify_theorem31(k, m) for m in range(max_n, 1, -1)][::-1]
 
 
 def verify_thm43(k: int, max_n: int) -> List[Verdict]:
-    _fold_up_to(full_crank_table, k, max_n)
-    verdicts = []
-    for n in range(2, max_n + 1):
-        checks = (
-            count_full_crank(k, m, n) == theorem43_rhs(k, m, n) for m in range(-n, n + 1)
-        )
-        verdicts.append(_tally("thm4.3", k, n, checks))
-    return verdicts
+    def checks(n: int) -> Iterator[bool]:
+        return (count_full_crank(k, m, n) == theorem43_rhs(k, m, n) for m in range(-n, n + 1))
+
+    return _by_weight("thm4.3", k, max_n, checks)
 
 
 def verify_gfck(k: int, max_j: int) -> List[Verdict]:
@@ -381,10 +369,9 @@ def verify_gfck(k: int, max_j: int) -> List[Verdict]:
 
 
 def verify_mod_identity_suite(k: int, max_n: int, p: int, r: int) -> List[Verdict]:
-    enumerate_max_n = min(max_n, ENUMERATE_MAX_N)
-    _fold_up_to(full_crank_table, k, enumerate_max_n)
-    enumerated = range(2, enumerate_max_n + 1)
-    return [verify_modular_identity(k, p, r, n, method="enumerate") for n in enumerated] + [
+    # The enumerate route visits its largest weight first, as in ``_by_weight``.
+    enumerated = range(min(max_n, ENUMERATE_MAX_N), 1, -1)
+    return [verify_modular_identity(k, p, r, n, method="enumerate") for n in enumerated][::-1] + [
         verify_modular_identity(k, p, r, n, method="closed") for n in range(2, max_n + 1)
     ]
 

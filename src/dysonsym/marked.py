@@ -46,12 +46,12 @@ Group = Tuple[Tuple[int, int, int, bool], Tuple[Pair, ...]]  # ((mass, A, B, fla
 # of its 3 lists back to back.  The walk's tables (`_walk_groups`) keep one
 # table per marker pair and one per top marker, each at the widest cap
 # asked for: 37 level and 13 top tables after `verify all`, 44 and 14 after
-# the objects workload.  The object suites ask for their largest weight
-# first, so each table is built once, at that cap (50 builds in `verify
-# all`), and thm2.4 ends holding its weight-2 list.  The mergeable part of
-# a table (`_merging_groups`) is kept while the table is, at most one per
-# kept table: 50 after `verify all`, none after the objects workload.  The
-# fold's caches are bounded in `fold`.
+# the objects workload.  Every verify driver asks for its largest weight
+# first (`cli._by_weight`), so each table is built once, at that cap (50
+# builds in `verify all`), and thm2.4 ends holding its weight-2 list.  The
+# mergeable part of a table (`_merging_groups`) is kept while the table is,
+# at most one per kept table: 50 after `verify all`, none after the objects
+# workload.  The fold's caches are bounded in `fold`.
 # The mirror memo (`_mirror_images`) keeps the image of each level object
 # `mirror` has mirrored, and the level as its image's image: at most
 # `_LEVEL_CACHE` entries, for one symbol list, since `enumerate_marked`
@@ -314,29 +314,14 @@ def balanced_count(longer: Partition, shorter: Partition) -> int:
     return balanced
 
 
-def _pair_stats(a: Partition, b: Partition, top: bool) -> Tuple[int, int, int, int]:
-    # (crank, large, small, balance); balance is 0 for the top level.
-    la, lb = len(a), len(b)
-    if top:
-        bal = 0
-    elif la >= lb:
-        bal = balanced_count(a, b)
-    else:
-        bal = balanced_count(b, a)
-    return la - lb, max(la, lb), min(la, lb), bal
-
-
 def statistics(eta: MarkedDysonSymbol) -> SymbolStats:
-    """Per-level cranks, balance numbers, and large/small lengths."""
-    k = eta.k
-    cranks, balances, large, small = [], [], [], []
-    for i, (a, b) in enumerate(eta.vectors, start=1):
-        c, l_i, s_i, bal = _pair_stats(a, b, top=(i == k))
-        cranks.append(c)
-        balances.append(bal)
-        large.append(l_i)
-        small.append(s_i)
-    return SymbolStats(tuple(cranks), tuple(balances), tuple(large), tuple(small))
+    """Per-level cranks, balance numbers, and large/small lengths, read off
+    each level's terms (``_level_terms``); the top's balance is 0."""
+    terms = [_level_terms(pair) for pair in eta.vectors]
+    large = tuple([longer for _, longer, _, _ in terms])
+    small = tuple([shorter for _, _, shorter, _ in terms])
+    balances = tuple([balance for _, _, _, balance in terms[:-1]]) + (0,)
+    return SymbolStats(crank_vector(eta), balances, large, small)
 
 
 def crank_vector(eta: MarkedDysonSymbol) -> Tuple[int, ...]:
@@ -489,12 +474,12 @@ def _level_groups(lo: int, hi: int, cap: int) -> Tuple[Group, ...]:
     candidates = _partitions_in_range(lo, hi, cap)
     for a in candidates:
         for b in candidates:
-            mass = sum(a) + sum(b)
+            pair = (a, b)
+            mass, l_i, s_i, bal = _level_terms(pair)
             if mass > cap:
                 break
-            _, l_i, s_i, bal = _pair_stats(a, b, top=False)
             exposes = max(a[:1] + b[:1] + (lo,)) == hi
-            groups.setdefault((mass, l_i + bal, s_i - bal, exposes), []).append((a, b))
+            groups.setdefault((mass, l_i + bal, s_i - bal, exposes), []).append(pair)
     return tuple((key, tuple(groups[key])) for key in sorted(groups))
 
 

@@ -14,6 +14,8 @@ from dysonsym import (
     MarkedDysonSymbol,
     cli,
     congruence,
+    count_fk,
+    count_full_crank,
     crank_counts,
     crank_vector,
     enumerate_dyson_symbols,
@@ -23,8 +25,11 @@ from dysonsym import (
     partition_count,
     phi,
     phi_inverse,
+    theorem21_rhs,
+    theorem43_rhs,
     weight,
 )
+from dysonsym import fold, fullcrank, marked
 from dysonsym.cli import BROKEN_PIPE_STATUS, main
 from dysonsym.marked import _level_terms, _placement_holds, _terms_weight, _walk, is_strict_pair
 from dysonsym.fullcrank import Verdict
@@ -646,6 +651,56 @@ def test_thm21_computes_each_rhs_once_per_profile_size(capsys, monkeypatch):
         for n in range(2, max_n + 1) for size in range(n - k + 2)
     )
     assert len(profiles) == 170
+
+
+# Each driver that reads a fold table: the module whose ``_fold_range`` its
+# table front end calls, some rows, and the (k, bound) of each row's fold.
+# thm3.1 counts (k + 1)-marked symbols; mod-identity's enumerate route stops
+# at ENUMERATE_MAX_N = 14.
+FOLD_PLANS = {
+    "thm2.1": (fold, [(2, 14), (3, 12)], [(2, 14), (3, 12)]),
+    "thm2.4": (fold, [(1, 12), (2, 10)], [(1, 12), (2, 10)]),
+    "thm2.5": (fold, [(2, 12), (3, 12)], [(2, 12), (3, 12)]),
+    "thm3.1": (fullcrank, [(1, 14), (2, 10)], [(2, 14), (3, 10)]),
+    "thm4.3": (fullcrank, [(3, 14)], [(3, 14)]),
+    "mod-identity": (fullcrank, [(2, 40, 5, 1), (3, 12, 7, 1)], [(2, 14), (3, 12)]),
+}
+
+
+@pytest.mark.parametrize("suite", FOLD_PLANS)
+def test_fold_reading_drivers_fold_each_row_once_at_its_bound(monkeypatch, suite):
+    module, rows, folds = FOLD_PLANS[suite]
+    runs = []
+
+    def counted_fold(k, max_n, label):
+        runs.append((k, max_n))
+        return fold_range(k, max_n, label)
+
+    fold_range = module._fold_range
+    monkeypatch.setattr(module, "_fold_range", counted_fold)
+    for cache in (fold._counts, fullcrank.full_crank_table, marked.enumerate_marked,
+                  marked._walk_groups):
+        cache.cache_clear()
+    driver = cli._suites()[suite][0]
+    for row, plan in zip(rows, folds):
+        verdicts = driver(*row)
+        assert runs[-1] == plan and all(v.passed for v in verdicts), row
+        # Each route's verdicts ascend from n = 2.
+        for identity in dict.fromkeys(v.identity for v in verdicts):
+            ns = [v.n for v in verdicts if v.identity == identity]
+            assert ns == list(range(2, len(ns) + 2)), (row, identity)
+    assert runs == folds
+    # A narrower weight reads the kept range; a wider one replaces it.
+    k, bound = folds[-1]
+    m = (1,) + (0,) * (k - 1)
+    for n, wider in ((bound - 1, []), (bound + 1, [(k, bound + 1)])):
+        if module is fold:
+            assert count_fk(m, n) == theorem21_rhs(m, n)
+        else:
+            assert count_full_crank(k, 4, n) == theorem43_rhs(k, 4, n)
+        assert runs == folds + wider
+    table = fold._counts if module is fold else fullcrank.full_crank_table
+    assert table.cache_info().currsize == len(dict(folds))
 
 
 def test_thm26_tests_strictness_below_nonnegative_tops_and_cranks_only_merges(capsys, monkeypatch):

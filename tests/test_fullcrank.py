@@ -247,26 +247,6 @@ def test_full_crank_table_matches_the_profile_table_and_the_symbols(k, max_n):
         assert table == Counter(full_crank(eta) for eta in enumerate_marked(k, n)), (k, n)
 
 
-def test_verify_thm43_runs_one_fold(monkeypatch):
-    runs = []
-
-    def counted(k, max_n, label):
-        runs.append((k, max_n))
-        return fold(k, max_n, label)
-
-    fold = fullcrank._fold_range
-    monkeypatch.setattr(fullcrank, "_fold_range", counted)
-    full_crank_table.cache_clear()
-    assert all(verdict.passed for verdict in cli.verify_thm43(3, 14))
-    assert runs == [(3, 14)]
-    # A narrower weight reads the kept range; a wider one replaces it.
-    assert count_full_crank(3, 4, 9) == theorem43_rhs(3, 4, 9)
-    assert runs == [(3, 14)]
-    assert count_full_crank(3, 4, 15) == theorem43_rhs(3, 4, 15)
-    assert runs == [(3, 14), (3, 15)]
-    assert full_crank_table.cache_info().currsize == 1
-
-
 def test_counting_reads_no_crank_table(monkeypatch):
     # The left-hand sides of thm2.1, thm3.1 and thm4.3 must not come from
     # the generating-function side they are checked against.

@@ -51,10 +51,10 @@ from dysonsym.marked import (
     _fragment_level,
     _fragment_markers,
     _level_groups,
+    _level_terms,
     _level_texts,
     _marker_texts,
     _mirror_images,
-    _pair_stats,
     _partitions_in_range,
     _read_canonical,
     _read_json,
@@ -861,7 +861,7 @@ def test_strict_pair_is_crank_at_least_zero_and_balance_zero(a, b, shift):
     # The counting tables read strictness off (crank, balance).  alpha with
     # its parts lowered by shift > 0 is a strict pair; by 0, alpha itself.
     for beta in (b, tuple(part - shift for part in a if part > shift)):
-        crank, _, _, balance = _pair_stats(a, beta, top=False)
+        crank, balance = len(a) - len(beta), _level_terms((a, beta))[3]
         assert is_strict_pair(a, beta) == (crank >= 0 and balance == 0), (a, beta)
 
 
@@ -1015,13 +1015,14 @@ def level_pair_entries(lo, hi, cap, k, need):
     """``_level_entries``' layout, read off the pairs ``_level_groups`` lists.
 
     Each pair's (mass, A_i, B_i) is checked against its group's key, and
-    its label comes from ``_pair_stats``; pairs whose own rectangle term
-    takes mass past cap, and under ``need`` pairs whose group does not
-    expose hi, are left out."""
+    its label comes from its crank and ``_level_terms``; pairs whose own
+    rectangle term takes mass past cap, and under ``need`` pairs whose
+    group does not expose hi, are left out."""
     items = []
     for (mass, a_i, b_i, exposes), pairs in _level_groups(lo, hi, cap):
         for a, b in pairs:
-            crank, large, small, bal = _pair_stats(a, b, top=False)
+            _, large, small, bal = _level_terms((a, b))
+            crank = len(a) - len(b)
             assert (sum(a) + sum(b), large + bal, small - bal) == (mass, a_i, b_i)
             if mass + (a_i + k - 1) * b_i <= cap and (exposes or not need):
                 items.append(((a_i, b_i), mass, _profile_label(crank, bal)))
@@ -1033,7 +1034,8 @@ def top_pair_entries(lo, cap, k, dyson):
     items = []
     for (mass, large, small, both_empty), pairs in _top_groups(lo, cap, dyson):
         for a, b in pairs:
-            crank, l_i, s_i, bal = _pair_stats(a, b, top=True)
+            _, l_i, s_i, _ = _level_terms((a, b))
+            crank, bal = len(a) - len(b), 0  # the top has no balance
             assert (sum(a) + sum(b), l_i, s_i, bal) == (mass, large, small, 0)
             assert both_empty == (a == b == ())
             if mass + (large + k - 1) * small <= cap:
@@ -1092,26 +1094,6 @@ def test_fold_range_tables_do_not_depend_on_the_cap(k, max_n, label):
     tables = _fold_range(k, max_n, label)
     for n in range(1, max_n + 1):
         assert tables[n] == _fold_range(k, n, label)[n], (k, n)
-
-
-def test_verify_thm21_runs_one_fold(monkeypatch):
-    runs = []
-
-    def counted(k, max_n, label):
-        runs.append((k, max_n))
-        return fold_range(k, max_n, label)
-
-    fold_range = fold._fold_range
-    monkeypatch.setattr(fold, "_fold_range", counted)
-    _counts.cache_clear()
-    assert all(verdict.passed for verdict in cli.verify_thm21(2, 14))
-    assert runs == [(2, 14)]
-    # A narrower weight reads the kept range; a wider one replaces it.
-    assert count_fk((1, 0), 9) == theorem21_rhs((1, 0), 9)
-    assert runs == [(2, 14)]
-    assert count_fk((1, 0), 15) == theorem21_rhs((1, 0), 15)
-    assert runs == [(2, 14), (2, 15)]
-    assert _counts.cache_info().currsize == 1
 
 
 def test_counts_share_their_keys_across_weights():
