@@ -31,7 +31,7 @@ from .fullcrank import (
     theorem43_rhs,
     verify_theorem31,
 )
-from .fold import _counts, _fold_key
+from .fold import _counts, _fold_key, _fold_range, _no_label
 from .marked import (
     _level_terms,
     _placement_holds,
@@ -61,7 +61,8 @@ BROKEN_PIPE_STATUS = 141
 # Caps: cor2.3 checks the encoding on every partition of n, and
 # mod-identity's enumerate route reads the full-crank table of the fold
 # (``fullcrank.full_crank_table``, which builds no symbol), only up to these n;
-# --max-n raises the other checks of those suites past them.
+# --max-n raises the other checks of those suites past them.  Past
+# OBJECT_MAX_N cor2.3 reads F_1 off the k = 1 fold, so it encodes nothing.
 OBJECT_MAX_N = 25
 ENUMERATE_MAX_N = 14
 
@@ -124,18 +125,26 @@ def _signed_profiles(k: int, bound: int) -> Iterator[Tuple[int, ...]]:
 def verify_cor23(k: int, max_n: int) -> List[Verdict]:
     """M(-m, n) = F_1(m; n) for all m, plus crank negation under the encoding.
 
-    One pass over the partitions of each n, streamed from ``partitions_of``
-    and never kept, maps each partition through ``_encode`` and
-    ``DysonSymbol.crank`` into the F_1 histogram that is compared with
-    crank_counts(n) (the cor2.3 verdicts, n >= 2): what ``partitions_of``
-    makes is a partition, so it is not checked again.  For n up to
-    OBJECT_MAX_N the stream is split by ``itertools.tee``, which holds only
-    the partition both maps are reading, and the pairs (symbol crank,
-    crank(lam)) are counted instead: their first entries give F_1, and
-    the pairs whose entries are negatives count toward the cor2.3-object
-    verdicts, whose rhs is p(n).
+    For n up to OBJECT_MAX_N, one pass over the partitions of n, streamed
+    from ``partitions_of`` and never kept, is split by ``itertools.tee``,
+    which holds only the partition both maps are reading: each partition
+    goes through ``_encode`` and ``DysonSymbol.crank`` on one side and
+    ``crank`` on the other, and the pairs (symbol crank, crank(lam)) are
+    counted.  Their first entries give the F_1 histogram that is compared
+    with crank_counts(n) (the cor2.3 verdicts, n >= 2), and the pairs whose
+    entries are negatives count toward the cor2.3-object verdicts, whose
+    rhs is p(n).  What ``partitions_of`` makes is a partition, so it is
+    not checked again.
+
+    Past OBJECT_MAX_N no per-object check is made, and F_1 is read off the
+    k = 1 fold instead, which builds no symbol and shares no code with the
+    encoding or with crank_counts: one ``_fold_range(1, max_n)``, whose
+    table n counts the Dyson symbols of weight n by their crank,
+    ``key[0]``.  It is built once, at max_n, when the loop first passes
+    OBJECT_MAX_N, and is not kept past this call.
     """
     table_verdicts, object_verdicts = [], []
+    folded = None
     for n in range(1, max_n + 1):
         if n <= OBJECT_MAX_N:
             lams, again = itertools.tee(partitions_of(n))
@@ -150,7 +159,11 @@ def verify_cor23(k: int, max_n: int) -> List[Verdict]:
                 Verdict(identity="cor2.3-object", k=k, n=n, lhs=negated, rhs=sum(f1.values()))
             )
         else:
-            f1 = Counter(map(DysonSymbol.crank, map(_encode, partitions_of(n))))
+            if folded is None:
+                folded = _fold_range(1, max_n, _no_label)
+            f1 = Counter()
+            for key, count in folded[n].items():
+                f1[key[0]] += count
         if n >= 2:
             table = crank_counts(n)
             checks = (table[-m] == f1[m] for m in range(-n, n + 1))

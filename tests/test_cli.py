@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -31,6 +32,8 @@ from dysonsym import (
 )
 from dysonsym import fold, fullcrank, marked
 from dysonsym.cli import BROKEN_PIPE_STATUS, main
+from dysonsym.dyson import DysonSymbol, _encode
+from dysonsym.partitions import partitions_of
 from dysonsym.marked import _level_terms, _placement_holds, _terms_weight, _walk, is_strict_pair
 from dysonsym.fullcrank import Verdict
 
@@ -492,17 +495,25 @@ PARTITION_NUMBERS = (
 
 def test_cor23_encodes_each_partition_once(monkeypatch):
     # The suite used to encode every partition with n <= 25 twice: once for
-    # its F_1 tables and again for its object check.
-    calls = []
-    encode = cli._encode
+    # its F_1 tables and again for its object check.  Past OBJECT_MAX_N it
+    # encodes nothing: F_1 is read off one k = 1 fold, built up to max_n.
+    calls, folds = [], []
+    encode, fold_range = cli._encode, cli._fold_range
 
     def counting(lam):
         calls.append(lam)
         return encode(lam)
 
+    def counting_folds(k, max_n, label):
+        folds.append((k, max_n))
+        return fold_range(k, max_n, label)
+
     monkeypatch.setattr(cli, "_encode", counting)
+    monkeypatch.setattr(cli, "_fold_range", counting_folds)
     verdicts = cli.verify_cor23(1, 30)
-    assert len(calls) == sum(partition_count(n) for n in range(1, 31)) == 28628
+    assert cli.OBJECT_MAX_N == 25
+    assert len(calls) == sum(partition_count(n) for n in range(1, 26)) == 9295
+    assert folds == [(1, 30)]
     assert [(v.identity, v.k, v.n, v.lhs, v.rhs) for v in verdicts] == (
         [("cor2.3", 1, n, 2 * n + 1, 2 * n + 1) for n in range(2, 31)]
         + [("cor2.3-object", 1, n, p, p) for n, p in enumerate(PARTITION_NUMBERS, start=1)]
@@ -510,6 +521,23 @@ def test_cor23_encodes_each_partition_once(monkeypatch):
     for v in verdicts:
         if v.identity == "cor2.3-object":
             assert v.rhs == partition_count(v.n)
+    folds.clear()
+    cli.verify_cor23(1, 25)
+    assert folds == []
+
+
+def test_cor23_fold_counts_dyson_symbols_by_crank():
+    # Past OBJECT_MAX_N cor2.3 reads F_1 off the k = 1 fold instead of
+    # encoding every partition: the two histograms agree where the suite
+    # switches from one to the other.
+    tables = fold._fold_range(1, 30, fold._no_label)
+    for n in range(26, 31):
+        folded = Counter()
+        for key, count in tables[n].items():
+            folded[key[0]] += count
+        encoded = Counter(map(DysonSymbol.crank, map(_encode, partitions_of(n))))
+        assert folded == encoded, n
+        assert sum(encoded.values()) == partition_count(n)
 
 
 class ClosedPipe(io.StringIO):

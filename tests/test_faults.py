@@ -52,14 +52,17 @@ def clean_caches():
     partitions._P_TABLE = table
 
 
-def crank_counts_off_at_ten(n):
-    # M(0, 10) + 5.
-    table = crank_counts(n)
-    if n != 10:
-        return table
-    counts = dict(table.counts)
-    counts[0] += 5
-    return CountTable(n, counts)
+def crank_counts_off(m, n, by):
+    # M(m, n) + by.
+    def faulty(weight):
+        table = crank_counts(weight)
+        if weight != n:
+            return table
+        counts = dict(table.counts)
+        counts[m] += by
+        return CountTable(weight, counts)
+
+    return faulty
 
 
 def binomial_off_at_five_two(a, b):
@@ -84,15 +87,19 @@ def partition_numbers_off_at_ten():
     return table
 
 
-def fold_off_at_ten(k, max_n, label):
-    # The first entry of the n = 10 table, plus 1, in every range the fold
-    # builds: profile counts (thm2.1, thm2.4, thm2.5) and full cranks alike.
-    tables = _fold_range(k, max_n, label)
-    if max_n >= 10:
-        table = dict(tables[10])
-        table[next(iter(table))] += 1
-        tables[10] = table
-    return tables
+def fold_off_at(n):
+    # The first entry of the table of weight n, plus 1, in every range the
+    # fold builds: profile counts (thm2.1, thm2.4, thm2.5), full cranks and
+    # cor2.3's Dyson symbols alike.
+    def faulty(k, max_n, label):
+        tables = _fold_range(k, max_n, label)
+        if max_n >= n:
+            table = dict(tables[n])
+            table[next(iter(table))] += 1
+            tables[n] = table
+        return tables
+
+    return faulty
 
 
 def series_off_at_seven(k, order):
@@ -233,8 +240,8 @@ PARTITION_NUMBER_FAILS = (
 )
 
 # The fold's n = 10 tables feed every counting suite of marked symbols at
-# n = 10, and the enumerate route of mod-identity; cor2.3 reads crank_counts
-# and gf-ck its series, so neither sees it.
+# n = 10, and the enumerate route of mod-identity; cor2.3 reads the fold
+# only past OBJECT_MAX_N = 25 and gf-ck its series, so neither sees it.
 FOLD_FAILS = (
     {(identity, k, 10) for identity in ("thm2.1", "thm2.5") for k in (2, 3)}
     | {(identity, k, 10) for identity in ("thm2.4", "thm4.3") for k in (1, 2, 3)}
@@ -255,7 +262,7 @@ FOLD_FAILS = (
 FAULTS = {
     "crank_counts": (
         "crank_counts", (cli, congruence, fullcrank, marked, partitions),
-        lambda: crank_counts_off_at_ten, {("cor2.3", 1, 10), ("thm4.3", 1, 10)},
+        lambda: crank_counts_off(0, 10, 5), {("cor2.3", 1, 10), ("thm4.3", 1, 10)},
     ),
     "to_dyson_symbol": (
         "_encode", (cli,),
@@ -266,7 +273,12 @@ FAULTS = {
         lambda: encoding_swapped_at_431,
         {("cor2.3", 1, 8), ("cor2.3-object", 1, 8), ("thm2.6", 1, 8), ("thm2.6", 2, 8)},
     ),
-    "fold": ("_fold_range", (fullcrank, fold), lambda: fold_off_at_ten, FOLD_FAILS),
+    "fold": ("_fold_range", (cli, fullcrank, fold), lambda: fold_off_at(10), FOLD_FAILS),
+    # Past OBJECT_MAX_N cor2.3's F_1 is the fold's, and no other suite
+    # reads a weight that large.
+    "fold_past_the_object_cap": (
+        "_fold_range", (cli, fullcrank, fold), lambda: fold_off_at(28), {("cor2.3", 1, 28)},
+    ),
     "series_coefficients": (
         "series_coefficients", (cli,), lambda: series_off_at_seven,
         {("gf-ck", k, 25) for k in (1, 2, 3, 4)},
@@ -312,6 +324,16 @@ def failing_verdicts(capsys):
 
 def test_verify_all_passes_without_a_fault(capsys, clean_caches):
     assert failing_verdicts(capsys) == set()
+
+
+def test_cor23_past_its_default_row_sees_a_crank_fault(monkeypatch, clean_caches):
+    # `verify all` reads M(m, 35) only through mod-identity's closed route,
+    # whose two sides sum the same M, so it passes this fault; cor2.3 run
+    # past its default row of 30 compares M(3, 35) with the fold's F_1.
+    for module in (cli, congruence, fullcrank, marked, partitions):
+        monkeypatch.setattr(module, "crank_counts", crank_counts_off(3, 35, 1))
+    failing = {(v.identity, v.k, v.n) for v in cli.verify_cor23(1, 40) if not v.passed}
+    assert failing == {("cor2.3", 1, 35)}
 
 
 @pytest.mark.parametrize("row", sorted(FAULTS))
