@@ -27,11 +27,12 @@ from .fullcrank import (
     _solution_counts,
     ck_closed_form,
     count_full_crank,
+    full_crank_table,
     series_coefficients,
     theorem43_rhs,
     verify_theorem31,
 )
-from .fold import _counts, _fold_key, _fold_range, _no_label
+from .fold import _counts, _fold_key
 from .marked import (
     _level_terms,
     _placement_holds,
@@ -61,8 +62,9 @@ BROKEN_PIPE_STATUS = 141
 # Caps: cor2.3 checks the encoding on every partition of n, and
 # mod-identity's enumerate route reads the full-crank table of the fold
 # (``fullcrank.full_crank_table``, which builds no symbol), only up to these n;
-# --max-n raises the other checks of those suites past them.  Past
-# OBJECT_MAX_N cor2.3 reads F_1 off the k = 1 fold, so it encodes nothing.
+# --max-n raises the other checks of those suites past them.  cor2.3 reads
+# F_1 off the k = 1 full-crank table at every n, so past OBJECT_MAX_N it
+# encodes nothing.
 OBJECT_MAX_N = 25
 ENUMERATE_MAX_N = 14
 
@@ -82,18 +84,19 @@ def _tally(identity: str, k: int, n: int, checks: Iterable[bool]) -> Verdict:
     return Verdict(identity=identity, k=k, n=n, lhs=ok, rhs=total)
 
 
-def _by_weight(identity: str, k: int, max_n: int,
-               checks: Callable[[int], Iterable[bool]]) -> List[Verdict]:
-    """One verdict per weight n = 2..max_n, in that order, tallying ``checks(n)``.
+def _by_weight(max_n: int, verdict: Callable[[int], Verdict]) -> List[Verdict]:
+    """``verdict(n)`` for each weight n = 2..max_n, in that order.
 
-    The weights are visited largest first, as every driver visits them.
-    The fold's and the walk's tables are kept per k (or per marker) at the
-    widest bound asked for (``fold._widest_range``, ``marked._walk_groups``),
-    so the first visit, at max_n, builds each table at the bound that every
-    later weight reads, and none is built twice.  A one-entry cache such as
+    The weights are visited largest first: every per-weight route of the
+    drivers runs through here (cor2.3's table route, thm3.1 and
+    mod-identity's enumerate route among them).  The fold's and the walk's
+    tables are kept per k (or per marker) at the widest bound asked for
+    (``fold._widest_range``, ``marked._walk_groups``), so the first visit,
+    at max_n, builds each table at the bound that every later weight reads,
+    and none is built twice.  A one-entry cache such as
     ``enumerate_marked``'s ends holding its weight-2 entry.
     """
-    return [_tally(identity, k, n, checks(n)) for n in range(max_n, 1, -1)][::-1]
+    return [verdict(n) for n in range(max_n, 1, -1)][::-1]
 
 
 def _nonneg_profiles(k: int, bound: int) -> Iterator[Tuple[int, ...]]:
@@ -125,50 +128,28 @@ def _signed_profiles(k: int, bound: int) -> Iterator[Tuple[int, ...]]:
 def verify_cor23(k: int, max_n: int) -> List[Verdict]:
     """M(-m, n) = F_1(m; n) for all m, plus crank negation under the encoding.
 
-    For n up to OBJECT_MAX_N, one pass over the partitions of n, streamed
-    from ``partitions_of`` and never kept, is split by ``itertools.tee``,
-    which holds only the partition both maps are reading: each partition
-    goes through ``_encode`` and ``DysonSymbol.crank`` on one side and
-    ``crank`` on the other, and the pairs (symbol crank, crank(lam)) are
-    counted.  Their first entries give the F_1 histogram that is compared
-    with crank_counts(n) (the cor2.3 verdicts, n >= 2), and the pairs whose
-    entries are negatives count toward the cor2.3-object verdicts, whose
-    rhs is p(n).  What ``partitions_of`` makes is a partition, so it is
-    not checked again.
+    F_1(m; n) counts the Dyson symbols of weight n by crank, which at k = 1
+    is the full crank: it is read off ``full_crank_table(1, n)``, which
+    builds no symbol and shares no code with the encoding or with
+    crank_counts, and compared with crank_counts(n) (the cor2.3 verdicts,
+    n >= 2).
 
-    Past OBJECT_MAX_N no per-object check is made, and F_1 is read off the
-    k = 1 fold instead, which builds no symbol and shares no code with the
-    encoding or with crank_counts: one ``_fold_range(1, max_n)``, whose
-    table n counts the Dyson symbols of weight n by their crank,
-    ``key[0]``.  It is built once, at max_n, when the loop first passes
-    OBJECT_MAX_N, and is not kept past this call.
+    For n up to OBJECT_MAX_N, the partitions of n, streamed from
+    ``partitions_of`` and never kept, are each encoded once: the
+    cor2.3-object verdict counts those whose symbol's crank is the negated
+    crank of the partition, and its rhs is p(n).  What ``partitions_of``
+    makes is a partition, so it is not checked again.
     """
-    table_verdicts, object_verdicts = [], []
-    folded = None
-    for n in range(1, max_n + 1):
-        if n <= OBJECT_MAX_N:
-            lams, again = itertools.tee(partitions_of(n))
-            both = Counter(zip(map(DysonSymbol.crank, map(_encode, lams)), map(crank, again)))
-            f1 = Counter()
-            negated = 0
-            for (m, c), count in both.items():
-                f1[m] += count
-                if m == -c:
-                    negated += count
-            object_verdicts.append(
-                Verdict(identity="cor2.3-object", k=k, n=n, lhs=negated, rhs=sum(f1.values()))
-            )
-        else:
-            if folded is None:
-                folded = _fold_range(1, max_n, _no_label)
-            f1 = Counter()
-            for key, count in folded[n].items():
-                f1[key[0]] += count
-        if n >= 2:
-            table = crank_counts(n)
-            checks = (table[-m] == f1[m] for m in range(-n, n + 1))
-            table_verdicts.append(_tally("cor2.3", k, n, checks))
-    return table_verdicts + object_verdicts
+
+    def table_verdict(n: int) -> Verdict:
+        f1, table = full_crank_table(1, n), crank_counts(n)
+        return _tally("cor2.3", k, n, (table[-m] == f1[m] for m in range(-n, n + 1)))
+
+    return _by_weight(max_n, table_verdict) + [
+        _tally("cor2.3-object", k, n,
+               (DysonSymbol.crank(_encode(lam)) == -crank(lam) for lam in partitions_of(n)))
+        for n in range(1, min(max_n, OBJECT_MAX_N) + 1)
+    ]
 
 
 def verify_thm21(
@@ -190,7 +171,7 @@ def verify_thm21(
                 rhs[size] = theorem21_rhs(m, n)
             yield count == rhs[size]
 
-    return _by_weight("thm2.1", k, max_n, checks)
+    return _by_weight(max_n, lambda n: _tally("thm2.1", k, n, checks(n)))
 
 
 def verify_thm24(k: int, max_n: int) -> List[Verdict]:
@@ -272,7 +253,7 @@ def verify_thm24(k: int, max_n: int) -> List[Verdict]:
                 else:
                     yield symbols[partner[i]] == eta
 
-    return _by_weight("thm2.4", k, max_n, checks)
+    return _by_weight(max_n, lambda n: _tally("thm2.4", k, n, checks(n)))
 
 
 def verify_thm25(k: int, max_n: int) -> List[Verdict]:
@@ -295,7 +276,7 @@ def verify_thm25(k: int, max_n: int) -> List[Verdict]:
                     _fold_key(shifted, strict), 0
                 )
 
-    return _by_weight("thm2.5", k, max_n, checks)
+    return _by_weight(max_n, lambda n: _tally("thm2.5", k, n, checks(n)))
 
 
 def verify_thm26(k: int, max_n: int) -> List[Verdict]:
@@ -351,21 +332,20 @@ def verify_thm26(k: int, max_n: int) -> List[Verdict]:
         for (sym, m), eta in peeled.items():
             yield merged.get(eta) == (sym, m)
 
-    return _by_weight("thm2.6", k, max_n, checks)
+    return _by_weight(max_n, lambda n: _tally("thm2.6", k, n, checks(n)))
 
 
 def verify_thm31(k: int, max_n: int, n: Optional[int] = None) -> List[Verdict]:
     if n is not None:
         return [verify_theorem31(k, n)]
-    # Largest weight first, as in ``_by_weight``.
-    return [verify_theorem31(k, m) for m in range(max_n, 1, -1)][::-1]
+    return _by_weight(max_n, functools.partial(verify_theorem31, k))
 
 
 def verify_thm43(k: int, max_n: int) -> List[Verdict]:
     def checks(n: int) -> Iterator[bool]:
         return (count_full_crank(k, m, n) == theorem43_rhs(k, m, n) for m in range(-n, n + 1))
 
-    return _by_weight("thm4.3", k, max_n, checks)
+    return _by_weight(max_n, lambda n: _tally("thm4.3", k, n, checks(n)))
 
 
 def verify_gfck(k: int, max_j: int) -> List[Verdict]:
@@ -382,9 +362,9 @@ def verify_gfck(k: int, max_j: int) -> List[Verdict]:
 
 
 def verify_mod_identity_suite(k: int, max_n: int, p: int, r: int) -> List[Verdict]:
-    # The enumerate route visits its largest weight first, as in ``_by_weight``.
-    enumerated = range(min(max_n, ENUMERATE_MAX_N), 1, -1)
-    return [verify_modular_identity(k, p, r, n, method="enumerate") for n in enumerated][::-1] + [
+    enumerated = _by_weight(min(max_n, ENUMERATE_MAX_N),
+                            lambda n: verify_modular_identity(k, p, r, n, method="enumerate"))
+    return enumerated + [
         verify_modular_identity(k, p, r, n, method="closed") for n in range(2, max_n + 1)
     ]
 

@@ -49,9 +49,9 @@ Group = Tuple[Tuple[int, int, int, bool], Tuple[Pair, ...]]  # ((mass, A, B, fla
 # the objects workload.  Every verify driver asks for its largest weight
 # first (`cli._by_weight`), so each table is built once, at that cap (50
 # builds in `verify all`), and thm2.4 ends holding its weight-2 list.  The
-# mergeable part of a table (`_merging_groups`) is kept while the table is,
-# at most one per kept table: 50 after `verify all`, none after the objects
-# workload.  The fold's caches are bounded in `fold`.
+# mergeable part of a table (`_merging_groups`) is kept in the table's own
+# entry, and a rebuild of the table drops it: 50 after `verify all`, none
+# after the objects workload.  The fold's caches are bounded in `fold`.
 # The mirror memo (`_mirror_images`) keeps the image of each level object
 # `mirror` has mirrored, and the level as its image's image: at most
 # `_LEVEL_CACHE` entries, for one symbol list, since `enumerate_marked`
@@ -533,11 +533,10 @@ def _marker_choices(left: int, remaining: int, lo: int = 1,
 
 
 # The walk's tables (``_walk_groups``): (lo, hi, False) -> a level's, and
-# (lo, None, dyson) -> a top's, each as (cap, groups) at the widest cap asked for.
-_walk_tables: Dict[tuple, Tuple[int, Tuple[Group, ...]]] = {}
-# The mergeable part of each full table, under its key (``_merging_groups``),
-# dropped when the full table is rebuilt.
-_merging_tables: Dict[tuple, Tuple[Group, ...]] = {}
+# (lo, None, dyson) -> a top's, each as (cap, groups, mergeable part) at the
+# widest cap asked for; the mergeable part (``_merging_groups``) is None
+# until first asked for, and again after a rebuild.
+_walk_tables: Dict[tuple, Tuple[int, Tuple[Group, ...], Optional[Tuple[Group, ...]]]] = {}
 
 
 def _walk_groups(lo: int, hi: Optional[int], cap: int, dyson: bool = False) -> Tuple[Group, ...]:
@@ -556,8 +555,7 @@ def _walk_groups(lo: int, hi: Optional[int], cap: int, dyson: bool = False) -> T
     kept = _walk_tables.get(key)
     if kept is None or kept[0] < cap:
         groups = _top_groups(lo, cap, dyson) if hi is None else _level_groups(lo, hi, cap)
-        kept = _walk_tables[key] = (cap, groups)
-        _merging_tables.pop(key, None)
+        kept = _walk_tables[key] = (cap, groups, None)
     return kept[1]
 
 
@@ -575,21 +573,17 @@ def _merging_groups(lo: int, hi: Optional[int], cap: int, dyson: bool = False) -
     """
     groups = _walk_groups(lo, hi, cap, dyson)
     key = (lo, hi, dyson)
-    kept = _merging_tables.get(key)
-    if kept is None:
+    table_cap, _, merging = _walk_tables[key]
+    if merging is None:
         keep = (lambda a, b: len(a) >= len(b)) if hi is None else is_strict_pair
         filtered = ((summary, tuple([pair for pair in pairs if keep(*pair)]))
                     for summary, pairs in groups)
-        kept = _merging_tables[key] = tuple(group for group in filtered if group[1])
-    return kept
+        merging = tuple(group for group in filtered if group[1])
+        _walk_tables[key] = (table_cap, groups, merging)
+    return merging
 
 
-def _clear_walk_tables() -> None:
-    _walk_tables.clear()
-    _merging_tables.clear()
-
-
-_walk_groups.cache_clear = _clear_walk_tables
+_walk_groups.cache_clear = _walk_tables.clear
 
 
 def _walk(k: int, n: int, merging: bool = False) -> List[MarkedDysonSymbol]:

@@ -496,9 +496,10 @@ PARTITION_NUMBERS = (
 def test_cor23_encodes_each_partition_once(monkeypatch):
     # The suite used to encode every partition with n <= 25 twice: once for
     # its F_1 tables and again for its object check.  Past OBJECT_MAX_N it
-    # encodes nothing: F_1 is read off one k = 1 fold, built up to max_n.
+    # encodes nothing.  F_1 is read off the k = 1 full-crank table at every
+    # n, one range built up to max_n.
     calls, folds = [], []
-    encode, fold_range = cli._encode, cli._fold_range
+    encode, fold_range = cli._encode, fullcrank._fold_range
 
     def counting(lam):
         calls.append(lam)
@@ -509,11 +510,13 @@ def test_cor23_encodes_each_partition_once(monkeypatch):
         return fold_range(k, max_n, label)
 
     monkeypatch.setattr(cli, "_encode", counting)
-    monkeypatch.setattr(cli, "_fold_range", counting_folds)
+    monkeypatch.setattr(fullcrank, "_fold_range", counting_folds)
+    fullcrank.full_crank_table.cache_clear()
     verdicts = cli.verify_cor23(1, 30)
     assert cli.OBJECT_MAX_N == 25
     assert len(calls) == sum(partition_count(n) for n in range(1, 26)) == 9295
     assert folds == [(1, 30)]
+    assert fullcrank.full_crank_table.cache_info().misses == 1
     assert [(v.identity, v.k, v.n, v.lhs, v.rhs) for v in verdicts] == (
         [("cor2.3", 1, n, 2 * n + 1, 2 * n + 1) for n in range(2, 31)]
         + [("cor2.3-object", 1, n, p, p) for n, p in enumerate(PARTITION_NUMBERS, start=1)]
@@ -521,22 +524,15 @@ def test_cor23_encodes_each_partition_once(monkeypatch):
     for v in verdicts:
         if v.identity == "cor2.3-object":
             assert v.rhs == partition_count(v.n)
-    folds.clear()
-    cli.verify_cor23(1, 25)
-    assert folds == []
 
 
 def test_cor23_fold_counts_dyson_symbols_by_crank():
-    # Past OBJECT_MAX_N cor2.3 reads F_1 off the k = 1 fold instead of
-    # encoding every partition: the two histograms agree where the suite
-    # switches from one to the other.
-    tables = fold._fold_range(1, 30, fold._no_label)
-    for n in range(26, 31):
-        folded = Counter()
-        for key, count in tables[n].items():
-            folded[key[0]] += count
+    # cor2.3 reads F_1 off the k = 1 full-crank table instead of encoding
+    # every partition: at k = 1 the full crank is the Dyson crank, so the
+    # table is the encoding's crank histogram.
+    for n in range(30, 0, -1):
         encoded = Counter(map(DysonSymbol.crank, map(_encode, partitions_of(n))))
-        assert folded == encoded, n
+        assert fullcrank.full_crank_table(1, n) == encoded, n
         assert sum(encoded.values()) == partition_count(n)
 
 
@@ -686,6 +682,7 @@ def test_thm21_computes_each_rhs_once_per_profile_size(capsys, monkeypatch):
 # thm3.1 counts (k + 1)-marked symbols; mod-identity's enumerate route stops
 # at ENUMERATE_MAX_N = 14.
 FOLD_PLANS = {
+    "cor2.3": (fullcrank, [(1, 30)], [(1, 30)]),
     "thm2.1": (fold, [(2, 14), (3, 12)], [(2, 14), (3, 12)]),
     "thm2.4": (fold, [(1, 12), (2, 10)], [(1, 12), (2, 10)]),
     "thm2.5": (fold, [(2, 12), (3, 12)], [(2, 12), (3, 12)]),
@@ -713,11 +710,14 @@ def test_fold_reading_drivers_fold_each_row_once_at_its_bound(monkeypatch, suite
     for row, plan in zip(rows, folds):
         verdicts = driver(*row)
         assert runs[-1] == plan and all(v.passed for v in verdicts), row
-        # Each route's verdicts ascend from n = 2.
+        # Each route's verdicts ascend from n = 2, cor2.3-object's from n = 1.
         for identity in dict.fromkeys(v.identity for v in verdicts):
             ns = [v.n for v in verdicts if v.identity == identity]
-            assert ns == list(range(2, len(ns) + 2)), (row, identity)
+            least = 1 if identity == "cor2.3-object" else 2
+            assert ns == list(range(least, len(ns) + least)), (row, identity)
     assert runs == folds
+    # Only the two table front ends build folds; the drivers read those.
+    assert not hasattr(cli, "_fold_range") and not hasattr(cli, "_no_label")
     # A narrower weight reads the kept range; a wider one replaces it.
     k, bound = folds[-1]
     m = (1,) + (0,) * (k - 1)

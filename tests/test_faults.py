@@ -89,8 +89,8 @@ def partition_numbers_off_at_ten():
 
 def fold_off_at(n):
     # The first entry of the table of weight n, plus 1, in every range the
-    # fold builds: profile counts (thm2.1, thm2.4, thm2.5), full cranks and
-    # cor2.3's Dyson symbols alike.
+    # fold builds: profile counts (thm2.1, thm2.4, thm2.5) and full cranks,
+    # cor2.3's F_1 among them, alike.
     def faulty(k, max_n, label):
         tables = _fold_range(k, max_n, label)
         if max_n >= n:
@@ -240,10 +240,11 @@ PARTITION_NUMBER_FAILS = (
 )
 
 # The fold's n = 10 tables feed every counting suite of marked symbols at
-# n = 10, and the enumerate route of mod-identity; cor2.3 reads the fold
-# only past OBJECT_MAX_N = 25 and gf-ck its series, so neither sees it.
+# n = 10, cor2.3's F_1 (the k = 1 full-crank table) and the enumerate route
+# of mod-identity; gf-ck reads its series, so it does not see it.
 FOLD_FAILS = (
-    {(identity, k, 10) for identity in ("thm2.1", "thm2.5") for k in (2, 3)}
+    {("cor2.3", 1, 10)}
+    | {(identity, k, 10) for identity in ("thm2.1", "thm2.5") for k in (2, 3)}
     | {(identity, k, 10) for identity in ("thm2.4", "thm4.3") for k in (1, 2, 3)}
     | {("thm3.1", k, 10) for k in (1, 2)}
     | both_primes("enumerate", 2, (10,))
@@ -256,7 +257,8 @@ FOLD_FAILS = (
 # congruence, its one reader, and the table of partition numbers in
 # partitions, which owns it; the others only in the cli, whose drivers are
 # their one reader among the suites (the walk's cli binding is read by
-# thm2.6 only; thm2.4 walks through enumerate_marked).  The encoding has a
+# thm2.6 only; thm2.4 walks through enumerate_marked).  The encoding is
+# read only by cor2.3's object check, whose F_1 is the fold's.  It has a
 # second row, patched in dyson too: thm2.6 then peels the swapped symbol,
 # which phi_inverse rejects, and counts it as a missing peel.
 FAULTS = {
@@ -266,18 +268,18 @@ FAULTS = {
     ),
     "to_dyson_symbol": (
         "_encode", (cli,),
-        lambda: encoding_swapped_at_431, {("cor2.3", 1, 8), ("cor2.3-object", 1, 8)},
+        lambda: encoding_swapped_at_431, {("cor2.3-object", 1, 8)},
     ),
     "to_dyson_symbol_everywhere": (
         "_encode", (cli, dyson),
         lambda: encoding_swapped_at_431,
-        {("cor2.3", 1, 8), ("cor2.3-object", 1, 8), ("thm2.6", 1, 8), ("thm2.6", 2, 8)},
+        {("cor2.3-object", 1, 8), ("thm2.6", 1, 8), ("thm2.6", 2, 8)},
     ),
-    "fold": ("_fold_range", (cli, fullcrank, fold), lambda: fold_off_at(10), FOLD_FAILS),
-    # Past OBJECT_MAX_N cor2.3's F_1 is the fold's, and no other suite
-    # reads a weight that large.
+    "fold": ("_fold_range", (fullcrank, fold), lambda: fold_off_at(10), FOLD_FAILS),
+    # cor2.3's F_1 is the fold's at every n, and past OBJECT_MAX_N no other
+    # suite reads a weight that large.
     "fold_past_the_object_cap": (
-        "_fold_range", (cli, fullcrank, fold), lambda: fold_off_at(28), {("cor2.3", 1, 28)},
+        "_fold_range", (fullcrank, fold), lambda: fold_off_at(28), {("cor2.3", 1, 28)},
     ),
     "series_coefficients": (
         "series_coefficients", (cli,), lambda: series_off_at_seven,

@@ -1204,8 +1204,8 @@ def test_object_suites_keep_one_symbol_list_and_one_walk_table_per_marker():
     # One table per (lo, hi) and per (top marker, dyson), at the widest cap
     # that the walks asked for.
     widest = widest_walk_keys(3, 12)
-    assert {key: cap for key, (cap, groups) in _walk_tables.items()} == widest
-    for (lo, hi, dyson), (cap, groups) in _walk_tables.items():
+    assert {key: cap for key, (cap, groups, merging) in _walk_tables.items()} == widest
+    for (lo, hi, dyson), (cap, groups, merging) in _walk_tables.items():
         assert groups == exact_walk_groups(lo, hi, cap, dyson)
 
 
@@ -1228,7 +1228,7 @@ def test_a_walk_inside_the_kept_tables_builds_no_table(monkeypatch):
     # A wider walk rebuilds tables in place, at its own caps.
     _walk(3, 13)
     assert builds
-    assert {key: cap for key, (cap, groups) in _walk_tables.items()} == widest_walk_keys(3, 13)
+    assert {key: cap for key, (cap, groups, merging) in _walk_tables.items()} == widest_walk_keys(3, 13)
 
 
 def test_object_suites_build_each_walk_table_once(capsys, monkeypatch):
@@ -1315,21 +1315,20 @@ def test_merging_tables_are_filtered_from_the_kept_tables_and_cleared_with_them(
     # once, and one mergeable part of each, holding the full table's pairs.
     widest = widest_walk_keys(3, 12)
     assert len(builds) == len(_walk_tables) == len(widest)
-    assert {key: cap for key, (cap, groups) in _walk_tables.items()} == widest
-    assert marked._merging_tables.keys() == _walk_tables.keys()
-    for key, (cap, groups) in _walk_tables.items():
-        assert marked._merging_tables[key] == mergeable_part(key, groups)
+    assert {key: cap for key, (cap, groups, merging) in _walk_tables.items()} == widest
+    for key, (cap, groups, merging) in _walk_tables.items():
+        assert merging == mergeable_part(key, groups)
         held = {id(pair) for summary, pairs in groups for pair in pairs}
-        assert all(id(pair) in held for summary, pairs in marked._merging_tables[key] for pair in pairs)
+        assert all(id(pair) in held for summary, pairs in merging for pair in pairs)
     # A wider walk rebuilds full tables, and their mergeable parts with them.
     before = dict(_walk_tables)
     _walk(3, 13, merging=True)
     rebuilt = [key for key in before if _walk_tables[key] is not before[key]]
     assert rebuilt
-    for key, (cap, groups) in _walk_tables.items():
-        assert marked._merging_tables[key] == mergeable_part(key, groups)
+    for key, (cap, groups, merging) in _walk_tables.items():
+        assert merging == mergeable_part(key, groups)
     _walk_groups.cache_clear()
-    assert not _walk_tables and not marked._merging_tables
+    assert not _walk_tables
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
