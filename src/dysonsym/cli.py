@@ -499,67 +499,97 @@ def _int_reader(least: int, prime: bool = False) -> Callable[[str], int]:
     return read
 
 
+# Each verb and its line in ``dysonsym --help``, in that listing's order.
+_VERBS = {
+    "partitions": "list the partitions of n",
+    "crank-table": "the crank count table at n",
+    "rank-table": "the rank count table at n",
+    "moments": "symmetrized crank and rank moments",
+    "dyson": "enumerate the Dyson symbols of n",
+    "enumerate-marked": "enumerate the k-marked symbols of n",
+    "verify": "run a verification suite",
+    "scan": "scan progressions An+B for congruence witnesses",
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, verb: str) -> argparse.ArgumentParser:
+    """Add ``verb``'s arguments to ``p``, --format last, and return ``p``.
+
+    Each numeric flag's range is checked here, by its ``type=``; the
+    library checks its own arguments.
+    """
+    nonnegative, positive, from_two = _int_reader(0), _int_reader(1), _int_reader(2)
+    prime = _int_reader(5, prime=True)
+    if verb == "partitions":
+        p.add_argument("--n", type=nonnegative, required=True)
+    elif verb in ("crank-table", "rank-table"):
+        p.add_argument("--n", type=positive, required=True)
+    elif verb in ("moments", "enumerate-marked"):
+        p.add_argument("--k", type=positive, required=True)
+        p.add_argument("--n", type=positive, required=True)
+    elif verb == "dyson":
+        p.add_argument("--n", type=positive, required=True)
+        p.add_argument("--oracle", action="store_true",
+                       help="use the structural search instead of the bijection")
+    elif verb == "verify":
+        p.add_argument("identifier", choices=VERIFY_IDS + ("all",))
+        p.add_argument("--k", type=positive)
+        bound = p.add_mutually_exclusive_group()
+        bound.add_argument("--n", type=from_two)
+        bound.add_argument("--max-n", type=positive, dest="max_n")
+        p.add_argument("--m", type=int, action="append", help="crank profile entry (repeatable)")
+        p.add_argument("--p", type=prime)
+        p.add_argument("--r", type=positive)
+    else:  # scan
+        p.add_argument("--p", type=prime, required=True)
+        p.add_argument("--r", type=positive, default=1)
+        p.add_argument("--k", type=nonnegative)
+        p.add_argument("--max-a", type=positive, dest="max_a", default=10)
+        p.add_argument("--max-n", type=from_two, dest="max_n", default=79)
+    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    return p
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and shared by every later one.
+    """The CLI's full parser, every verb a subparser, built on the first call
+    and shared by every later one.
 
-    ``main`` may run many times in one process and parses each argv with
-    this one parser; ``parse_args`` keeps no state between calls.  Callers
-    must not change the parser they get back.  Each numeric flag's range is
-    checked here, by its ``type=``; the library checks its own arguments.
+    ``main`` parses with it only an argv that names no verb first (no
+    arguments, ``--help``, an unknown verb, an option before the verb), so
+    it writes the top-level help and errors; each verb's own parser is
+    ``_verb_parser``.  ``parse_args`` keeps no state between calls.
+    Callers must not change the parser they get back.
     """
     parser = _Parser(
         prog="dysonsym",
         description="Dyson symbols, crank statistics, and partition congruences.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    nonnegative, positive, from_two = _int_reader(0), _int_reader(1), _int_reader(2)
-    prime = _int_reader(5, prime=True)
+    for verb, line in _VERBS.items():
+        _add_arguments(sub.add_parser(verb, help=line), verb)
+    return parser
 
-    p = sub.add_parser("partitions", help="list the partitions of n")
-    p.add_argument("--n", type=nonnegative, required=True)
 
-    for verb in ("crank-table", "rank-table"):
-        p = sub.add_parser(verb, help=f"the {verb.split('-')[0]} count table at n")
-        p.add_argument("--n", type=positive, required=True)
-
-    p = sub.add_parser("moments", help="symmetrized crank and rank moments")
-    p.add_argument("--k", type=positive, required=True)
-    p.add_argument("--n", type=positive, required=True)
-
-    p = sub.add_parser("dyson", help="enumerate the Dyson symbols of n")
-    p.add_argument("--n", type=positive, required=True)
-    p.add_argument("--oracle", action="store_true",
-                   help="use the structural search instead of the bijection")
-
-    p = sub.add_parser("enumerate-marked", help="enumerate the k-marked symbols of n")
-    p.add_argument("--k", type=positive, required=True)
-    p.add_argument("--n", type=positive, required=True)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("identifier", choices=VERIFY_IDS + ("all",))
-    p.add_argument("--k", type=positive)
-    bound = p.add_mutually_exclusive_group()
-    bound.add_argument("--n", type=from_two)
-    bound.add_argument("--max-n", type=positive, dest="max_n")
-    p.add_argument("--m", type=int, action="append", help="crank profile entry (repeatable)")
-    p.add_argument("--p", type=prime)
-    p.add_argument("--r", type=positive)
-
-    p = sub.add_parser("scan", help="scan progressions An+B for congruence witnesses")
-    p.add_argument("--p", type=prime, required=True)
-    p.add_argument("--r", type=positive, default=1)
-    p.add_argument("--k", type=nonnegative)
-    p.add_argument("--max-a", type=positive, dest="max_a", default=10)
-    p.add_argument("--max-n", type=from_two, dest="max_n", default=79)
-
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+@functools.lru_cache(maxsize=len(_VERBS))
+def _verb_parser(verb: str) -> argparse.ArgumentParser:
+    """``verb``'s parser, built on first use: it parses what follows the
+    verb as ``build_parser()``'s subparser for it does, and sets ``verb``."""
+    parser = _add_arguments(_Parser(prog=f"dysonsym {verb}"), verb)
+    parser.set_defaults(verb=verb)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run the CLI on ``argv`` (default ``sys.argv[1:]``) and return its exit
+    status.  It may run many times in one process: an argv whose first item
+    is a verb is parsed by that verb's parser alone, any other by the full
+    parser, ``build_parser()``."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _VERBS:
+        parser, argv = _verb_parser(argv[0]), argv[1:]
+    else:
+        parser = build_parser()
     args = parser.parse_args(argv)
     try:
         status = _run(args)

@@ -61,6 +61,17 @@ def crank_residue_table(t: int, n: int) -> Tuple[int, ...]:
     return _residues(crank_counts(n).counts, t)
 
 
+def _residues_vanish(t: int, n: int) -> bool:
+    """Every entry of ``crank_residue_table(t, n)`` is 0 mod t.
+
+    Every crank of n lies in [-n, n], so when t > 2n each crank has its own
+    residue and the table holds crank_counts(n)'s own counts plus zeros:
+    those counts are tested directly, and no table of t entries is built.
+    """
+    counts = crank_counts(n).counts.values() if t > 2 * n else crank_residue_table(t, n)
+    return all(c % t == 0 for c in counts)
+
+
 # ---------------------------------------------------------------------------
 # Modular identity between the full-crank residue counts and M(i, p^r; n)
 # ---------------------------------------------------------------------------
@@ -177,7 +188,9 @@ def scan_progressions(
     ``MIN_POINTS`` data points are reported.  Deterministic for fixed
     inputs.  Each progression's values are a ``range``, never a list, and
     it stops at its first failing value, so crank tables are built only
-    for the n some progression has to look at, whatever n_max.
+    for the n some progression has to look at, whatever n_max.  At an n
+    with p^r > 2n every crank has its own residue, so the crank counts of n
+    are tested in place of a residue table of p^r entries.
 
     No A above (n_max - 2) // (MIN_POINTS - 1) can have that many values in
     [2, n_max], so A stops there even when ``a_max`` is larger.
@@ -198,7 +211,7 @@ def scan_progressions(
 
     def vanishes(n: int) -> Tuple[bool, bool]:
         if n not in memo:
-            residues_ok = all(c % modulus == 0 for c in crank_residue_table(modulus, n))
+            residues_ok = _residues_vanish(modulus, n)
             moment_ok = k is not None and _moment(2 * k, crank_counts(n)) % modulus == 0
             memo[n] = (residues_ok, moment_ok)
         return memo[n]

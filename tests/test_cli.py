@@ -295,6 +295,11 @@ HUGE_P = "1000000000000000003"  # is_prime would trial-divide up to 10^9
     (["moments", "--k", "x", "--n", "3"], "argument --k: invalid int value: 'x'"),
     (["no-such-verb"], "argument verb: invalid choice: 'no-such-verb' (choose from 'partitions',"
      " 'crank-table', 'rank-table', 'moments', 'dyson', 'enumerate-marked', 'verify', 'scan')"),
+    # An argv that names no verb first takes the full parser.
+    ([], "the following arguments are required: verb"),
+    (["--format", "json", "moments", "--k", "1", "--n", "3"], "argument verb: invalid choice:"
+     " 'json' (choose from 'partitions', 'crank-table', 'rank-table', 'moments', 'dyson',"
+     " 'enumerate-marked', 'verify', 'scan')"),
 ])
 def test_every_usage_error_is_one_line(capsys, monkeypatch, argv, message):
     # Each numeric flag's range is checked as the flag is parsed, so the
@@ -451,6 +456,16 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     ).stdout
     loaded = set(ast.literal_eval(out))
     assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+
+
+def test_cli_import_builds_no_parser():
+    # Every check is a fresh process: a parser is built when main needs it.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import dysonsym.cli as cli; "
+            "print(cli.build_parser.cache_info().currsize, cli._verb_parser.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0", "0"]
 
 
 @pytest.mark.parametrize("r", ["9", "30"])
@@ -982,7 +997,32 @@ def test_build_parser_returns_one_shared_parser():
     assert cli.build_parser() is cli.build_parser()
 
 
-def test_shared_parser_keeps_no_state_between_main_calls(capsys):
+def _verb_subparsers():
+    (action,) = [a for a in cli.build_parser()._actions if a.dest == "verb"]
+    return action.choices
+
+
+@pytest.mark.parametrize("verb", list(cli._VERBS))
+def test_verb_parser_writes_its_subparsers_help(verb):
+    assert cli._verb_parser(verb).format_help() == _verb_subparsers()[verb].format_help()
+
+
+def test_main_builds_only_the_parser_of_the_verb_it_is_given(capsys):
+    cli.build_parser.cache_clear()
+    cli._verb_parser.cache_clear()
+    for argv in (["moments", "--k", "1", "--n", "3"], ["scan", "--p", "5", "--max-n", "10"],
+                 ["verify", "thm2.1", "--max-n", "4"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert cli.build_parser.cache_info().currsize == 0
+    assert cli._verb_parser.cache_info().currsize == 3
+    # An argv that names no verb first is the full parser's to reject.
+    for argv in ([], ["no-such-verb"]):
+        cli.build_parser.cache_clear()
+        assert_one_line_error(usage_error(capsys, *argv))
+        assert cli.build_parser.cache_info().currsize == 1
+
+
+def test_shared_parser_keeps_no_state_between_main_calls(capsys, monkeypatch):
     # A usage error, then two --m runs, then a scan, all in one process: each
     # argv parses as a fresh parser parses it, and the second --m run sees
     # its own entry only (a profile of length 1 is level k = 1).
@@ -990,6 +1030,8 @@ def test_shared_parser_keeps_no_state_between_main_calls(capsys):
         main(["no-such-verb"])
     assert exc.value.code == 2
     capsys.readouterr()
+    parsed, run = [], cli._run
+    monkeypatch.setattr(cli, "_run", lambda args: parsed.append(args) or run(args))
     runs = [
         (["verify", "thm2.1", "--m", "1", "--m", "0", "--format", "json"], [1, 0]),
         (["verify", "thm2.1", "--m", "1", "--format", "json"], [1]),
@@ -999,7 +1041,8 @@ def test_shared_parser_keeps_no_state_between_main_calls(capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         args = cli.build_parser().parse_args(argv)
-        assert vars(args) == vars(cli.build_parser.__wrapped__().parse_args(argv))
+        fresh = vars(cli.build_parser.__wrapped__().parse_args(argv))
+        assert vars(args) == vars(parsed.pop()) == fresh and fresh["verb"] == argv[0]
         assert getattr(args, "m", None) == m
         if m is not None:
             assert {json.loads(line)["k"] for line in out.splitlines()} == {len(m)}

@@ -19,6 +19,7 @@ from dysonsym.congruence import (
     MIN_POINTS,
     _binomial_lemma_holds,
     _residue_sides,
+    _residues_vanish,
     binomial_congruence_holds,
     prime_power,
 )
@@ -154,6 +155,27 @@ def test_scanner_builds_only_the_tables_it_reads():
     crank_counts.cache_clear()
     scan_progressions(5, 1, k=1, a_max=10, n_max=30)
     assert crank_counts.cache_info().misses == 27
+
+
+@pytest.mark.parametrize("t", [5, 7, 11, 25, 49, 121, 125, 994009])
+def test_residue_shortcut_agrees_with_the_dense_table(t):
+    # When t > 2n every crank of n has its own residue, so the scanner tests
+    # the crank counts of n in place of the table of t entries: the table's
+    # nonzero entries are those counts.
+    for n in range(2, 61):
+        dense = crank_residue_table(t, n)
+        assert _residues_vanish(t, n) == all(c % t == 0 for c in dense)
+        if t > 2 * n:
+            assert sorted(filter(None, dense)) == sorted(crank_counts(n).counts.values())
+
+
+def test_scanner_builds_no_residue_table_past_twice_n(monkeypatch):
+    # p^r = 994009 > 2n at every n <= 40: no table of p^r entries is built.
+    def crank_residue_table(t, n):
+        raise AssertionError(f"crank_residue_table({t}, {n}) built")
+
+    monkeypatch.setattr(congruence, "crank_residue_table", crank_residue_table)
+    assert scan_progressions(997, 2, k=1, n_max=40) == []
 
 
 def test_scanner_keeps_no_list_of_a_progressions_values():
