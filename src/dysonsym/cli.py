@@ -40,7 +40,6 @@ from .marked import (
     _walk,
     crank_vector,
     enumerate_marked,
-    is_strict_pair,
     mirror,
     phi,
     phi_inverse,
@@ -287,10 +286,8 @@ def verify_thm26(k: int, max_n: int) -> List[Verdict]:
     symbol sym of n and nonnegative profile m with sum(m) + k - 1 =
     crank(sym) (``_profiles_of_sum`` makes just these) to
     phi_inverse(sym, m).  The walk builds only the symbols of weight n that
-    merge (``marked._walk`` with ``merging``), and each is tested before
-    phi, which raises on one that does not: its top crank, read off the two
-    lengths, must be nonnegative and each lower level a strict pair, up to
-    the first that is not; a walked symbol that fails fails one check.
+    merge (``marked._walk`` with ``merging``); a walked symbol that does
+    not, which phi rejects with ValueError, fails one check.
     Each map runs once per object, and each round trip reads the other
     table: phi(eta) must weigh n, have crank sum(cranks) + k - 1 and peel
     back to eta in ``peeled``; phi_inverse(sym, m) must merge back to sym
@@ -302,16 +299,10 @@ def verify_thm26(k: int, max_n: int) -> List[Verdict]:
     def checks(n: int) -> Iterator[bool]:
         merged, rejected = {}, 0
         for eta in _walk(k, n, merging=True):
-            *lower, (a, b) = eta.vectors
-            if len(a) < len(b):
-                rejected += 1
-                continue
-            for pair in lower:
-                if not is_strict_pair(*pair):
-                    rejected += 1
-                    break
-            else:
+            try:
                 merged[eta] = phi(eta), crank_vector(eta)
+            except ValueError:  # a faulty walk's symbol that does not merge
+                rejected += 1
         yield from itertools.repeat(False, rejected)
         peeled = {}
         for sym in enumerate_dyson_symbols(n):

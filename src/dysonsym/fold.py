@@ -146,7 +146,7 @@ def _top_histogram(lo: int, cap: int, k: int) -> Entries:
 def _fold_range(k: int, max_n: int,
                 label: Callable[[int, int], tuple]) -> List[Dict[tuple, int]]:
     """Counts of k-marked symbols of every weight 1 <= n <= max_n (entry
-    n), keyed by the top crank, l - s + 2D, and the labels of levels 1..k-1
+    n), by the top crank, l - s + 2D, and the labels of levels 1..k-1
     laid end to end.
 
     A level's label is the tuple ``label(crank, balance)``; levels whose
@@ -246,20 +246,13 @@ def _fold_range(k: int, max_n: int,
                     lower = below(k - 1, lo, left, large, small, both_empty).items()
                 else:
                     lower = [((large - small,), 1)]
-                # crank -> [(key, ways)], built once for every mass, so the
-                # tables of the weights this `left` reaches share their keys;
-                # `keys` makes an equal key of another `left` the same tuple.
-                keyed: Dict[int, list] = {}
                 for mass, cranks in by_mass.items():
                     if marker + mass + left <= max_n:
                         table = tables[marker + mass + left]
                         for crank, count in cranks.items():
-                            if crank not in keyed:
-                                shared = keyed[crank] = []
-                                for key, ways in lower:
-                                    key = (crank,) + key
-                                    shared.append((keys.setdefault(key, key), ways))
-                            for key, ways in keyed[crank]:
+                            for key, ways in lower:
+                                key = (crank,) + key
+                                key = keys.setdefault(key, key)
                                 table[key] = table.get(key, 0) + count * ways
     # `below` calls itself through its closure cell, a reference cycle that
     # holds the memo, level entries and DP states; emptying the cell frees

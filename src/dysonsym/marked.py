@@ -561,8 +561,9 @@ def _walk_groups(lo: int, hi: Optional[int], cap: int, dyson: bool = False) -> T
 
 def _merging_groups(lo: int, hi: Optional[int], cap: int, dyson: bool = False) -> Tuple[Group, ...]:
     """``_walk_groups(lo, hi, cap, dyson)`` less the pairs that no symbol
-    ``phi`` merges can hold: below the top the pairs that are not strict
-    (``is_strict_pair``), at the top those of negative crank.
+    ``phi`` merges can hold: ``phi``'s rule applied pair by pair, so below
+    the top the pairs that are not strict (``is_strict_pair``), at the top
+    those of negative crank.
 
     Filtered from the kept full table, never built, and kept as long as it
     is.  Each group keeps its summary and the order of its pairs, and a
@@ -825,7 +826,8 @@ def phi(eta: MarkedDysonSymbol) -> DysonSymbol:
     """
     if not is_strict(eta):
         raise ValueError("phi requires a strict symbol")
-    if any(c < 0 for c in crank_vector(eta)):
+    a, b = eta.vectors[-1]
+    if len(a) < len(b):  # a strict lower pair has crank >= 0 (``is_strict``)
         raise ValueError("phi requires nonnegative cranks at every level")
     alpha_parts: List[int] = list(eta.markers)
     beta_parts: List[int] = []

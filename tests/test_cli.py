@@ -747,13 +747,29 @@ def test_fold_reading_drivers_fold_each_row_once_at_its_bound(monkeypatch, suite
 
 
 def test_thm26_tests_strictness_below_nonnegative_tops_and_cranks_only_merges(capsys, monkeypatch):
-    # The driver walks only the symbols that merge, and tests each lower
-    # level of each once more: 11,709 levels were tested when it read every
-    # symbol, up to the first level that is not strict under a top crank
-    # >= 0.  Every symbol's crank vector used to be taken.  The pairs tested
-    # are compared as values.
-    tested = []
-    monkeypatch.setattr(cli, "is_strict_pair", lambda a, b: tested.append((a, b)) or is_strict_pair(a, b))
+    # The driver walks only the symbols that merge and leaves the rule to
+    # phi, whose is_strict tests each lower level of each once: 11,709
+    # levels were tested when the driver read every symbol, up to the first
+    # level that is not strict under a top crank >= 0.  Every symbol's
+    # crank vector used to be taken.  The walk tables' filter and
+    # phi_inverse's own check call is_strict_pair too, so only the pairs
+    # tested inside phi are counted, and compared as values.
+    tested, inside = [], []
+
+    def strict_pair(a, b):
+        if inside:
+            tested.append((a, b))
+        return is_strict_pair(a, b)
+
+    def merge(eta):
+        inside.append(eta)
+        try:
+            return phi(eta)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(marked, "is_strict_pair", strict_pair)
+    monkeypatch.setattr(cli, "phi", merge)
     cranked = counted(monkeypatch, "crank_vector")
     code, _, _ = run_cli(capsys, "verify", "thm2.6")
     assert code == 0
@@ -911,7 +927,8 @@ def peeling_one_symbol_wrong():
 
 def walking_a_symbol_of_negative_top_crank():
     # A strict symbol that phi rejects for its top crank joins the walk of
-    # the symbols it merges: it fails one check, and phi never sees it.
+    # the symbols it merges: the driver catches phi's ValueError, and the
+    # symbol fails one check.
     extra = next(
         eta for eta in enumerate_marked(2, FAULT_N)
         if is_strict(eta) and len(eta.vectors[-1][0]) < len(eta.vectors[-1][1])

@@ -169,9 +169,9 @@ def merging_walk_dropping_one_at_two_nine():
 
 
 def merging_walk_adding_one_at_two_nine():
-    # A symbol of (2, 9) that phi would reject, a lower level not strict
-    # under a top crank >= 0, joins the walk: the driver fails it as one
-    # check instead of letting phi raise.
+    # A symbol of (2, 9) that phi rejects, a lower level not strict under
+    # a top crank >= 0, joins the walk: the driver catches phi's
+    # ValueError and fails the symbol as one check.
     extra = next(
         eta for eta in marked._walk(2, 9)
         if len(eta.vectors[-1][0]) >= len(eta.vectors[-1][1]) and not is_strict(eta)

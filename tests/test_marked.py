@@ -484,6 +484,32 @@ def test_phi_rejects_invalid_input():
         phi_inverse(BIG_DYSON, (1, 1))  # crank mismatch
 
 
+@pytest.mark.parametrize(
+    "levels, message",
+    [
+        # Strictness is tested first, so a symbol that fails both rules
+        # is rejected as not strict.
+        ((((), (1,)), ((), (1,))), "phi requires a strict symbol"),
+        ((((), ()), ((), (1,))), "phi requires nonnegative cranks at every level"),
+        ((((), (1,)), ((1,), ())), "phi requires a strict symbol"),
+    ],
+)
+def test_phi_names_the_rule_a_symbol_breaks(levels, message):
+    eta = MarkedDysonSymbol(levels, (1,))
+    assert validate_marked(eta)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        phi(eta)
+
+
+def test_phi_reads_the_crank_sign_off_the_top_level_alone(monkeypatch):
+    # A strict lower level has crank >= 0, so only the top's lengths are
+    # compared; phi used to take the whole crank vector.
+    cranked = []
+    monkeypatch.setattr(marked, "crank_vector", lambda eta: cranked.append(eta) or crank_vector(eta))
+    assert phi(BIG_PEELED) == BIG_DYSON
+    assert cranked == []
+
+
 def test_json_round_trip():
     eta = BIG_THREE_MARKED
     assert MarkedDysonSymbol.from_json(eta.to_json()) == eta
