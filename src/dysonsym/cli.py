@@ -503,42 +503,116 @@ _VERBS = {
 }
 
 
-def _add_arguments(p: argparse.ArgumentParser, verb: str) -> argparse.ArgumentParser:
-    """Add ``verb``'s arguments to ``p``, --format last, and return ``p``.
+_NONNEGATIVE, _POSITIVE, _FROM_TWO = _int_reader(0), _int_reader(1), _int_reader(2)
+_PRIME = _int_reader(5, prime=True)
 
-    Each numeric flag's range is checked here, by its ``type=``; the
-    library checks its own arguments.
-    """
-    nonnegative, positive, from_two = _int_reader(0), _int_reader(1), _int_reader(2)
-    prime = _int_reader(5, prime=True)
-    if verb == "partitions":
-        p.add_argument("--n", type=nonnegative, required=True)
-    elif verb in ("crank-table", "rank-table"):
-        p.add_argument("--n", type=positive, required=True)
-    elif verb in ("moments", "enumerate-marked"):
-        p.add_argument("--k", type=positive, required=True)
-        p.add_argument("--n", type=positive, required=True)
-    elif verb == "dyson":
-        p.add_argument("--n", type=positive, required=True)
-        p.add_argument("--oracle", action="store_true",
-                       help="use the structural search instead of the bijection")
-    elif verb == "verify":
-        p.add_argument("identifier", choices=VERIFY_IDS + ("all",))
-        p.add_argument("--k", type=positive)
-        bound = p.add_mutually_exclusive_group()
-        bound.add_argument("--n", type=from_two)
-        bound.add_argument("--max-n", type=positive, dest="max_n")
-        p.add_argument("--m", type=int, action="append", help="crank profile entry (repeatable)")
-        p.add_argument("--p", type=prime)
-        p.add_argument("--r", type=positive)
-    else:  # scan
-        p.add_argument("--p", type=prime, required=True)
-        p.add_argument("--r", type=positive, default=1)
-        p.add_argument("--k", type=nonnegative)
-        p.add_argument("--max-a", type=positive, dest="max_a", default=10)
-        p.add_argument("--max-n", type=from_two, dest="max_n", default=79)
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+
+def _arg(name: str, **options) -> tuple:
+    """A group of one argument: ``name`` and its ``add_argument`` keywords.
+    Two groups added together make one mutually exclusive group."""
+    return ((name, options),)
+
+
+_FORMAT = _arg("--format", choices=("json", "csv", "text"), default="text")
+
+# Each verb's argument groups, in the order its help lists them.  Both
+# parsers add them (``_add_arguments``) and ``_quick_args`` reads them, so
+# each flag is written here once.  Each numeric flag's range is checked by
+# its ``type=``; the library checks its own arguments.
+_ARGUMENTS = {
+    "partitions": (_arg("--n", type=_NONNEGATIVE, required=True), _FORMAT),
+    "crank-table": (_arg("--n", type=_POSITIVE, required=True), _FORMAT),
+    "rank-table": (_arg("--n", type=_POSITIVE, required=True), _FORMAT),
+    "moments": (
+        _arg("--k", type=_POSITIVE, required=True), _arg("--n", type=_POSITIVE, required=True),
+        _FORMAT,
+    ),
+    "dyson": (
+        _arg("--n", type=_POSITIVE, required=True),
+        _arg("--oracle", action="store_true", default=False,
+             help="use the structural search instead of the bijection"),
+        _FORMAT,
+    ),
+    "enumerate-marked": (
+        _arg("--k", type=_POSITIVE, required=True), _arg("--n", type=_POSITIVE, required=True),
+        _FORMAT,
+    ),
+    "verify": (
+        _arg("identifier", choices=VERIFY_IDS + ("all",)),
+        _arg("--k", type=_POSITIVE),
+        _arg("--n", type=_FROM_TWO) + _arg("--max-n", type=_POSITIVE, dest="max_n"),
+        _arg("--m", type=int, action="append", help="crank profile entry (repeatable)"),
+        _arg("--p", type=_PRIME),
+        _arg("--r", type=_POSITIVE),
+        _FORMAT,
+    ),
+    "scan": (
+        _arg("--p", type=_PRIME, required=True),
+        _arg("--r", type=_POSITIVE, default=1),
+        _arg("--k", type=_NONNEGATIVE),
+        _arg("--max-a", type=_POSITIVE, dest="max_a", default=10),
+        _arg("--max-n", type=_FROM_TWO, dest="max_n", default=79),
+        _FORMAT,
+    ),
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, verb: str) -> argparse.ArgumentParser:
+    """Add ``verb``'s arguments to ``p`` and return ``p``."""
+    for group in _ARGUMENTS[verb]:
+        target = p.add_mutually_exclusive_group() if len(group) > 1 else p
+        for name, options in group:
+            target.add_argument(name, **options)
     return p
+
+
+def _quick_args(verb: str, argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """What ``_verb_parser(verb).parse_args(argv)`` returns, read off the
+    argument table without argparse, or None for an argv it does not read.
+
+    It reads the verb's positionals first, then ``--option value`` pairs,
+    each option spelled out in full, at most once, and not one that takes
+    an ``action=`` (``--m``, ``--oracle``).  A value must be a str that does
+    not start with "-" and that the option's ``type=`` and ``choices``
+    accept.  Every required option must be given, and at most one of a
+    mutually exclusive group.  Anything else, help and every usage error
+    among it, is None, and ``main`` leaves it to argparse.
+    """
+    args, options, groups_given = {"verb": verb}, {}, set()
+    positionals = []
+    for index, group in enumerate(_ARGUMENTS[verb]):
+        for name, spec in group:
+            dest = spec.get("dest", name.lstrip("-").replace("-", "_"))
+            args[dest] = spec.get("default")
+            if not name.startswith("-"):
+                positionals.append((dest, spec))
+            else:
+                options[name] = dest, spec, index
+    count = len(positionals)
+    if len(argv) < count or (len(argv) - count) % 2:
+        return None
+    pairs = [(dest, spec, text) for (dest, spec), text in zip(positionals, argv)]
+    for name, text in zip(argv[count::2], argv[count + 1::2]):
+        if not isinstance(name, str) or name not in options:
+            return None
+        dest, spec, index = options.pop(name)  # so a repeated option is not found
+        if "action" in spec or index in groups_given:  # the group's other option was given
+            return None
+        groups_given.add(index)
+        pairs.append((dest, spec, text))
+    for dest, spec, text in pairs:
+        if not isinstance(text, str) or text.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except (argparse.ArgumentTypeError, ValueError):
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        args[dest] = value
+    if any(spec.get("required") for _, spec, _ in options.values()):
+        return None
+    return argparse.Namespace(**args)
 
 
 @functools.lru_cache(maxsize=1)
@@ -549,8 +623,9 @@ def build_parser() -> argparse.ArgumentParser:
     ``main`` parses with it only an argv that names no verb first (no
     arguments, ``--help``, an unknown verb, an option before the verb), so
     it writes the top-level help and errors; each verb's own parser is
-    ``_verb_parser``.  ``parse_args`` keeps no state between calls.
-    Callers must not change the parser they get back.
+    ``_verb_parser``, and most argvs need neither (``_quick_args``).
+    ``parse_args`` keeps no state between calls.  Callers must not change
+    the parser they get back.
     """
     parser = _Parser(
         prog="dysonsym",
@@ -573,25 +648,31 @@ def _verb_parser(verb: str) -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the CLI on ``argv`` (default ``sys.argv[1:]``) and return its exit
-    status.  It may run many times in one process: an argv whose first item
-    is a verb is parsed by that verb's parser alone, any other by the full
-    parser, ``build_parser()``."""
+    status.  It may run many times in one process.
+
+    An argv that starts with a verb and that ``_quick_args`` reads (the
+    verb's positionals, then whole ``--option value`` pairs, each value in
+    its option's range) builds no parser.  Any other argv goes to argparse,
+    so every help text and usage error is argparse's: that verb's own parser
+    parses it, or the full parser, ``build_parser()``, one that names no
+    verb first.  An error that the run raises is written by the verb's
+    parser, built then."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in _VERBS:
-        parser, argv = _verb_parser(argv[0]), argv[1:]
-    else:
-        parser = build_parser()
-    args = parser.parse_args(argv)
+    verb = argv[0] if argv and argv[0] in _VERBS else None
+    args = _quick_args(verb, argv[1:]) if verb else None
+    if args is None:
+        args = _verb_parser(verb).parse_args(argv[1:]) if verb else build_parser().parse_args(argv)
     try:
         status = _run(args)
         sys.stdout.flush()  # so a closed pipe is reported here, not at exit
         return status
     except ValueError as exc:
         # A level a suite lacks, p^r past the largest modulus, bounds that leave no check.
-        parser.error(str(exc))
+        _verb_parser(args.verb).error(str(exc))
     except RecursionError:
         # The walk recurses once per level, a partition list once per part.
-        parser.error(f"input too large: recursion limit {sys.getrecursionlimit()} reached")
+        limit = sys.getrecursionlimit()
+        _verb_parser(args.verb).error(f"input too large: recursion limit {limit} reached")
     except BrokenPipeError:
         # The reader closed standard output early (`| head`).  Point it at
         # the null device so that the flush at exit cannot fail again, and

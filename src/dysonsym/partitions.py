@@ -268,17 +268,17 @@ class CountTable:
 def _gf_table(n: int, base_exponent: Callable[[int], int]) -> CountTable:
     # q^n coefficient of (1/(q)_inf) sum_{j>=1} (-1)^(j-1) q^e (1 - q^j), with
     # e = base_exponent(j) + j|m|, for every m; zero entries are dropped.
+    # One pass per j: e runs over base_exponent(j) + j|m| <= n, |m| = 0, 1, ...
     p = _partition_numbers(n)
-    by_abs = []
-    for a in range(n + 1):
-        value, j = 0, 1
-        while (e := base_exponent(j) + j * a) <= n:
+    by_abs = [0] * (n + 1)
+    j = 1
+    while (base := base_exponent(j)) <= n:
+        for a, e in enumerate(range(base, n + 1, j)):
             term = p[n - e] - (p[n - e - j] if e + j <= n else 0)
-            value += term if j % 2 else -term
-            j += 1
-        by_abs.append(value)
+            by_abs[a] += term if j % 2 else -term
+        j += 1
     return CountTable(
-        n, {m: by_abs[abs(m)] for m in range(-n, n + 1) if by_abs[abs(m)]}
+        n, {m: c for m, c in zip(range(-n, n + 1), by_abs[:0:-1] + by_abs) if c}
     )
 
 

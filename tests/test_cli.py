@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import csv
 import hashlib
 import io
@@ -10,6 +11,7 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dysonsym import (
     MarkedDysonSymbol,
@@ -1027,11 +1029,21 @@ def test_verb_parser_writes_its_subparsers_help(verb):
 def test_main_builds_only_the_parser_of_the_verb_it_is_given(capsys):
     cli.build_parser.cache_clear()
     cli._verb_parser.cache_clear()
+    # A well-formed argv is read off the argument table: no parser at all.
     for argv in (["moments", "--k", "1", "--n", "3"], ["scan", "--p", "5", "--max-n", "10"],
                  ["verify", "thm2.1", "--max-n", "4"]):
         assert run_cli(capsys, *argv)[0] == 0
     assert cli.build_parser.cache_info().currsize == 0
-    assert cli._verb_parser.cache_info().currsize == 3
+    assert cli._verb_parser.cache_info().currsize == 0
+    # A malformed one, or one whose run raises, is its own verb's parser's to reject.
+    malformed, raising = ["moments", "--k", "0", "--n", "3"], ["verify", "cor2.3", "--k", "2"]
+    for argv, built in ((malformed, 1), (raising, 2)):
+        assert_one_line_error(usage_error(capsys, *argv))
+        assert cli.build_parser.cache_info().currsize == 0
+        assert cli._verb_parser.cache_info().currsize == built
+    cli._verb_parser("moments")
+    cli._verb_parser("verify")
+    assert cli._verb_parser.cache_info().hits == 2
     # An argv that names no verb first is the full parser's to reject.
     for argv in ([], ["no-such-verb"]):
         cli.build_parser.cache_clear()
@@ -1063,3 +1075,154 @@ def test_shared_parser_keeps_no_state_between_main_calls(capsys, monkeypatch):
         assert getattr(args, "m", None) == m
         if m is not None:
             assert {json.loads(line)["k"] for line in out.splitlines()} == {len(m)}
+
+
+def _reference_add_arguments(p, verb):
+    # The per-verb if/elif chain that the argument table replaced, kept as
+    # the table's oracle: each parser the table builds must write its help.
+    nonnegative, positive, from_two = cli._int_reader(0), cli._int_reader(1), cli._int_reader(2)
+    prime = cli._int_reader(5, prime=True)
+    if verb == "partitions":
+        p.add_argument("--n", type=nonnegative, required=True)
+    elif verb in ("crank-table", "rank-table"):
+        p.add_argument("--n", type=positive, required=True)
+    elif verb in ("moments", "enumerate-marked"):
+        p.add_argument("--k", type=positive, required=True)
+        p.add_argument("--n", type=positive, required=True)
+    elif verb == "dyson":
+        p.add_argument("--n", type=positive, required=True)
+        p.add_argument("--oracle", action="store_true",
+                       help="use the structural search instead of the bijection")
+    elif verb == "verify":
+        p.add_argument("identifier", choices=cli.VERIFY_IDS + ("all",))
+        p.add_argument("--k", type=positive)
+        bound = p.add_mutually_exclusive_group()
+        bound.add_argument("--n", type=from_two)
+        bound.add_argument("--max-n", type=positive, dest="max_n")
+        p.add_argument("--m", type=int, action="append", help="crank profile entry (repeatable)")
+        p.add_argument("--p", type=prime)
+        p.add_argument("--r", type=positive)
+    else:  # scan
+        p.add_argument("--p", type=prime, required=True)
+        p.add_argument("--r", type=positive, default=1)
+        p.add_argument("--k", type=nonnegative)
+        p.add_argument("--max-a", type=positive, dest="max_a", default=10)
+        p.add_argument("--max-n", type=from_two, dest="max_n", default=79)
+    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    return p
+
+
+@pytest.mark.parametrize("verb", list(cli._VERBS))
+def test_argument_table_builds_the_reference_parser_of_each_verb(verb):
+    reference = _reference_add_arguments(cli._Parser(prog=f"dysonsym {verb}"), verb)
+    built = cli._verb_parser(verb)
+    assert built.format_help() == reference.format_help()
+    assert built.format_usage() == reference.format_usage()
+
+
+def test_argument_table_builds_the_reference_full_parser():
+    reference = cli._Parser(
+        prog="dysonsym",
+        description="Dyson symbols, crank statistics, and partition congruences.",
+    )
+    sub = reference.add_subparsers(dest="verb", required=True)
+    for verb, line in cli._VERBS.items():
+        _reference_add_arguments(sub.add_parser(verb, help=line), verb)
+    assert cli.build_parser().format_help() == reference.format_help()
+    assert cli.build_parser().format_usage() == reference.format_usage()
+
+
+def _argparse_vars(verb, argv):
+    """vars() of what ``verb``'s parser makes of argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._verb_parser(verb).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+_FLAGS = sorted({name for groups in cli._ARGUMENTS.values() for group in groups
+                 for name, _ in group if name.startswith("-")})
+_FLAGS += ["--help", "-h", "--", "--n=3", "--max"]
+_WORDS = list(cli.VERIFY_IDS) + ["thm9.9", "all"]
+_WORDS += "0 1 2 5 7 11 40 -1 x".split() + ["", "10007", "1000003", "json", "csv", "text"]
+_TOKENS = st.sampled_from(_FLAGS) | st.sampled_from(_WORDS)
+
+# The benchmark's argv shapes and well-formed lines of CI's console-script step.
+_WELL_FORMED = [
+    "scan --p 5 --r 1 --k 1 --max-a 11 --max-n 40 --format json",
+    "scan --p 11 --r 2 --k 3 --max-a 11 --max-n 40 --format json",
+    "moments --k 2 --n 40 --format json",
+    *(f"verify {suite} --format json" for suite in cli.VERIFY_IDS),
+    "verify all --max-n 6",
+    "verify thm2.1 --k 4 --max-n 10",
+    "verify cor2.3 --max-n 60",
+    "verify thm3.1 --n 3",
+    "enumerate-marked --k 3 --n 8 --format json",
+    "moments --k 1000001 --n 40",
+    "verify gf-ck --k 1000001",
+    "verify mod-identity --k 2 --p 10007 --format json",
+    "scan --p 5 --max-n 1000000000000 --format json",
+    "scan --p 5 --k 1 --max-a 10 --max-n 79 --format json",
+    "crank-table --n 1000 --format json",
+    "rank-table --n 1000 --format json",
+    "partitions --n 0",
+    "dyson --n 4 --format csv",
+]
+
+
+@pytest.mark.parametrize("line", _WELL_FORMED)
+def test_quick_args_reads_the_well_formed_argvs_as_argparse_does(line):
+    verb, *argv = line.split()
+    args = cli._quick_args(verb, argv)
+    assert args is not None and vars(args) == _argparse_vars(verb, argv)
+
+
+# CI's usage-error lines that name a verb first, help, and what argparse
+# alone reads: an option=value token, a repeated option, --m and --oracle.
+@pytest.mark.parametrize("line", [
+    "scan --p 5 --max-a 0", "scan --p 5 --max-n 1", "scan --p 4", "verify mod-identity --p 4",
+    "partitions --n -1", "crank-table --n 0", "dyson --n 0", "enumerate-marked --k 0 --n 3",
+    "verify thm3.1 --n 1", "verify thm3.1 --n 3 --max-n 2", "verify thm9.9", "crank-table",
+    "moments --k x --n 3", "scan --p 1000000000000000003", "scan --format=json --p 5",
+    "scan --p 5 --p 7", "verify thm2.1 --m 1", "dyson --n 3 --oracle", "scan --help",
+])
+def test_quick_args_leaves_help_and_usage_errors_to_argparse(line):
+    verb, *argv = line.split()
+    assert cli._quick_args(verb, argv) is None
+
+
+@pytest.mark.parametrize("verb", list(cli._VERBS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_quick_args_gives_argparse_namespace_or_none(verb, data):
+    # A word per positional, some of the verb's own flags, each once and
+    # mostly with a value in its range, and a stray token half the time: so
+    # the draws hold well-formed argvs and near misses of them.
+    specs = {name: spec for group in cli._ARGUMENTS[verb] for name, spec in group}
+    argv = [data.draw(st.sampled_from(_WORDS)) for name in specs if not name.startswith("-")]
+    flags = [name for name in specs if name.startswith("-")]
+    for name in data.draw(st.permutations(flags))[: data.draw(st.integers(0, len(flags)))]:
+        good = st.sampled_from(specs[name].get("choices", ("1", "2", "5", "7", "11", "40")))
+        argv += [name, data.draw(good if data.draw(st.integers(0, 3)) else _TOKENS)]
+    if data.draw(st.booleans()):
+        argv.insert(data.draw(st.integers(0, len(argv))), data.draw(_TOKENS))
+    args = cli._quick_args(verb, argv)
+    assert args is None or vars(args) == _argparse_vars(verb, argv)
+
+
+def test_well_formed_main_builds_no_parser_and_loads_no_locale():
+    # A process's first ArgumentParser makes gettext import locale.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import contextlib, io, sys\n"
+        "from dysonsym import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['scan', '--p', '5', '--k', '1', '--max-a', '11', '--max-n', '40']),\n"
+        "             cli.main(['verify', 'gf-ck', '--format', 'json'])]\n"
+        "print(*codes, cli.build_parser.cache_info().currsize,\n"
+        "      cli._verb_parser.cache_info().currsize, 'locale' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0", "0", "0", "0", "False"]
