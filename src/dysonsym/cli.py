@@ -490,19 +490,6 @@ def _int_reader(least: int, prime: bool = False) -> Callable[[str], int]:
     return read
 
 
-# Each verb and its line in ``dysonsym --help``, in that listing's order.
-_VERBS = {
-    "partitions": "list the partitions of n",
-    "crank-table": "the crank count table at n",
-    "rank-table": "the rank count table at n",
-    "moments": "symmetrized crank and rank moments",
-    "dyson": "enumerate the Dyson symbols of n",
-    "enumerate-marked": "enumerate the k-marked symbols of n",
-    "verify": "run a verification suite",
-    "scan": "scan progressions An+B for congruence witnesses",
-}
-
-
 _NONNEGATIVE, _POSITIVE, _FROM_TWO = _int_reader(0), _int_reader(1), _int_reader(2)
 _PRIME = _int_reader(5, prime=True)
 
@@ -515,29 +502,37 @@ def _arg(name: str, **options) -> tuple:
 
 _FORMAT = _arg("--format", choices=("json", "csv", "text"), default="text")
 
-# Each verb's argument groups, in the order its help lists them.  Both
-# parsers add them (``_add_arguments``) and ``_quick_args`` reads them, so
-# each flag is written here once.  Each numeric flag's range is checked by
-# its ``type=``; the library checks its own arguments.
+# Each verb, in ``dysonsym --help``'s order: its line in that help, then its
+# argument groups, in the order its own help lists them.  ``build_parser``
+# adds them and ``_quick_args`` reads them, so each flag is written here once.
+# Each numeric flag's range is checked by its ``type=``; the library checks
+# its own arguments.
 _ARGUMENTS = {
-    "partitions": (_arg("--n", type=_NONNEGATIVE, required=True), _FORMAT),
-    "crank-table": (_arg("--n", type=_POSITIVE, required=True), _FORMAT),
-    "rank-table": (_arg("--n", type=_POSITIVE, required=True), _FORMAT),
+    "partitions": ("list the partitions of n",
+                   _arg("--n", type=_NONNEGATIVE, required=True), _FORMAT),
+    "crank-table": ("the crank count table at n",
+                    _arg("--n", type=_POSITIVE, required=True), _FORMAT),
+    "rank-table": ("the rank count table at n",
+                   _arg("--n", type=_POSITIVE, required=True), _FORMAT),
     "moments": (
+        "symmetrized crank and rank moments",
         _arg("--k", type=_POSITIVE, required=True), _arg("--n", type=_POSITIVE, required=True),
         _FORMAT,
     ),
     "dyson": (
+        "enumerate the Dyson symbols of n",
         _arg("--n", type=_POSITIVE, required=True),
         _arg("--oracle", action="store_true", default=False,
              help="use the structural search instead of the bijection"),
         _FORMAT,
     ),
     "enumerate-marked": (
+        "enumerate the k-marked symbols of n",
         _arg("--k", type=_POSITIVE, required=True), _arg("--n", type=_POSITIVE, required=True),
         _FORMAT,
     ),
     "verify": (
+        "run a verification suite",
         _arg("identifier", choices=VERIFY_IDS + ("all",)),
         _arg("--k", type=_POSITIVE),
         _arg("--n", type=_FROM_TWO) + _arg("--max-n", type=_POSITIVE, dest="max_n"),
@@ -547,6 +542,7 @@ _ARGUMENTS = {
         _FORMAT,
     ),
     "scan": (
+        "scan progressions An+B for congruence witnesses",
         _arg("--p", type=_PRIME, required=True),
         _arg("--r", type=_POSITIVE, default=1),
         _arg("--k", type=_NONNEGATIVE),
@@ -557,18 +553,9 @@ _ARGUMENTS = {
 }
 
 
-def _add_arguments(p: argparse.ArgumentParser, verb: str) -> argparse.ArgumentParser:
-    """Add ``verb``'s arguments to ``p`` and return ``p``."""
-    for group in _ARGUMENTS[verb]:
-        target = p.add_mutually_exclusive_group() if len(group) > 1 else p
-        for name, options in group:
-            target.add_argument(name, **options)
-    return p
-
-
 def _quick_args(verb: str, argv: Sequence[str]) -> Optional[argparse.Namespace]:
-    """What ``_verb_parser(verb).parse_args(argv)`` returns, read off the
-    argument table without argparse, or None for an argv it does not read.
+    """What ``build_parser().parse_args([verb, *argv])`` returns, read off
+    the argument table without argparse, or None for an argv it does not read.
 
     It reads the verb's positionals first, then ``--option value`` pairs,
     each option spelled out in full, at most once, and not one that takes
@@ -580,7 +567,7 @@ def _quick_args(verb: str, argv: Sequence[str]) -> Optional[argparse.Namespace]:
     """
     args, options, groups_given = {"verb": verb}, {}, set()
     positionals = []
-    for index, group in enumerate(_ARGUMENTS[verb]):
+    for index, group in enumerate(_ARGUMENTS[verb][1:]):
         for name, spec in group:
             dest = spec.get("dest", name.lstrip("-").replace("-", "_"))
             args[dest] = spec.get("default")
@@ -620,29 +607,22 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's full parser, every verb a subparser, built on the first call
     and shared by every later one.
 
-    ``main`` parses with it only an argv that names no verb first (no
-    arguments, ``--help``, an unknown verb, an option before the verb), so
-    it writes the top-level help and errors; each verb's own parser is
-    ``_verb_parser``, and most argvs need neither (``_quick_args``).
-    ``parse_args`` keeps no state between calls.  Callers must not change
-    the parser they get back.
+    ``main`` parses with it every argv that ``_quick_args`` does not read,
+    so it writes every help text and usage error, and it writes the error of
+    a run that raises.  ``parse_args`` keeps no state between calls.
+    Callers must not change the parser they get back.
     """
     parser = _Parser(
         prog="dysonsym",
         description="Dyson symbols, crank statistics, and partition congruences.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, line in _VERBS.items():
-        _add_arguments(sub.add_parser(verb, help=line), verb)
-    return parser
-
-
-@functools.lru_cache(maxsize=len(_VERBS))
-def _verb_parser(verb: str) -> argparse.ArgumentParser:
-    """``verb``'s parser, built on first use: it parses what follows the
-    verb as ``build_parser()``'s subparser for it does, and sets ``verb``."""
-    parser = _add_arguments(_Parser(prog=f"dysonsym {verb}"), verb)
-    parser.set_defaults(verb=verb)
+    for verb, (line, *groups) in _ARGUMENTS.items():
+        p = sub.add_parser(verb, help=line)
+        for group in groups:
+            target = p.add_mutually_exclusive_group() if len(group) > 1 else p
+            for name, options in group:
+                target.add_argument(name, **options)
     return parser
 
 
@@ -652,27 +632,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     An argv that starts with a verb and that ``_quick_args`` reads (the
     verb's positionals, then whole ``--option value`` pairs, each value in
-    its option's range) builds no parser.  Any other argv goes to argparse,
-    so every help text and usage error is argparse's: that verb's own parser
-    parses it, or the full parser, ``build_parser()``, one that names no
-    verb first.  An error that the run raises is written by the verb's
-    parser, built then."""
+    its option's range) builds no parser.  Every other argv goes to the full
+    parser, ``build_parser()``, so every help text and usage error is
+    argparse's; so is the error of a run that raises."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    verb = argv[0] if argv and argv[0] in _VERBS else None
-    args = _quick_args(verb, argv[1:]) if verb else None
+    args = _quick_args(argv[0], argv[1:]) if argv and argv[0] in _ARGUMENTS else None
     if args is None:
-        args = _verb_parser(verb).parse_args(argv[1:]) if verb else build_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         status = _run(args)
         sys.stdout.flush()  # so a closed pipe is reported here, not at exit
         return status
     except ValueError as exc:
         # A level a suite lacks, p^r past the largest modulus, bounds that leave no check.
-        _verb_parser(args.verb).error(str(exc))
+        build_parser().error(str(exc))
     except RecursionError:
         # The walk recurses once per level, a partition list once per part.
         limit = sys.getrecursionlimit()
-        _verb_parser(args.verb).error(f"input too large: recursion limit {limit} reached")
+        build_parser().error(f"input too large: recursion limit {limit} reached")
     except BrokenPipeError:
         # The reader closed standard output early (`| head`).  Point it at
         # the null device so that the flush at exit cannot fail again, and

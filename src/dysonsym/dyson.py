@@ -150,33 +150,19 @@ def enumerate_dyson_symbols(n: int, method: str = "bijection") -> Tuple[DysonSym
     ``method="bijection"`` maps the partitions of n through ``_encode``
     (the default, linear in p(n)): ``partitions_of`` makes only nonempty
     partitions for n >= 1, so none is checked again.  ``method="structural"``
-    searches over all shape-valid pairs directly and is kept as an
-    independent oracle.
+    takes the one level of each 1-marked symbol of n that ``marked._walk``
+    builds; the walk shares no code with the encoding, so it is kept as an
+    independent oracle.  Its order is the walk's, not the bijection's.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if method == "bijection":
         return tuple(map(_encode, partitions_of(n)))
     if method == "structural":
-        return _structural_search(n)
+        from .marked import _walk  # here, as marked imports this module
+
+        return tuple([_new_dyson(eta.vectors[0]) for eta in _walk(1, n)])
     raise ValueError(f"unknown method: {method}")
-
-
-def _structural_search(n: int) -> Tuple[DysonSymbol, ...]:
-    found = []
-    for asum in range(n + 1):
-        for alpha in partitions_of(asum):
-            if len(alpha) == 1 and alpha[0] != 1:
-                continue
-            if len(alpha) > 1 and alpha[0] != alpha[1]:
-                continue
-            for bsum in range(n - asum + 1):
-                for beta in partitions_of(bsum):
-                    if not alpha and not (len(beta) >= 2 and beta[0] == beta[1]):
-                        continue
-                    if asum + bsum + len(alpha) * len(beta) == n:
-                        found.append(DysonSymbol(alpha, beta))
-    return tuple(found)
 
 
 def count_f1(m: int, n: int) -> int:

@@ -463,11 +463,10 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
 def test_cli_import_builds_no_parser():
     # Every check is a fresh process: a parser is built when main needs it.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = ("import dysonsym.cli as cli; "
-            "print(cli.build_parser.cache_info().currsize, cli._verb_parser.cache_info().currsize)")
+    code = "import dysonsym.cli as cli; print(cli.build_parser.cache_info().currsize)"
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["0", "0"]
+    assert out.split() == ["0"]
 
 
 @pytest.mark.parametrize("r", ["9", "30"])
@@ -1021,34 +1020,21 @@ def _verb_subparsers():
     return action.choices
 
 
-@pytest.mark.parametrize("verb", list(cli._VERBS))
-def test_verb_parser_writes_its_subparsers_help(verb):
-    assert cli._verb_parser(verb).format_help() == _verb_subparsers()[verb].format_help()
-
-
-def test_main_builds_only_the_parser_of_the_verb_it_is_given(capsys):
+def test_main_builds_the_full_parser_only_for_what_the_table_does_not_read(capsys):
     cli.build_parser.cache_clear()
-    cli._verb_parser.cache_clear()
     # A well-formed argv is read off the argument table: no parser at all.
     for argv in (["moments", "--k", "1", "--n", "3"], ["scan", "--p", "5", "--max-n", "10"],
                  ["verify", "thm2.1", "--max-n", "4"]):
         assert run_cli(capsys, *argv)[0] == 0
     assert cli.build_parser.cache_info().currsize == 0
-    assert cli._verb_parser.cache_info().currsize == 0
-    # A malformed one, or one whose run raises, is its own verb's parser's to reject.
-    malformed, raising = ["moments", "--k", "0", "--n", "3"], ["verify", "cor2.3", "--k", "2"]
-    for argv, built in ((malformed, 1), (raising, 2)):
-        assert_one_line_error(usage_error(capsys, *argv))
-        assert cli.build_parser.cache_info().currsize == 0
-        assert cli._verb_parser.cache_info().currsize == built
-    cli._verb_parser("moments")
-    cli._verb_parser("verify")
-    assert cli._verb_parser.cache_info().hits == 2
-    # An argv that names no verb first is the full parser's to reject.
-    for argv in ([], ["no-such-verb"]):
+    # A malformed argv, an --m argv, a run that raises and an argv that names
+    # no verb first each build the one full parser, which writes the error.
+    for argv in (["moments", "--k", "0", "--n", "3"], ["verify", "thm2.1", "--k", "2", "--m", "1"],
+                 ["verify", "cor2.3", "--k", "2"], [], ["no-such-verb"]):
         cli.build_parser.cache_clear()
         assert_one_line_error(usage_error(capsys, *argv))
-        assert cli.build_parser.cache_info().currsize == 1
+        info = cli.build_parser.cache_info()
+        assert info.misses == info.currsize == 1
 
 
 def test_shared_parser_keeps_no_state_between_main_calls(capsys, monkeypatch):
@@ -1112,10 +1098,10 @@ def _reference_add_arguments(p, verb):
     return p
 
 
-@pytest.mark.parametrize("verb", list(cli._VERBS))
+@pytest.mark.parametrize("verb", list(cli._ARGUMENTS))
 def test_argument_table_builds_the_reference_parser_of_each_verb(verb):
     reference = _reference_add_arguments(cli._Parser(prog=f"dysonsym {verb}"), verb)
-    built = cli._verb_parser(verb)
+    built = _verb_subparsers()[verb]
     assert built.format_help() == reference.format_help()
     assert built.format_usage() == reference.format_usage()
 
@@ -1126,22 +1112,22 @@ def test_argument_table_builds_the_reference_full_parser():
         description="Dyson symbols, crank statistics, and partition congruences.",
     )
     sub = reference.add_subparsers(dest="verb", required=True)
-    for verb, line in cli._VERBS.items():
+    for verb, (line, *_) in cli._ARGUMENTS.items():
         _reference_add_arguments(sub.add_parser(verb, help=line), verb)
     assert cli.build_parser().format_help() == reference.format_help()
     assert cli.build_parser().format_usage() == reference.format_usage()
 
 
 def _argparse_vars(verb, argv):
-    """vars() of what ``verb``'s parser makes of argv, or None where it exits."""
+    """vars() of what the full parser makes of [verb, *argv], or None where it exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(cli._verb_parser(verb).parse_args(argv))
+            return vars(cli.build_parser().parse_args([verb, *argv]))
         except SystemExit:
             return None
 
 
-_FLAGS = sorted({name for groups in cli._ARGUMENTS.values() for group in groups
+_FLAGS = sorted({name for entry in cli._ARGUMENTS.values() for group in entry[1:]
                  for name, _ in group if name.startswith("-")})
 _FLAGS += ["--help", "-h", "--", "--n=3", "--max"]
 _WORDS = list(cli.VERIFY_IDS) + ["thm9.9", "all"]
@@ -1192,14 +1178,14 @@ def test_quick_args_leaves_help_and_usage_errors_to_argparse(line):
     assert cli._quick_args(verb, argv) is None
 
 
-@pytest.mark.parametrize("verb", list(cli._VERBS))
+@pytest.mark.parametrize("verb", list(cli._ARGUMENTS))
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_quick_args_gives_argparse_namespace_or_none(verb, data):
     # A word per positional, some of the verb's own flags, each once and
     # mostly with a value in its range, and a stray token half the time: so
     # the draws hold well-formed argvs and near misses of them.
-    specs = {name: spec for group in cli._ARGUMENTS[verb] for name, spec in group}
+    specs = {name: spec for group in cli._ARGUMENTS[verb][1:] for name, spec in group}
     argv = [data.draw(st.sampled_from(_WORDS)) for name in specs if not name.startswith("-")]
     flags = [name for name in specs if name.startswith("-")]
     for name in data.draw(st.permutations(flags))[: data.draw(st.integers(0, len(flags)))]:
@@ -1220,9 +1206,8 @@ def test_well_formed_main_builds_no_parser_and_loads_no_locale():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(['scan', '--p', '5', '--k', '1', '--max-a', '11', '--max-n', '40']),\n"
         "             cli.main(['verify', 'gf-ck', '--format', 'json'])]\n"
-        "print(*codes, cli.build_parser.cache_info().currsize,\n"
-        "      cli._verb_parser.cache_info().currsize, 'locale' in sys.modules)\n"
+        "print(*codes, cli.build_parser.cache_info().currsize, 'locale' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["0", "0", "0", "0", "False"]
+    assert out.split() == ["0", "0", "0", "False"]

@@ -80,10 +80,10 @@ def test_crank_negation_under_encoding():
 
 
 def test_structural_search_agrees_with_bijection():
-    for n in range(1, 13):
-        assert set(enumerate_dyson_symbols(n, method="structural")) == set(
-            enumerate_dyson_symbols(n)
-        )
+    for n in range(1, 17):
+        found = enumerate_dyson_symbols(n, method="structural")
+        assert len(set(found)) == len(found)
+        assert set(found) == set(enumerate_dyson_symbols(n))
 
 
 def test_count_f1_equals_crank_counts():
