@@ -1106,6 +1106,21 @@ def test_argument_table_builds_the_reference_parser_of_each_verb(verb):
     assert built.format_usage() == reference.format_usage()
 
 
+@pytest.mark.parametrize("verb", list(cli._ARGUMENTS))
+def test_verb_help_through_main_is_the_reference_help(verb, capsys):
+    # `dysonsym VERB --help` is never read off the table: main hands it to
+    # the full parser, whose subparser writes the help and exits 0.
+    cli.build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--help"])
+    captured = capsys.readouterr()
+    reference = _reference_add_arguments(cli._Parser(prog=f"dysonsym {verb}"), verb)
+    assert exc.value.code == 0
+    assert (captured.out, captured.err) == (reference.format_help(), "")
+    info = cli.build_parser.cache_info()
+    assert info.misses == info.currsize == 1
+
+
 def test_argument_table_builds_the_reference_full_parser():
     reference = cli._Parser(
         prog="dysonsym",
